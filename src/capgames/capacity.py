@@ -188,6 +188,18 @@ class CapacityBase:
                    for k in range(self.domain.size))
 
 
+def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
+    """Proper nonempty subsets in ascending (cardinality, bitmask) order,
+    each with its lower covers (the subsets one point smaller).
+
+    Filling in this order, a subset's only live monotonicity constraint
+    is its floor: the max of the already-filled table over its covers.
+    """
+    order = sorted(range(1, domain.full_mask), key=lambda m: (m.bit_count(), m))
+    return [(mask, tuple(mask ^ (1 << k) for k in range(domain.size) if mask >> k & 1))
+            for mask in order]
+
+
 class FiniteCapacity(CapacityBase):
     """Dense, validated, immutable capacity on a domain of at most 20 points."""
 

@@ -31,7 +31,7 @@ from .equilibrium import (
     find_equilibria_supports,
 )
 from .game import best_response, expected_payoff
-from .generate import SplitMix64, random_capacity, random_payoff_function
+from .generate import SplitMix64, _letters, random_capacity, random_payoff_function
 from .io import (
     ParseError,
     ValidationError,
@@ -75,10 +75,6 @@ def _parse_grid(text: str) -> list[Fraction]:
 def _parse_supports(text: str) -> list[list[str]]:
     groups = text.split(";")
     return [[lab for lab in group.split(",") if lab] for group in groups]
-
-
-def _letters(count: int) -> tuple[str, ...]:
-    return tuple(chr(ord("a") + k) for k in range(count))
 
 
 def cmd_integrate(args) -> tuple[int, dict | str]:

@@ -34,6 +34,7 @@ from .capacity import (
     DomainMismatch,
     FiniteCapacity,
     RangeError,
+    _monotone_fill_order,
     bottom_capacity,
     join,
     meet,
@@ -117,7 +118,7 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
         )
 
     full = domain.full_mask
-    order = sorted((m for m in range(1, full)), key=lambda m: (bin(m).count("1"), m))
+    order = _monotone_fill_order(domain)
     table: dict[int, Fraction] = {0: Fraction(0), full: Fraction(1)}
     out: list[FiniteCapacity] = []
 
@@ -126,15 +127,8 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
             dense = [table[m] for m in range(full + 1)]
             out.append(FiniteCapacity(domain, dense))
             return
-        mask = order[pos]
-        floor = Fraction(0)
-        m = mask
-        while m:
-            bit = m & -m
-            below = table[mask ^ bit]
-            if below > floor:
-                floor = below
-            m ^= bit
+        mask, covers = order[pos]
+        floor = max(table[c] for c in covers)
         for g in values:
             if g >= floor:
                 table[mask] = g
@@ -174,10 +168,17 @@ def _scale_of(values: Iterable[Fraction]) -> int:
     return 2 * denom
 
 
-def _scaled_matrix(space: GridCapacitySpace, scale: int) -> np.ndarray:
+def _scaled_matrix(caps: Sequence[FiniteCapacity], scale: int) -> np.ndarray:
+    """One row of value * scale per capacity; each product must be an integer."""
     rows = []
-    for cap in space.capacities:
-        rows.append([int(v * scale) for v in cap.values])
+    for cap in caps:
+        row = []
+        for v in cap.values:
+            q, r = divmod(v.numerator * scale, v.denominator)
+            if r:
+                raise AssertionError("scaled capacity value left the integers")
+            row.append(q)
+        rows.append(row)
     return np.array(rows, dtype=np.int64)
 
 
@@ -227,7 +228,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     """
     start = time.perf_counter()
     scale = _scale_of(space.grid)
-    mat = _scaled_matrix(space, scale)
+    mat = _scaled_matrix(space.capacities, scale)
     n_caps, n_coords = mat.shape
 
     corner_set: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -410,19 +411,10 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     the two exclusions against the whole space."""
     start = time.perf_counter()
     scale = _scale_of(space.grid)
-    mat = _scaled_matrix(space, scale)
+    mat = _scaled_matrix(space.capacities, scale)
     n = len(space.capacities)
     pairs = 0
     failures: list[tuple[int, int, str]] = []
-
-    def scaled_table(cap: FiniteCapacity) -> np.ndarray:
-        vals = []
-        for v in cap.values:
-            s = v * scale
-            if s.denominator != 1:
-                raise AssertionError("scaled capacity value left the integers")
-            vals.append(int(s))
-        return np.array(vals, dtype=np.int64)
 
     for p in range(n):
         for q in range(p + 1, n):
@@ -433,10 +425,10 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
                      if cap_p.values[mask] != cap_q.values[mask])
             smaller, larger = (p, q) if cap_p.values[w] < cap_q.values[w] else (q, p)
 
-            in_hi = ((mat >= scaled_table(half_hi.lower)).all(axis=1)
-                     & (mat <= scaled_table(half_hi.upper)).all(axis=1))
-            in_lo = ((mat >= scaled_table(half_lo.lower)).all(axis=1)
-                     & (mat <= scaled_table(half_lo.upper)).all(axis=1))
+            hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
+                (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
+            in_hi = (mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1)
+            in_lo = (mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1)
             if not bool((in_hi | in_lo).all()):
                 failures.append((p, q, "halves do not cover the space"))
             if bool(in_hi[smaller]):

@@ -11,13 +11,14 @@ player).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .capacity import CapacityBase, Domain, DomainMismatch, _coerce_rational
 from .sugeno import CorrectionMap, PayoffFunction, sugeno_integral
-from .tensor import ProductDomain, product_domain
+from .tensor import ProductDomain, _row_major_strides, product_domain
 
 __all__ = [
     "GameSpec",
@@ -39,9 +40,7 @@ class GameSpec:
     def __post_init__(self):
         if len(self.strategy_domains) < 2:
             raise ValueError("a game needs at least two players")
-        count = 1
-        for d in self.strategy_domains:
-            count *= d.size
+        count = self.profile_count
         if len(self.payoffs) != len(self.strategy_domains):
             raise ValueError("one payoff tensor per player required")
         coerced = []
@@ -53,6 +52,7 @@ class GameSpec:
                 )
             coerced.append(tuple(_coerce_rational(v, "payoff") for v in tensor))
         object.__setattr__(self, "payoffs", tuple(coerced))
+        object.__setattr__(self, "_strides", _row_major_strides(self.sizes))
         object.__setattr__(self, "_opp_cache", {})
         object.__setattr__(self, "_slice_cache", {})
 
@@ -66,21 +66,13 @@ class GameSpec:
 
     @property
     def profile_count(self) -> int:
-        count = 1
-        for s in self.sizes:
-            count *= s
-        return count
+        return math.prod(self.sizes)
 
     def strides(self) -> tuple[int, ...]:
-        out = []
-        acc = 1
-        for s in reversed(self.sizes):
-            out.append(acc)
-            acc *= s
-        return tuple(reversed(out))
+        return self._strides  # type: ignore[attr-defined]
 
     def flat_index(self, profile: Sequence[int]) -> int:
-        return sum(i * s for i, s in zip(profile, self.strides()))
+        return sum(i * s for i, s in zip(profile, self._strides))  # type: ignore[attr-defined]
 
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
         return self.payoffs[player][self.flat_index(profile)]

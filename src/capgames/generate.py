@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .capacity import Domain, FiniteCapacity
+from .capacity import Domain, FiniteCapacity, _monotone_fill_order
 from .game import GameSpec
 from .sugeno import PayoffFunction
 
@@ -68,17 +68,8 @@ def random_capacity(domain: Domain, rng: SplitMix64,
         raise ValueError("denominator must be at least 1")
     full = domain.full_mask
     table: dict[int, Fraction] = {0: Fraction(0), full: Fraction(1)}
-    order = sorted((m for m in range(1, full)),
-                   key=lambda m: (bin(m).count("1"), m))
-    for mask in order:
-        floor = Fraction(0)
-        m = mask
-        while m:
-            bit = m & -m
-            below = table[mask ^ bit]
-            if below > floor:
-                floor = below
-            m ^= bit
+    for mask, covers in _monotone_fill_order(domain):
+        floor = max(table[c] for c in covers)
         # smallest numerator whose grid point is >= floor
         start = -(-floor.numerator * denominator // floor.denominator)
         num = start + rng.below(denominator - start + 1)

@@ -8,6 +8,7 @@ that compares correctly against rationals is provided here.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -68,20 +69,26 @@ POS_INF = Extreme(+1)
 ExtendedValue = Union[Fraction, Extreme]
 
 
+# ASCII digits only: int() alone would also take "1_000" and non-ASCII digits.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a plain integer string into an exact Fraction.
 
-    Raises ValueError on malformed input or zero denominator.
+    p and q are ASCII digit strings with an optional sign; whitespace may
+    surround each. Raises ValueError on malformed input or zero
+    denominator.
     """
-    s = text.strip()
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        num = int(num_s.strip())
-        den = int(den_s.strip())
-        if den == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}; expected p or p/q")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(int(num), int(den))
 
 
 def format_rational(value: Fraction) -> str:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .capacity import (
     CapacityBase,
@@ -86,14 +87,24 @@ def logit_correction(scale: Fraction | int = 1) -> CorrectionMap:
 
     The float is converted exactly (binary expansion), so downstream
     comparisons stay deterministic even though the map itself is only
-    float-accurate.
+    float-accurate. A ratio u / (1 - u) = p / (q - p) beyond the float
+    range takes its log from the integers instead: ln p - ln(q - p).
     """
     s = Fraction(scale)
     if s <= 0:
         raise ValueError("logit correction needs a positive scale")
 
     def interior(u: Fraction) -> Fraction:
-        return Fraction(float(s) * math.log(u / (1 - u)))
+        ratio = u / (1 - u)
+        try:
+            as_float = float(ratio)
+        except OverflowError:
+            as_float = math.inf
+        if as_float == 0 or math.isinf(as_float):
+            log = math.log(ratio.numerator) - math.log(ratio.denominator)
+        else:
+            log = math.log(as_float)
+        return Fraction(float(s) * log)
 
     return CorrectionMap(f"logit-{s}", interior)
 
@@ -148,15 +159,49 @@ class PayoffFunction:
         The mask at a value v covers every point with payoff >= v, so the
         masks grow along the list.
         """
-        order = sorted(set(self.values), reverse=True)
-        out = []
-        mask = 0
-        for v in order:
-            for k, x in enumerate(self.values):
-                if x == v:
-                    mask |= 1 << k
-            out.append((v, mask))
-        return out
+        return list(_level_sets(self.values))
+
+
+def _level_sets(values: Sequence[Fraction]) -> Iterator[tuple[Fraction, int]]:
+    """Yield each distinct value v, descending, with the mask of points >= v.
+
+    One sort of the point indices; equal values form one group, whose
+    points all join the mask before it is yielded.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    mask = 0
+    for v, points in groupby(order, key=values.__getitem__):
+        for k in points:
+            mask |= 1 << k
+        yield v, mask
+
+
+def _identity(level: Fraction) -> Fraction:
+    return level
+
+
+def _level_set_max(values: Sequence[Fraction], cap: CapacityBase,
+                   lift: Callable[[Fraction], ExtendedValue] = _identity) -> Fraction:
+    """max over distinct values v of min(v, lift(mu(points >= v))).
+
+    The one level-set loop behind the corrected integral (lift = the
+    correction map), the classical integral and the tensor product
+    (lift = identity). A level of capacity 1 ends the scan, since later
+    values are strictly smaller and cannot beat it; a level of capacity 0
+    lifts to the bottom of the range and never wins, so it is skipped.
+    """
+    best: Fraction | None = None
+    for v, mask in _level_sets(values):
+        level = cap.value_mask(mask)
+        if level == 1:
+            return v if best is None or v > best else best
+        if level == 0:
+            continue
+        lifted = lift(level)
+        candidate = v if lifted >= v else lifted  # min(v, lifted)
+        if best is None or candidate > best:
+            best = candidate
+    raise AssertionError("unreachable: full-domain level set has capacity 1")
 
 
 def _check_domains(func: PayoffFunction, cap: CapacityBase) -> None:
@@ -176,20 +221,7 @@ def sugeno_integral(func: PayoffFunction, cap: CapacityBase,
     set is the whole domain, whose capacity is 1.
     """
     _check_domains(func, cap)
-    best: Fraction | None = None
-    for v, mask in func.descending_levels():
-        level = cap.value_mask(mask)
-        if level == 1:
-            # Later values are strictly smaller, so their candidates
-            # cannot beat v.
-            return v if best is None or v > best else best
-        if level == 0:
-            continue
-        corrected = correction.evaluate(level)
-        candidate = v if corrected >= v else corrected  # min(v, corrected)
-        if best is None or candidate > best:
-            best = candidate
-    raise AssertionError("unreachable: full-domain level set has capacity 1")
+    return _level_set_max(func.values, cap, correction.evaluate)
 
 
 def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
@@ -202,25 +234,7 @@ def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
     for v in func.values:
         if v < 0 or v > 1:
             raise RangeError(f"classical integral needs values in [0, 1], got {v}")
-    return _classical_over_values(func.values, cap)
-
-
-def _classical_over_values(values: Sequence[Fraction], cap: CapacityBase) -> Fraction:
-    """Level-set loop shared with the tensor product; values already in [0, 1]."""
-    order = sorted(set(values), reverse=True)
-    best = Fraction(0)
-    mask = 0
-    for v in order:
-        for k, x in enumerate(values):
-            if x == v:
-                mask |= 1 << k
-        level = cap.value_mask(mask)
-        if level == 1:
-            return v if v > best else best
-        candidate = v if level >= v else level  # min(v, level)
-        if candidate > best:
-            best = candidate
-    return best
+    return _level_set_max(func.values, cap)
 
 
 def _satisfies_defining_inequality(t: Fraction, level: Fraction,

@@ -19,6 +19,7 @@ re-parsed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +33,7 @@ from .capacity import (
     DENSE_DOMAIN_CAP,
     pushforward,
 )
-from .sugeno import _classical_over_values
+from .sugeno import _level_set_max
 
 __all__ = [
     "ProductTooLarge",
@@ -51,6 +52,14 @@ class ProductTooLarge(CapacityError):
     """Dense product table would exceed the dense domain cap."""
 
 
+def _row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Flat-index step of each axis, the last axis varying fastest."""
+    strides = [1] * len(sizes)
+    for k in range(len(sizes) - 1, 0, -1):
+        strides[k - 1] = strides[k] * sizes[k]
+    return tuple(strides)
+
+
 @dataclass(frozen=True)
 class ProductDomain:
     """Ordered factor domains with a flat, row-major indexed label domain."""
@@ -61,21 +70,12 @@ class ProductDomain:
         if not self.factors:
             raise ValueError("product needs at least one factor")
         sizes = tuple(d.size for d in self.factors)
-        strides = []
-        acc = 1
-        for s in reversed(sizes):
-            strides.append(acc)
-            acc *= s
-        strides.reverse()
-        labels = []
-        for idx in range(acc):
-            parts = []
-            for d, stride in zip(self.factors, strides):
-                parts.append(d.labels[(idx // stride) % d.size])
-            labels.append("|".join(parts))
+        # itertools.product varies the last factor fastest: row-major.
+        labels = tuple("|".join(point) for point in
+                       itertools.product(*(d.labels for d in self.factors)))
         object.__setattr__(self, "_sizes", sizes)
-        object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "flat", Domain(tuple(labels)))
+        object.__setattr__(self, "_strides", _row_major_strides(sizes))
+        object.__setattr__(self, "flat", Domain(labels))
 
     flat: Domain = None  # type: ignore[assignment]  # filled in __post_init__
 
@@ -147,7 +147,7 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     values = []
     for mask in range(pd.flat.subset_count):
         sections = _section_values(mask, m, k, right)
-        values.append(_classical_over_values(sections, left))
+        values.append(_level_set_max(sections, left))
     return FiniteCapacity(pd.flat, values)
 
 
@@ -226,7 +226,7 @@ class LazyTensorCapacity(CapacityBase):
             sections = _section_values(
                 mask, self._prefix_size, self._last.domain.size, self._last
             )
-            out = _classical_over_values(sections, self._prefix)
+            out = _level_set_max(sections, self._prefix)
         memo[mask] = out
         return out
 

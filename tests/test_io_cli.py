@@ -8,6 +8,7 @@ import pytest
 
 from capgames import (
     Domain,
+    FiniteCapacity,
     PayoffFunction,
     ParseError,
     ValidationError,
@@ -255,6 +256,19 @@ class TestCli:
         assert main(["integrate", cap_file, fn_file, "--psi", "logit:2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["psi"] == "logit-2"
+
+    def test_integrate_logit_at_levels_beyond_the_float_range(self, tmp_path, capsys):
+        abc = Domain(("a", "b", "c"))
+        tiny = F(1, 10**400)
+        # mu({a}) = tiny and mu({a, b}) = 1 - tiny, both reached by the integral.
+        cap = FiniteCapacity(abc, [
+            F(1) if m == 7 else 1 - tiny if m == 3 else tiny if m & 1 else F(0)
+            for m in range(8)])
+        func = PayoffFunction(abc, (F(2), F(1), F(0)))
+        cap_file = _write(tmp_path, "cap.json", serialize_capacity(cap))
+        fn_file = _write(tmp_path, "fn.json", serialize_function(func))
+        assert main(["integrate", cap_file, fn_file, "--psi", "logit"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "1"
 
     def test_bad_psi_is_a_usage_error(self, tmp_path, capsys):
         cap = seeded_capacity(9, 2)

@@ -11,6 +11,7 @@ def test_parse_fraction_and_integer():
     assert parse_rational("2") == Fraction(2)
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("0") == Fraction(0)
+    assert parse_rational(" +3 / 4 ") == Fraction(3, 4)
 
 
 def test_parse_rejects_zero_denominator():
@@ -18,7 +19,7 @@ def test_parse_rejects_zero_denominator():
         parse_rational("1/0")
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "1.5"])
+@pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "1.5", "1_000", "\u0661\u0662"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

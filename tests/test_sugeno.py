@@ -93,6 +93,13 @@ class TestLogitCorrection:
         psi = logit_correction(1)
         assert psi.evaluate(F(1, 4)) == -psi.evaluate(F(3, 4))
 
+    def test_levels_beyond_the_float_range_evaluate_in_order(self):
+        psi = logit_correction(1)
+        tiny = F(1, 10**400)
+        low, high = psi.evaluate(tiny), psi.evaluate(1 - tiny)
+        assert NEG_INF < low < psi.evaluate(F(1, 2)) < high < POS_INF
+        assert low == -high
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             logit_correction(0)
@@ -132,6 +139,11 @@ class TestPayoffFunction:
     def test_descending_levels_masks_grow(self):
         f = PayoffFunction(ABC, (F(1), F(0), F(1)))
         assert f.descending_levels() == [(F(1), 0b101), (F(0), 0b111)]
+        tied = PayoffFunction(letters(5), (F(2), F(5), F(2), F(-1), F(5)))
+        assert tied.descending_levels() == [
+            (F(5), 0b10010), (F(2), 0b10111), (F(-1), 0b11111)]
+        flat = PayoffFunction(ABC, (F(3, 2),) * 3)
+        assert flat.descending_levels() == [(F(3, 2), 0b111)]
 
 
 class TestIntegralExamples:
@@ -302,3 +314,12 @@ class TestClassicalSugeno:
         cap = seeded_capacity(seed, 3)
         f = PayoffFunction(letters(3), tuple(vals))
         assert f.minimum <= classical_sugeno(f, cap) <= f.maximum
+
+    @given(seed=st.integers(0, 2**32),
+           vals=st.lists(st.integers(0, 4).map(lambda n: F(n, 4)),
+                         min_size=4, max_size=4))
+    def test_matches_the_level_mask_reference(self, seed, vals):
+        cap = seeded_capacity(seed, 4)
+        f = PayoffFunction(letters(4), tuple(vals))
+        reference = max(min(v, cap.value_mask(f.level_mask(v))) for v in set(vals))
+        assert classical_sugeno(f, cap) == reference
