@@ -6,10 +6,12 @@ checks run over an exhaustively enumerated space of grid-valued
 capacities:
 
 * binarity: every pairwise-intersecting ("linked") triple of intervals
-  has a common element inside the space. Intersections of intervals are
-  boxes with corners given by coordinate-wise max of lower corners and
-  min of upper corners; the witness candidate (the max of the lower
-  corners) is itself monotone with grid values, hence a space element.
+  has a common element inside the space. A grid space is a lattice
+  under pointwise max (join) and min (meet), so an interval is a pair
+  (lower, upper) of space members, the intersection of two linked
+  intervals is (join of the lowers, meet of the uppers), again an
+  interval, and the scan runs on member indices through join, meet and
+  order tables.
 * pair separation: any two distinct capacities split the space into two
   intervals built from a witness subset and the midpoint of the two
   values there, each endpoint falling outside one half.
@@ -71,7 +73,13 @@ class EqualCapacities(Exception):
 
 @dataclass(frozen=True)
 class GridCapacitySpace:
-    """Every capacity on the domain whose values all lie in the grid."""
+    """Every capacity on the domain whose values all lie in the grid.
+
+    `enumerate_capacities` builds the full space. A space built by hand,
+    such as a subset of it, must be closed under pointwise max and min
+    (a sublattice) for `check_binarity`, which raises AssertionError
+    otherwise.
+    """
 
     domain: Domain
     grid: tuple[Fraction, ...]
@@ -182,6 +190,22 @@ def _scaled_matrix(caps: Sequence[FiniteCapacity], scale: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _member_table(mat: np.ndarray, op) -> np.ndarray:
+    """table[a, b] = index of the row op(mat[a], mat[b]) in mat.
+
+    `mat` holds distinct rows in lexicographic order, as np.unique
+    returns them. Raises AssertionError if some op(mat[a], mat[b]) is
+    not a row of mat, i.e. if the space is not closed under op.
+    """
+    n = len(mat)
+    pairs = op(mat[:, None], mat[None]).reshape(n * n, -1)
+    found, index = np.unique(np.concatenate((mat, pairs)), axis=0, return_inverse=True)
+    if len(found) != n:
+        raise AssertionError(
+            f"pointwise {op.__name__} of two members left the space; closure broken")
+    return index.reshape(-1)[n:].reshape(n, n)
+
+
 def _pack_bool(bools: np.ndarray) -> int:
     return int.from_bytes(
         np.packbits(bools.astype(np.uint8), bitorder="little").tobytes(), "little"
@@ -219,58 +243,55 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
                    interval_budget: int = 60000) -> BinarityReport:
     """Scan every linked interval triple for an empty common part.
 
-    Intervals are the distinct corner boxes over all endpoint pairs.
-    Pairwise linkage and triple verification run over exact scaled
-    integers with per-interval bitsets: a triple {i, j, k} with i < j
-    passes iff k's box meets the intersection box of i and j, and that
-    box meets the space whenever its corners are ordered, because the
-    coordinate-wise max of lower corners is itself a space element.
+    The space is a lattice under pointwise max (join) and min (meet),
+    so the interval of two members x, y is the pair of members
+    (meet(x, y), join(x, y)), and the intervals are exactly the pairs
+    (L, H) of members with L <= H, numbered in the order of their
+    scaled (lower, upper) rows. Intervals i and j meet in
+    (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
+    ordered, and it is then again an interval, i ∩ j. So a pairwise
+    linked triple {i, j, k} with i < j < k has a common member iff k is
+    linked to i ∩ j, one bitset test. Building the join and meet
+    tables checks closure for every pair of members and raises
+    AssertionError on a space that is not a lattice.
     """
     start = time.perf_counter()
-    scale = _scale_of(space.grid)
-    mat = _scaled_matrix(space.capacities, scale)
-    n_caps, n_coords = mat.shape
+    mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
+    n = len(mat)
+    # Row by row, so that a space far over budget stops before n x n tables.
+    below_rows = []
+    m = 0
+    for row in mat:
+        below_rows.append((row <= mat).all(axis=1))
+        m += int(below_rows[-1].sum())
+        if m > interval_budget:
+            raise BudgetExceeded(
+                f"at least {m} distinct intervals exceed budget {interval_budget}")
+    below = np.array(below_rows)
+    lows, highs = np.nonzero(below)
+    if full_family and m > FULL_FAMILY_CAP:
+        raise BudgetExceeded(
+            f"full-family scan capped at {FULL_FAMILY_CAP} intervals, have {m}"
+        )
 
-    corner_set: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for i in range(n_caps):
-        lo = np.minimum(mat, mat[i])
-        hi = np.maximum(mat, mat[i])
-        for j in range(i, n_caps):
-            corner_set.add((tuple(lo[j]), tuple(hi[j])))
-    corners = sorted(corner_set)
-    m = len(corners)
-    if m > interval_budget:
-        raise BudgetExceeded(f"{m} distinct intervals exceed budget {interval_budget}")
+    join_of = _member_table(mat, np.maximum)
+    meet_of = _member_table(mat, np.minimum)
+    interval_of = np.full((n, n), -1, dtype=np.intp)
+    interval_of[lows, highs] = np.arange(m)
 
-    lo_mat = np.array([c[0] for c in corners], dtype=np.int64)
-    hi_mat = np.array([c[1] for c in corners], dtype=np.int64)
+    def intersections(i: int) -> np.ndarray:
+        # Index of i ∩ j for every interval j; -1 where they are not linked.
+        return interval_of[join_of[lows[i], lows], meet_of[highs[i], highs]]
 
-    # Coordinates with any spread; constant ones (empty/full set) never cut.
-    active = [c for c in range(n_coords)
-              if not (lo_mat[:, c].min() == hi_mat[:, c].max())]
-    value_set = sorted({int(v) for v in np.unique(mat)})
-    at_most: list[dict[int, int]] = [dict() for _ in range(n_coords)]
-    at_least: list[dict[int, int]] = [dict() for _ in range(n_coords)]
-    for c in active:
-        for v in value_set:
-            at_most[c][v] = _pack_bool(lo_mat[:, c] <= v)
-            at_least[c][v] = _pack_bool(hi_mat[:, c] >= v)
+    rows = [_pack_bool(intersections(i) >= 0) for i in range(m)]
 
-    rows: list[int] = []
-    for i in range(m):
-        linked_i = ((np.maximum(lo_mat, lo_mat[i]) <= np.minimum(hi_mat, hi_mat[i]))
-                    .all(axis=1))
-        rows.append(_pack_bool(linked_i))
-
-    space_members = {tuple(int(v) for v in mat[i]): i for i in range(n_caps)}
     linked_pairs = 0
     triples_checked = 0
     failures: list[tuple[int, int, int]] = []
-    reach_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    witness_checked = False
 
     for i in range(m):
         rest = rows[i] & (~0 << (i + 1))
+        inside = intersections(i).tolist()
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
@@ -280,16 +301,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
             if not cand:
                 continue
             triples_checked += cand.bit_count()
-            lo_ij = tuple(int(v) for v in np.maximum(lo_mat[i], lo_mat[j]))
-            hi_ij = tuple(int(v) for v in np.minimum(hi_mat[i], hi_mat[j]))
-            key = (lo_ij, hi_ij)
-            reach = reach_cache.get(key)
-            if reach is None:
-                reach = -1
-                for c in active:
-                    reach &= at_most[c][hi_ij[c]] & at_least[c][lo_ij[c]]
-                reach_cache[key] = reach
-            bad = cand & ~reach
+            bad = cand & ~rows[inside[j]]
             while bad:
                 lowb = bad & -bad
                 k = lowb.bit_length() - 1
@@ -297,24 +309,9 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
                 failures.append((i, j, k))
                 if len(failures) >= 16:
                     bad = 0
-            if not witness_checked and cand:
-                k = (cand & -cand).bit_length() - 1
-                witness = tuple(int(v) for v in
-                                np.maximum(np.maximum(lo_mat[i], lo_mat[j]), lo_mat[k]))
-                wlo = np.array(witness, dtype=np.int64)
-                whi = np.minimum(np.minimum(hi_mat[i], hi_mat[j]), hi_mat[k])
-                if (wlo <= whi).all() and witness not in space_members:
-                    raise AssertionError(
-                        "triple witness corner left the space; closure broken"
-                    )
-                witness_checked = True
 
     full_family_sets = None
     if full_family:
-        if m > FULL_FAMILY_CAP:
-            raise BudgetExceeded(
-                f"full-family scan capped at {FULL_FAMILY_CAP} intervals, have {m}"
-            )
         full_family_sets = 0
         all_mask = (1 << m) - 1
 
@@ -325,20 +322,20 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
                 low = rest & -rest
                 k = low.bit_length() - 1
                 rest ^= low
-                nlo = np.maximum(box_lo, lo_mat[k])
-                nhi = np.minimum(box_hi, hi_mat[k])
+                nlo = join_of[box_lo, lows[k]]
+                nhi = meet_of[box_hi, highs[k]]
                 nm = members + [k]
                 if len(nm) >= 2:
                     full_family_sets += 1
-                    if not (nlo <= nhi).all():
+                    if not below[nlo, nhi]:
                         failures.append(tuple(nm[:3]))
                 grow(nm, rest & rows[k], nlo, nhi)
 
         for i in range(m):
-            grow([i], rows[i] & (all_mask << (i + 1)), lo_mat[i], hi_mat[i])
+            grow([i], rows[i] & (all_mask << (i + 1)), lows[i], highs[i])
 
     return BinarityReport(
-        capacity_count=n_caps,
+        capacity_count=len(space.capacities),
         interval_count=m,
         linked_pairs=linked_pairs,
         triples_checked=triples_checked,

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class BadResolution(Exception):
+class BadResolution(ValueError):
     """Oracle resolution must be a positive rational."""
 
 
@@ -88,11 +88,17 @@ def logit_correction(scale: Fraction | int = 1) -> CorrectionMap:
     The float is converted exactly (binary expansion), so downstream
     comparisons stay deterministic even though the map itself is only
     float-accurate. A ratio u / (1 - u) = p / (q - p) beyond the float
-    range takes its log from the integers instead: ln p - ln(q - p).
+    range takes its log from the integers instead: ln p - ln(q - p). A
+    scale whose float is 0 or infinite, or whose float product with the
+    log overflows, multiplies the log exactly: scale * Fraction(log).
     """
     s = Fraction(scale)
     if s <= 0:
         raise ValueError("logit correction needs a positive scale")
+    try:
+        s_float = float(s)
+    except OverflowError:
+        s_float = math.inf
 
     def interior(u: Fraction) -> Fraction:
         ratio = u / (1 - u)
@@ -104,7 +110,10 @@ def logit_correction(scale: Fraction | int = 1) -> CorrectionMap:
             log = math.log(ratio.numerator) - math.log(ratio.denominator)
         else:
             log = math.log(as_float)
-        return Fraction(float(s) * log)
+        product = s_float * log
+        if s_float == 0 or not math.isfinite(product):
+            return s * Fraction(log)
+        return Fraction(product)
 
     return CorrectionMap(f"logit-{s}", interior)
 

@@ -12,6 +12,7 @@ from capgames import (
     DomainMismatch,
     EqualCapacities,
     FiniteCapacity,
+    GridCapacitySpace,
     RangeError,
     bottom_capacity,
     check_binarity,
@@ -205,6 +206,28 @@ class TestBinarity:
                 report.triples_checked) == (n_boxes, pairs, triples)
         assert (n_boxes, pairs, triples) == (36, 320, 1408)
         assert bad == []
+
+    def test_hand_built_sublattice(self):
+        # The capacities with mu({a}) <= 1/2: closed under max and min.
+        full = enumerate_capacities(AB, GRID3)
+        a = AB.mask_of(("a",))
+        space = GridCapacitySpace(AB, full.grid, tuple(
+            c for c in full.capacities if c.values[a] <= F(1, 2)))
+        report = check_binarity(space)
+        n_boxes, pairs, triples, bad = brute_force_binarity(space)
+        assert report.passed
+        assert report.capacity_count == 6
+        assert (report.interval_count, report.linked_pairs,
+                report.triples_checked) == (n_boxes, pairs, triples)
+        assert (n_boxes, pairs, triples) == (18, 82, 170)
+        assert bad == []
+
+    def test_space_that_is_not_a_lattice_is_rejected(self):
+        # dirac_a and dirac_b join to top, which is not in the space.
+        space = GridCapacitySpace(AB, (F(0), F(1)), (
+            dirac_capacity(AB, "a"), dirac_capacity(AB, "b")))
+        with pytest.raises(AssertionError, match="closure broken"):
+            check_binarity(space)
 
     def test_report_shape(self):
         space = enumerate_capacities(AB, (0, 1))

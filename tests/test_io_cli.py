@@ -270,6 +270,24 @@ class TestCli:
         assert main(["integrate", cap_file, fn_file, "--psi", "logit"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "1"
 
+    @pytest.mark.parametrize("scale", [str(10**400), f"1/{10**400}"],
+                             ids=["1e400", "1e-400"])
+    def test_integrate_logit_scale_beyond_the_float_range(self, tmp_path, capsys, scale):
+        cap = FiniteCapacity(AB, [F(0), F(3, 4), F(1, 4), F(1)])
+        func = PayoffFunction(AB, (F(1), F(0)))
+        cap_file = _write(tmp_path, "cap.json", serialize_capacity(cap))
+        fn_file = _write(tmp_path, "fn.json", serialize_function(func))
+        assert main(["integrate", cap_file, fn_file, "--psi", f"logit:{scale}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["psi"] == f"logit-{scale}"
+        # The value is min(1, scale * ln 3): 1 for the huge scale, and a
+        # positive rational below 1 for the tiny one.
+        value = F(report["value"])
+        if scale == str(10**400):
+            assert value == 1
+        else:
+            assert 0 < value < 1
+
     def test_bad_psi_is_a_usage_error(self, tmp_path, capsys):
         cap = seeded_capacity(9, 2)
         func = PayoffFunction(cap.domain, (F(1), F(0)))
@@ -371,6 +389,10 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["config"]["trials"] == 25
+
+    def test_oracle_compare_zero_resolution_is_a_usage_error(self, capsys):
+        assert main(["oracle-compare", "--trials", "1", "--resolution", "0"]) == 2
+        assert "resolution must be positive" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -100,6 +100,19 @@ class TestLogitCorrection:
         assert NEG_INF < low < psi.evaluate(F(1, 2)) < high < POS_INF
         assert low == -high
 
+    @pytest.mark.parametrize("scale", [10**400, F(1, 10**400), 10**306],
+                             ids=["1e400", "1e-400", "1e306"])
+    def test_scales_beyond_the_float_range_keep_the_map_increasing(self, scale):
+        # 10**400 and 1/10**400 have no finite nonzero float; at 10**306 the
+        # float product with ln(10**400) overflows.
+        psi = logit_correction(scale)
+        tiny = F(1, 10**400)
+        values = [psi.evaluate(u) for u in (tiny, F(1, 4), F(1, 2), F(3, 4), 1 - tiny)]
+        assert NEG_INF < values[0] and values[-1] < POS_INF
+        assert all(lo < hi for lo, hi in zip(values, values[1:]))
+        assert values[0] == -values[-1]
+        assert values[1] == -values[3]
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             logit_correction(0)
