@@ -51,6 +51,7 @@ from .equilibrium import (
     is_equilibrium,
     iterate_best_response_supports,
     pure_nash,
+    support_profile_count,
 )
 from .game import (
     GameSpec,

@@ -29,6 +29,7 @@ from .equilibrium import (
     SupportProfile,
     check_support_profile,
     find_equilibria_supports,
+    support_profile_count,
 )
 from .game import best_response, expected_payoff
 from .generate import SplitMix64, _letters, random_capacity, random_payoff_function
@@ -132,13 +133,10 @@ def cmd_solve(args) -> tuple[int, dict | str]:
     corr = _parse_psi(args.psi)
     game = parse_game(args.game, args.allow_decimal)
     hits = find_equilibria_supports(game, corr, budget=args.budget)
-    scanned = 1
-    for d in game.strategy_domains:
-        scanned *= (1 << d.size) - 1
     report = {
         "config": {"game": args.game, "psi": corr.name, "budget": args.budget},
         "game_hash": canonical_game_hash(game),
-        "profiles_scanned": scanned,
+        "profiles_scanned": support_profile_count(game),
         "equilibrium_count": len(hits),
         "equilibria": [cert.to_dict() for _, cert in hits],
     }

@@ -27,9 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .capacity import (
     Domain,
@@ -42,6 +40,9 @@ from .capacity import (
     meet,
     top_capacity,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BudgetExceeded",
@@ -60,6 +61,9 @@ __all__ = [
 
 MAX_GRID_POINTS = 5
 MAX_DOMAIN_POINTS = 4
+# Members one enumeration may build: the 4-point {0, 1/2, 1} space has
+# 7,246, the 4-point spaces on 4 or 5 grid values 145,954 and 1,753,909.
+MAX_SPACE_MEMBERS = 10_000
 FULL_FAMILY_CAP = 18
 
 
@@ -108,7 +112,9 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
     Subsets are filled in ascending cardinality order, so the only
     constraint live at each step is the maximum over the one-point-
     smaller subsets; every completion reaching the full set (forced to
-    1) is a valid capacity, which construction re-validates.
+    1) is a valid capacity, which construction re-validates. The
+    enumeration stops with BudgetExceeded before it would build member
+    MAX_SPACE_MEMBERS + 1.
     """
     values = sorted({Fraction(g) for g in grid})
     for g in values:
@@ -132,6 +138,10 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
 
     def fill(pos: int) -> None:
         if pos == len(order):
+            if len(out) == MAX_SPACE_MEMBERS:
+                raise BudgetExceeded(
+                    f"{domain.size} points with {len(values)} grid values give "
+                    f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
             dense = [table[m] for m in range(full + 1)]
             out.append(FiniteCapacity(domain, dense))
             return
@@ -178,6 +188,8 @@ def _scale_of(values: Iterable[Fraction]) -> int:
 
 def _scaled_matrix(caps: Sequence[FiniteCapacity], scale: int) -> np.ndarray:
     """One row of value * scale per capacity; each product must be an integer."""
+    import numpy as np
+
     rows = []
     for cap in caps:
         row = []
@@ -197,6 +209,8 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
     returns them. Raises AssertionError if some op(mat[a], mat[b]) is
     not a row of mat, i.e. if the space is not closed under op.
     """
+    import numpy as np
+
     n = len(mat)
     pairs = op(mat[:, None], mat[None]).reshape(n * n, -1)
     found, index = np.unique(np.concatenate((mat, pairs)), axis=0, return_inverse=True)
@@ -207,6 +221,8 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
 
 
 def _pack_bool(bools: np.ndarray) -> int:
+    import numpy as np
+
     return int.from_bytes(
         np.packbits(bools.astype(np.uint8), bitorder="little").tobytes(), "little"
     )
@@ -255,6 +271,8 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     tables checks closure for every pair of members and raises
     AssertionError on a space that is not a lattice.
     """
+    import numpy as np
+
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)

@@ -9,15 +9,22 @@ support, and player i's belief is the tensor product of the others'
 possibility capacities in ascending player order. That candidate space
 is finite, so the scan is exhaustive under a budget.
 
-Supports admit a purely combinatorial test: a profile passes iff every
-player's support sits inside their own best-response set against it.
-Both the measure condition and the set condition are computed and
-reported so their agreement stays observable.
+The tensor of possibility capacities is {0,1}-valued: 1 exactly on the
+sets that meet the support box. Its corrected Sugeno integral of a
+payoff slice is therefore the slice's maximum over the box, whatever
+the correction map, and a profile passes iff every player's support
+sits inside the set of strategies attaining the largest box maximum.
+The scan decides every profile by that set inclusion, from box-max
+tables built once per player with the subset-max recurrence; the
+measure path (`check_support_profile`) then certifies each hit, so
+every reported equilibrium carries a certificate computed from the
+beliefs themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -34,7 +41,7 @@ from .convexity import BudgetExceeded, enumerate_capacities
 from .game import GameSpec, best_response, opponent_domain
 from .rational import format_rational
 from .sugeno import CorrectionMap, default_correction
-from .tensor import lazy_tensor
+from .tensor import _row_major_strides, lazy_tensor
 
 __all__ = [
     "DEFAULT_PROFILE_BUDGET",
@@ -44,6 +51,7 @@ __all__ = [
     "CycleReport",
     "is_equilibrium",
     "check_support_profile",
+    "support_profile_count",
     "find_equilibria_supports",
     "iterate_best_response_supports",
     "find_equilibria_grid",
@@ -212,25 +220,101 @@ def check_support_profile(game: GameSpec, profile: SupportProfile,
     return replace(cert, supports=profile, supports_within_responses=within)
 
 
+def support_profile_count(game: GameSpec) -> int:
+    """Number of support profiles: the product of 2^k - 1 over players."""
+    return math.prod((1 << d.size) - 1 for d in game.strategy_domains)
+
+
+def _subset_max_axis(table: list[Fraction], dims: list[int],
+                     axis: int) -> list[Fraction]:
+    """Replace one axis of a row-major table, indexed by the k strategies
+    of a player, by that player's 2^k - 1 nonempty masks (mask m at
+    position m - 1), each entry the maximum over the mask's strategies.
+
+    Singleton masks are read straight from the table; any other mask m
+    takes max(M(lowbit(m)), M(m ^ lowbit(m))), both computed before it.
+    """
+    k = dims[axis]
+    inner = math.prod(dims[axis + 1:])
+    out: list[Fraction] = []
+    for o in range(math.prod(dims[:axis])):
+        base = o * k * inner
+        by_mask: list[list[Fraction]] = [[]]
+        for m in range(1, 1 << k):
+            low = m & -m
+            if m == low:
+                t = low.bit_length() - 1
+                row = table[base + t * inner:base + (t + 1) * inner]
+            else:
+                row = list(map(max, by_mask[low], by_mask[m ^ low]))
+            by_mask.append(row)
+            out.extend(row)
+    return out
+
+
+def _best_response_masks(game: GameSpec, player: int) -> list[int]:
+    """Player's best-response mask against every box of opponent
+    supports, row-major over the opponents' masks (mask m at m - 1) in
+    ascending player order: the own strategies whose payoff maximum over
+    the box is largest."""
+    dims = list(game.sizes)
+    table = list(game.payoffs[player])
+    for axis in range(game.n_players):
+        if axis != player:
+            table = _subset_max_axis(table, dims, axis)
+            dims[axis] = (1 << dims[axis]) - 1
+    k = dims[player]
+    inner = math.prod(dims[player + 1:])
+    masks = []
+    for o in range(math.prod(dims[:player])):
+        base = o * k * inner
+        for r in range(base, base + inner):
+            scores = table[r:r + k * inner:inner]
+            top = max(scores)
+            masks.append(sum(1 << s for s, v in enumerate(scores) if v == top))
+    return masks
+
+
 def find_equilibria_supports(game: GameSpec,
                              correction: CorrectionMap | None = None,
                              budget: int = DEFAULT_PROFILE_BUDGET,
                              ) -> list[tuple[SupportProfile, EquilibriumCertificate]]:
     """Exhaustive scan over all support profiles in ascending-bitmask
-    order (player 0 slowest), returning every profile that passes."""
-    total = 1
-    for d in game.strategy_domains:
-        total *= (1 << d.size) - 1
+    order (player 0 slowest), returning every profile that passes.
+
+    Each profile is decided by box-max inclusion: it passes iff every
+    player's support lies inside their best-response mask against the
+    others' support box. Every hit is then certified by the measure
+    path, `check_support_profile` with the given correction, which must
+    agree (AssertionError otherwise).
+    """
+    total = support_profile_count(game)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate profiles exceed the budget {budget}")
+    n = game.n_players
+    widths = [(1 << d.size) - 1 for d in game.strategy_domains]
+    responses = [_best_response_masks(game, i) for i in range(n)]
+    # weights[i][j]: step of player j's mask in player i's response
+    # table; 0 for j == i, whose own mask does not index it.
+    weights = []
+    for i in range(n):
+        strides = list(_row_major_strides(widths[:i] + widths[i + 1:]))
+        strides.insert(i, 0)
+        weights.append(strides)
     hits: list[tuple[SupportProfile, EquilibriumCertificate]] = []
-    for masks in itertools.product(
-            *(range(1, 1 << d.size) for d in game.strategy_domains)):
+    for masks in itertools.product(*(range(1, w + 1) for w in widths)):
+        coords = [m - 1 for m in masks]
+        if any(mask & ~resp[sum(c * w for c, w in zip(coords, wts))]
+               for mask, resp, wts in zip(masks, responses, weights)):
+            continue
         profile = SupportProfile.from_masks(game, masks)
         cert = check_support_profile(game, profile, correction)
-        if cert.holds:
-            hits.append((profile, cert))
+        if not (cert.holds and cert.supports_within_responses):
+            raise AssertionError(
+                f"support profile {profile.labels} passed the box-max test "
+                f"but failed its certificate")
+        hits.append((profile, cert))
     return hits
 
 

@@ -5,6 +5,7 @@ paths disjoint from the library internals, so agreement is evidence,
 not tautology.
 """
 
+import itertools
 from fractions import Fraction
 
 from capgames import (
@@ -15,6 +16,8 @@ from capgames import (
     GameSpec,
     PayoffFunction,
     SplitMix64,
+    SupportProfile,
+    check_support_profile,
     random_capacity,
 )
 
@@ -59,6 +62,21 @@ def no_support_equilibrium_game() -> GameSpec:
         [Domain(("a", "b")), Domain(("a", "b"))],
         [[[-2, -1], [-1, -2]], [[-1, -2], [-2, 0]]],
     )
+
+
+def measure_support_scan(game: GameSpec, corr: CorrectionMap | None = None):
+    """Reference support scan through the measure path: every profile in
+    ascending-bitmask order (player 0 slowest) goes through
+    check_support_profile, and the ones whose certificate holds are
+    kept."""
+    hits = []
+    for masks in itertools.product(
+            *(range(1, 1 << d.size) for d in game.strategy_domains)):
+        profile = SupportProfile.from_masks(game, masks)
+        cert = check_support_profile(game, profile, corr)
+        if cert.holds:
+            hits.append((profile, cert))
+    return hits
 
 
 def satisfies_defining_inequality(t: Fraction, level: Fraction,

@@ -2,6 +2,7 @@
 pairwise separation."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from capgames import (
     separating_halves,
     top_capacity,
 )
+
+from helpers import letters
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -113,6 +116,16 @@ class TestEnumerateCapacities:
             enumerate_capacities(
                 AB, (0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1)
             )
+
+    def test_member_budget_admits_the_four_point_three_value_space(self):
+        assert len(enumerate_capacities(letters(4), GRID3)) == 7246
+
+    def test_member_budget_stops_before_building_the_space(self):
+        # 1,753,909 members; the budget stops the enumeration at 10,000.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="more than 10000 capacities"):
+            enumerate_capacities(letters(4), (0, F(1, 4), F(1, 2), F(3, 4), 1))
+        assert time.perf_counter() - start < 30
 
 
 class TestIntervals:

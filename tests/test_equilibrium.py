@@ -1,6 +1,7 @@
 """Equilibrium conditions, support scans, iteration, and grid oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from capgames import (
     CycleReport,
     DomainMismatch,
     EmptySupport,
+    GameSpec,
     SupportProfile,
     bottom_capacity,
     check_support_profile,
@@ -34,7 +36,9 @@ from capgames.generate import SplitMix64, random_game
 from helpers import (
     coordination_game,
     dominant_game,
+    letters,
     matching_pennies,
+    measure_support_scan,
     no_support_equilibrium_game,
     one_strategy_game,
 )
@@ -243,6 +247,23 @@ class TestFindEquilibriaSupports:
             ]
             assert is_equilibrium(game, rebuilt).holds
             assert cert.holds
+
+    @given(st.data())
+    def test_box_max_scan_matches_the_measure_path(self, data):
+        # Payoffs from a five-value range make ties, and so multi-strategy
+        # best-response sets, common.
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        count = math.prod(sizes)
+        payoffs = [data.draw(st.lists(st.integers(-2, 2), min_size=count,
+                                      max_size=count))
+                   for _ in sizes]
+        game = GameSpec(tuple(letters(k) for k in sizes),
+                        tuple(tuple(p) for p in payoffs))
+        for corr in (default_correction(), logit_correction()):
+            fast = find_equilibria_supports(game, corr)
+            slow = measure_support_scan(game, corr)
+            assert [p.masks for p, _ in fast] == [p.masks for p, _ in slow]
+            assert [c.to_dict() for _, c in fast] == [c.to_dict() for _, c in slow]
 
 
 class TestIterateBestResponse:

@@ -1,6 +1,9 @@
 """JSON file formats and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from capgames import (
     sugeno_integral,
     tensor_many,
 )
+import capgames
 from capgames.cli import main
 from capgames.generate import SplitMix64, random_game
 
@@ -382,6 +386,11 @@ class TestCli:
         assert main(["verify-convexity", "--grid", "1/2,1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_convexity_member_budget_is_a_usage_error(self, capsys):
+        assert main(["verify-convexity", "--domain-size", "4",
+                     "--grid", "0,1/4,1/2,3/4,1"]) == 2
+        assert "exhaustive budget" in capsys.readouterr().err
+
     def test_oracle_compare(self, capsys):
         code = main(["oracle-compare", "--trials", "25", "--seed", "3",
                      "--resolution", "1/64"])
@@ -412,3 +421,12 @@ class TestCli:
         da.pop("generated_at")
         db.pop("generated_at")
         assert da == db
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported only inside the convexity scans.
+    src = str(Path(capgames.__file__).resolve().parent.parent)
+    code = "import capgames, capgames.cli, sys; assert 'numpy' not in sys.modules"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
