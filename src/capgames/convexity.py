@@ -27,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .capacity import (
     Domain,
@@ -104,18 +104,11 @@ class GridCapacitySpace:
         return len(self.capacities)
 
 
-def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
-                         max_points: int = MAX_DOMAIN_POINTS,
-                         max_grid: int = MAX_GRID_POINTS) -> GridCapacitySpace:
-    """Exhaustively enumerate the grid-valued capacities on the domain.
-
-    Subsets are filled in ascending cardinality order, so the only
-    constraint live at each step is the maximum over the one-point-
-    smaller subsets; every completion reaching the full set (forced to
-    1) is a valid capacity, which construction re-validates. The
-    enumeration stops with BudgetExceeded before it would build member
-    MAX_SPACE_MEMBERS + 1.
-    """
+def _grid_values(domain: Domain, grid: Iterable[Fraction | int],
+                 max_points: int = MAX_DOMAIN_POINTS,
+                 max_grid: int = MAX_GRID_POINTS) -> list[Fraction]:
+    """The sorted distinct grid values, once the grid and the domain are
+    checked against the exhaustive budget."""
     values = sorted({Fraction(g) for g in grid})
     for g in values:
         if g < 0 or g > 1:
@@ -130,31 +123,56 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
         raise BudgetExceeded(
             f"grid has {len(values)} values, exhaustive budget stops at {max_grid}"
         )
+    return values
 
+
+def _grid_tables(domain: Domain,
+                 values: Sequence[Fraction]) -> Iterator[list[Fraction]]:
+    """Dense value table of every grid-valued capacity on the domain;
+    `values` is sorted and runs from 0 to 1.
+
+    Subsets are filled in ascending cardinality order, so the only
+    constraint live at each step is the maximum over the one-point-
+    smaller subsets; every completion reaching the full set (forced to
+    1) is monotone. Stops with BudgetExceeded before it would yield
+    table MAX_SPACE_MEMBERS + 1.
+    """
     full = domain.full_mask
     order = _monotone_fill_order(domain)
-    table: dict[int, Fraction] = {0: Fraction(0), full: Fraction(1)}
-    out: list[FiniteCapacity] = []
+    # Positions in `values`, which runs from 0 to 1: order them as ints.
+    table = {0: 0, full: len(values) - 1}
 
-    def fill(pos: int) -> None:
+    def fill(pos: int) -> Iterator[list[Fraction]]:
         if pos == len(order):
-            if len(out) == MAX_SPACE_MEMBERS:
-                raise BudgetExceeded(
-                    f"{domain.size} points with {len(values)} grid values give "
-                    f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
-            dense = [table[m] for m in range(full + 1)]
-            out.append(FiniteCapacity(domain, dense))
+            yield [values[table[m]] for m in range(full + 1)]
             return
         mask, covers = order[pos]
-        floor = max(table[c] for c in covers)
-        for g in values:
-            if g >= floor:
-                table[mask] = g
-                fill(pos + 1)
+        for rank in range(max(table[c] for c in covers), len(values)):
+            table[mask] = rank
+            yield from fill(pos + 1)
         del table[mask]
 
-    fill(0)
-    return GridCapacitySpace(domain, tuple(values), tuple(out))
+    for count, dense in enumerate(fill(0)):
+        if count == MAX_SPACE_MEMBERS:
+            raise BudgetExceeded(
+                f"{domain.size} points with {len(values)} grid values give "
+                f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
+        yield dense
+
+
+def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
+                         max_points: int = MAX_DOMAIN_POINTS,
+                         max_grid: int = MAX_GRID_POINTS) -> GridCapacitySpace:
+    """Exhaustively enumerate the grid-valued capacities on the domain.
+
+    Members come in the fill order of `_grid_tables` (ascending
+    cardinality, each subset's grid values ascending); construction
+    re-validates each one. The enumeration stops with BudgetExceeded
+    before it would build member MAX_SPACE_MEMBERS + 1.
+    """
+    values = _grid_values(domain, grid, max_points, max_grid)
+    caps = tuple(FiniteCapacity(domain, t) for t in _grid_tables(domain, values))
+    return GridCapacitySpace(domain, tuple(values), caps)
 
 
 @dataclass(frozen=True)

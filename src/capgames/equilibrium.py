@@ -19,6 +19,15 @@ tables built once per player with the subset-max recurrence; the
 measure path (`check_support_profile`) then certifies each hit, so
 every reported equilibrium carries a certificate computed from the
 beliefs themselves.
+
+The grid search covers every belief system whose capacities take
+values in a finite grid. It is decoupled: player i's best response
+depends on player i's belief alone, so each member of a player's grid
+space gets one `best_response`, and the space is grouped by response.
+A tuple of realised responses then fixes every player's box, and the
+hits for it are the product of each player's group members that
+vanish outside their box. The space sizes are counted, and the product
+checked against the budget, before any member is built.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .capacity import (
     FiniteCapacity,
     possibility_capacity,
 )
-from .convexity import BudgetExceeded, enumerate_capacities
+from .convexity import BudgetExceeded, _grid_tables, _grid_values
 from .game import GameSpec, best_response, opponent_domain
 from .rational import format_rational
 from .sugeno import CorrectionMap, default_correction
@@ -168,14 +177,9 @@ def is_equilibrium(game: GameSpec,
 
     responses = tuple(best_response(game, i, system.beliefs[i], corr)
                       for i in range(game.n_players))
-    residuals = []
-    for i in range(game.n_players):
-        opp = opponent_domain(game, i)
-        coord_masks = [game.strategy_domains[j].as_mask(responses[j])
-                       for j in range(game.n_players) if j != i]
-        box = opp.mask_of_box(coord_masks)
-        residuals.append(
-            system.beliefs[i].value_mask(opp.flat.full_mask & ~box))
+    masks = [d.as_mask(r) for d, r in zip(game.strategy_domains, responses)]
+    residuals = [_values_outside_box(game, i, masks, [belief])[0]
+                 for i, belief in enumerate(system.beliefs)]
     degenerate = tuple(i for i in range(game.n_players)
                        if system.beliefs[i].is_vacuous())
     return EquilibriumCertificate(
@@ -185,6 +189,19 @@ def is_equilibrium(game: GameSpec,
         correction_name=corr.name,
         degenerate_players=degenerate,
     )
+
+
+def _values_outside_box(game: GameSpec, player: int,
+                        responses: Sequence[int],
+                        beliefs: Iterable[CapacityBase]) -> list[Fraction]:
+    """Each belief of the player, evaluated on the opponent profiles
+    outside the box of the others' best responses (`responses` holds one
+    own-strategy mask per player; the player's own is not read). The
+    player's equilibrium condition is that this value is exactly 0."""
+    opp = opponent_domain(game, player)
+    box = opp.mask_of_box([m for j, m in enumerate(responses) if j != player])
+    outside = opp.flat.full_mask & ~box
+    return [b.value_mask(outside) for b in beliefs]
 
 
 def _profile_beliefs(game: GameSpec, profile: SupportProfile) -> BeliefSystem:
@@ -368,23 +385,52 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
                          correction: CorrectionMap | None = None,
                          budget: int = DEFAULT_PROFILE_BUDGET,
                          ) -> list[BeliefSystem]:
-    """Brute-force ground truth on tiny games: enumerate every belief
-    system whose capacities take values in the grid and return the ones
-    passing is_equilibrium, in enumeration order."""
-    spaces = [enumerate_capacities(opponent_domain(game, i).flat, grid)
-              for i in range(game.n_players)]
-    total = 1
-    for s in spaces:
-        total *= len(s)
+    """Every belief system whose capacities take values in the grid and
+    pass `is_equilibrium`, in `itertools.product` order over the players'
+    grid spaces (player 0 slowest).
+
+    The search is decoupled: a player's best response depends on their
+    own belief only. Each player's space is grouped by the best-response
+    mask of its members, one `best_response` per member. For every tuple
+    r of realised masks, player i accepts the members of group r_i whose
+    value outside the box of r_-i is exactly 0, the residual rule of
+    `is_equilibrium`; the hits for r are the product of the accepted
+    lists. The budget bounds the product of the space sizes: each space
+    is filled once as value tables, and the tables are counted before
+    any member is built from them.
+    """
+    corr = correction if correction is not None else default_correction()
+    grid = tuple(grid)
+    domains = [opponent_domain(game, i).flat for i in range(game.n_players)]
+    # Players whose opponents have equal labels share one space.
+    tables = {d: list(_grid_tables(d, _grid_values(d, grid))) for d in domains}
+    total = math.prod(len(tables[d]) for d in domains)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
-    out: list[BeliefSystem] = []
-    for combo in itertools.product(*(s.capacities for s in spaces)):
-        cert = is_equilibrium(game, combo, correction)
-        if cert.holds:
-            out.append(cert.beliefs)
-    return out
+    built = {d: [FiniteCapacity(d, t) for t in ts] for d, ts in tables.items()}
+    spaces = [built[d] for d in domains]
+    # groups[i]: best-response mask -> indices of player i's members.
+    groups: list[dict[int, list[int]]] = []
+    for i, space in enumerate(spaces):
+        own = game.strategy_domains[i]
+        by_mask: dict[int, list[int]] = {}
+        for k, cap in enumerate(space):
+            mask = own.mask_of(best_response(game, i, cap, corr))
+            by_mask.setdefault(mask, []).append(k)
+        groups.append(by_mask)
+    hits: list[tuple[int, ...]] = []
+    for responses in itertools.product(*groups):
+        accepted = []
+        for i, (space, by_mask) in enumerate(zip(spaces, groups)):
+            members = by_mask[responses[i]]
+            values = _values_outside_box(game, i, responses,
+                                         (space[k] for k in members))
+            accepted.append([k for k, v in zip(members, values) if v == 0])
+        hits.extend(itertools.product(*accepted))
+    hits.sort()
+    return [BeliefSystem(tuple(space[k] for space, k in zip(spaces, combo)))
+            for combo in hits]
 
 
 def pure_nash(game: GameSpec) -> list[tuple[str, ...]]:

@@ -22,7 +22,6 @@ __all__ = [
     "SplitMix64",
     "DEFAULT_PAYOFF_VALUES",
     "random_capacity",
-    "random_possibility_mask",
     "random_payoff_function",
     "random_game",
 ]
@@ -75,11 +74,6 @@ def random_capacity(domain: Domain, rng: SplitMix64,
         num = start + rng.below(denominator - start + 1)
         table[mask] = Fraction(num, denominator)
     return FiniteCapacity(domain, [table[m] for m in range(full + 1)])
-
-
-def random_possibility_mask(domain: Domain, rng: SplitMix64) -> int:
-    """Uniform nonempty subset of the domain, as a bitmask."""
-    return 1 + rng.below(domain.full_mask)
 
 
 def random_payoff_function(domain: Domain, rng: SplitMix64,

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 from capgames import (
+    BudgetExceeded,
     CapacityBase,
     CorrectionMap,
     Domain,
@@ -18,6 +19,9 @@ from capgames import (
     SplitMix64,
     SupportProfile,
     check_support_profile,
+    enumerate_capacities,
+    is_equilibrium,
+    opponent_domain,
     random_capacity,
 )
 
@@ -77,6 +81,28 @@ def measure_support_scan(game: GameSpec, corr: CorrectionMap | None = None):
         if cert.holds:
             hits.append((profile, cert))
     return hits
+
+
+def product_grid_scan(game: GameSpec, grid, corr: CorrectionMap | None = None,
+                      budget: int = 1 << 24):
+    """Reference grid search: every belief system of the product of the
+    players' grid spaces, in itertools.product order, goes through
+    is_equilibrium, and the ones whose certificate holds are kept."""
+    grid = tuple(grid)
+    spaces = [enumerate_capacities(opponent_domain(game, i).flat, grid)
+              for i in range(game.n_players)]
+    total = 1
+    for s in spaces:
+        total *= len(s)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} candidate belief systems exceed the budget {budget}")
+    out = []
+    for combo in itertools.product(*(s.capacities for s in spaces)):
+        cert = is_equilibrium(game, combo, corr)
+        if cert.holds:
+            out.append(cert.beliefs)
+    return out
 
 
 def satisfies_defining_inequality(t: Fraction, level: Fraction,

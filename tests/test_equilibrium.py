@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from capgames import (
     BeliefSystem,
+    FiniteCapacity,
     BudgetExceeded,
     CycleReport,
     DomainMismatch,
@@ -31,6 +33,7 @@ from capgames import (
     tensor_many,
     top_capacity,
 )
+from capgames.equilibrium import _profile_beliefs
 from capgames.generate import SplitMix64, random_game
 
 from helpers import (
@@ -41,9 +44,23 @@ from helpers import (
     measure_support_scan,
     no_support_equilibrium_game,
     one_strategy_game,
+    product_grid_scan,
 )
 
 F = Fraction
+GRID3 = (0, F(1, 2), 1)
+
+
+def draw_game(data) -> GameSpec:
+    """2-3 players with 1-3 strategies each. Payoffs from a five-value
+    range make ties, and so multi-strategy best-response sets, common."""
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    count = math.prod(sizes)
+    payoffs = [data.draw(st.lists(st.integers(-2, 2), min_size=count,
+                                  max_size=count))
+               for _ in sizes]
+    return GameSpec(tuple(letters(k) for k in sizes),
+                    tuple(tuple(p) for p in payoffs))
 
 
 class TestSupportProfile:
@@ -250,15 +267,7 @@ class TestFindEquilibriaSupports:
 
     @given(st.data())
     def test_box_max_scan_matches_the_measure_path(self, data):
-        # Payoffs from a five-value range make ties, and so multi-strategy
-        # best-response sets, common.
-        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
-        count = math.prod(sizes)
-        payoffs = [data.draw(st.lists(st.integers(-2, 2), min_size=count,
-                                      max_size=count))
-                   for _ in sizes]
-        game = GameSpec(tuple(letters(k) for k in sizes),
-                        tuple(tuple(p) for p in payoffs))
+        game = draw_game(data)
         for corr in (default_correction(), logit_correction()):
             fast = find_equilibria_supports(game, corr)
             slow = measure_support_scan(game, corr)
@@ -312,6 +321,25 @@ class TestIterateBestResponse:
         assert out.cycle == ()
         assert len(out.trajectory) == 2
 
+    def test_three_players_with_ten_strategies_finish_quickly(self):
+        # Each step is one check_support_profile. A best-response table
+        # over every box of opponent supports would hold 10.5 M entries
+        # a player here.
+        domains = (letters(10),) * 3
+        profiles = list(itertools.product(range(10), repeat=3))
+        # Every player's own strategy "a" strictly dominates.
+        dominant = GameSpec(domains, tuple(tuple(-p[i] for p in profiles)
+                                           for i in range(3)))
+        start = time.perf_counter()
+        out = iterate_best_response_supports(dominant)
+        assert out.labels == (("a",),) * 3
+        assert check_support_profile(dominant, out).holds
+        for seed in (1, 2):
+            out = iterate_best_response_supports(
+                random_game(SplitMix64(seed), [10, 10, 10]))
+            assert isinstance(out, (SupportProfile, CycleReport))
+        assert time.perf_counter() - start < 5
+
 
 class TestFindEquilibriaGrid:
     def test_zero_one_grid_on_coordination(self):
@@ -353,6 +381,55 @@ class TestFindEquilibriaGrid:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             find_equilibria_grid(coordination_game(), (0, F(1, 2), 1), budget=5)
+
+    @given(st.data())
+    def test_decoupled_search_matches_the_product_loop(self, data):
+        game = draw_game(data)
+        grid = data.draw(st.sampled_from([(0, 1), GRID3]))
+        corr = data.draw(st.sampled_from([default_correction(),
+                                          logit_correction()]))
+        try:
+            slow = product_grid_scan(game, grid, corr, budget=1500)
+        except BudgetExceeded:
+            reject()
+        fast = find_equilibria_grid(game, grid, corr)
+        assert fast == slow
+        assert ([[b.values for b in s.beliefs] for s in fast]
+                == [[b.values for b in s.beliefs] for s in slow])
+
+    def test_three_players_on_the_zero_one_grid(self):
+        # 166^3 = 4,574,296 belief systems.
+        game = random_game(SplitMix64(1), [2, 2, 2])
+        systems = find_equilibria_grid(game, (0, 1))
+        # Keyed by object identity: hashing 142,737 Fraction tables is slow.
+        found = {tuple(map(id, s.beliefs)) for s in systems}
+        assert len(found) == len(systems)
+        members = {id(b): b for s in systems for b in s.beliefs}
+        id_of = {b.values: k for k, b in members.items()}
+        # The possibility systems among them are exactly the support hits.
+        hits = {p.masks for p, _ in find_equilibria_supports(game)}
+        assert hits
+        for masks in itertools.product(range(1, 4), repeat=3):
+            profile = SupportProfile.from_masks(game, masks)
+            beliefs = _profile_beliefs(game, profile).beliefs
+            key = tuple(id_of.get(materialize(b).values) for b in beliefs)
+            assert (key in found) == (masks in hits)
+        for system in systems[::997]:
+            assert is_equilibrium(game, system).holds
+
+    def test_budget_is_checked_before_any_member_is_built(self, monkeypatch):
+        builds = []
+        init = FiniteCapacity.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteCapacity, "__init__", counting_init)
+        game = random_game(SplitMix64(1), [2, 2, 2])
+        with pytest.raises(BudgetExceeded, match="^380447722936 candidate"):
+            find_equilibria_grid(game, GRID3)
+        assert builds == []
 
 
 class TestPureNash:
