@@ -200,46 +200,105 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
             for mask in order]
 
 
+def _check_domain_size(domain: Domain) -> None:
+    if domain.size > DENSE_DOMAIN_CAP:
+        raise DomainTooLarge(
+            f"domain has {domain.size} points; dense tables stop at {DENSE_DOMAIN_CAP}"
+        )
+
+
+def _check_table_length(domain: Domain, table: Sequence) -> None:
+    if len(table) != domain.subset_count:
+        raise ValueError(
+            f"need {domain.subset_count} values for a {domain.size}-point domain, "
+            f"got {len(table)}"
+        )
+
+
+def _raise_out_of_range(domain: Domain, mask: int, value: Fraction) -> None:
+    raise RangeError(
+        f"value {value} on {set(domain.labels_of(mask)) or '{}'} outside [0, 1]"
+    )
+
+
+def _check_normalized(empty: Fraction, full: Fraction) -> None:
+    if empty != 0:
+        raise NormalizationError(f"empty set must get 0, got {empty}")
+    if full != 1:
+        raise NormalizationError(f"full set must get 1, got {full}")
+
+
+def _check_cover_pairs(domain: Domain, table: Sequence,
+                       levels: Sequence[Fraction] | None = None) -> None:
+    """Raise MonotonicityError at the first cover pair (A, A + {x}), by
+    mask of A and then by x, whose smaller set has the larger entry.
+
+    Cover pairs suffice: A <= A + {x} for every x outside A implies
+    monotonicity for all nested pairs by transitivity. `table` holds
+    Fractions, or ranks into `levels`, which the error then reports.
+    """
+    full = domain.full_mask
+    for mask, v in enumerate(table):
+        rest = full & ~mask
+        while rest:
+            bit = rest & -rest
+            if v > table[mask | bit]:
+                big = table[mask | bit]
+                if levels is not None:
+                    v, big = levels[v], levels[big]
+                raise MonotonicityError(domain.labels_of(mask),
+                                        domain.labels_of(mask | bit), v, big)
+            rest ^= bit
+
+
 class FiniteCapacity(CapacityBase):
     """Dense, validated, immutable capacity on a domain of at most 20 points."""
 
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
-        if domain.size > DENSE_DOMAIN_CAP:
-            raise DomainTooLarge(
-                f"domain has {domain.size} points; dense tables stop at {DENSE_DOMAIN_CAP}"
-            )
+        _check_domain_size(domain)
         table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        if len(table) != domain.subset_count:
-            raise ValueError(
-                f"need {domain.subset_count} values for a {domain.size}-point domain, "
-                f"got {len(table)}"
-            )
+        _check_table_length(domain, table)
         for mask, v in enumerate(table):
             if v < 0 or v > 1:
-                raise RangeError(
-                    f"value {v} on {set(domain.labels_of(mask)) or '{}'} outside [0, 1]"
-                )
-        if table[0] != 0:
-            raise NormalizationError(f"empty set must get 0, got {table[0]}")
-        if table[domain.full_mask] != 1:
-            raise NormalizationError(f"full set must get 1, got {table[domain.full_mask]}")
-        # Cover pairs suffice: A <= A + {x} for every x outside A implies
-        # monotonicity for all nested pairs by transitivity.
-        for mask in range(domain.subset_count):
-            v = table[mask]
-            rest = domain.full_mask & ~mask
-            while rest:
-                bit = rest & -rest
-                if v > table[mask | bit]:
-                    raise MonotonicityError(
-                        domain.labels_of(mask), domain.labels_of(mask | bit),
-                        v, table[mask | bit],
-                    )
-                rest ^= bit
+                _raise_out_of_range(domain, mask, v)
+        _check_normalized(table[0], table[domain.full_mask])
+        _check_cover_pairs(domain, table)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", table)
+
+    @classmethod
+    def _from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
+                    ranks: Sequence[int]) -> "FiniteCapacity":
+        """Build from ranks into `levels`, a strictly increasing list.
+
+        The table is values[mask] = levels[ranks[mask]]. Every check of
+        `__init__` runs, in the same order and with the same exceptions
+        and messages, but on the ints: since rank order is level order,
+        the cover pairs compare ranks. Only then is the Fraction table
+        built. Levels that do not strictly increase, or ranks outside
+        range(len(levels)), raise ValueError.
+        """
+        _check_domain_size(domain)
+        levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
+        if any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ValueError("levels must be strictly increasing")
+        _check_table_length(domain, ranks)
+        if min(ranks) < 0 or max(ranks) >= len(levels):
+            raise ValueError(f"ranks must lie in range({len(levels)})")
+        # The levels ascend, so only the two ends can leave [0, 1].
+        if levels[0] < 0 or levels[-1] > 1:
+            outside = {r for r, v in enumerate(levels) if v < 0 or v > 1}
+            for mask, r in enumerate(ranks):
+                if r in outside:
+                    _raise_out_of_range(domain, mask, levels[r])
+        _check_normalized(levels[ranks[0]], levels[ranks[domain.full_mask]])
+        _check_cover_pairs(domain, ranks, levels)
+        cap = cls.__new__(cls)
+        object.__setattr__(cap, "domain", domain)
+        object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
+        return cap
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteCapacity is immutable")

@@ -127,9 +127,10 @@ def _grid_values(domain: Domain, grid: Iterable[Fraction | int],
 
 
 def _grid_tables(domain: Domain,
-                 values: Sequence[Fraction]) -> Iterator[list[Fraction]]:
-    """Dense value table of every grid-valued capacity on the domain;
-    `values` is sorted and runs from 0 to 1.
+                 values: Sequence[Fraction]) -> Iterator[list[int]]:
+    """Dense rank table of every grid-valued capacity on the domain: the
+    entry at each mask is a position in `values`, which is sorted and
+    runs from 0 to 1 (build a member with `FiniteCapacity._from_ranks`).
 
     Subsets are filled in ascending cardinality order, so the only
     constraint live at each step is the maximum over the one-point-
@@ -139,12 +140,11 @@ def _grid_tables(domain: Domain,
     """
     full = domain.full_mask
     order = _monotone_fill_order(domain)
-    # Positions in `values`, which runs from 0 to 1: order them as ints.
     table = {0: 0, full: len(values) - 1}
 
-    def fill(pos: int) -> Iterator[list[Fraction]]:
+    def fill(pos: int) -> Iterator[list[int]]:
         if pos == len(order):
-            yield [values[table[m]] for m in range(full + 1)]
+            yield [table[m] for m in range(full + 1)]
             return
         mask, covers = order[pos]
         for rank in range(max(table[c] for c in covers), len(values)):
@@ -167,11 +167,12 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
 
     Members come in the fill order of `_grid_tables` (ascending
     cardinality, each subset's grid values ascending); construction
-    re-validates each one. The enumeration stops with BudgetExceeded
-    before it would build member MAX_SPACE_MEMBERS + 1.
+    validates each one on its rank table. The enumeration stops with
+    BudgetExceeded before it would build member MAX_SPACE_MEMBERS + 1.
     """
     values = _grid_values(domain, grid, max_points, max_grid)
-    caps = tuple(FiniteCapacity(domain, t) for t in _grid_tables(domain, values))
+    caps = tuple(FiniteCapacity._from_ranks(domain, values, t)
+                 for t in _grid_tables(domain, values))
     return GridCapacitySpace(domain, tuple(values), caps)
 
 

@@ -396,19 +396,24 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     value outside the box of r_-i is exactly 0, the residual rule of
     `is_equilibrium`; the hits for r are the product of the accepted
     lists. The budget bounds the product of the space sizes: each space
-    is filled once as value tables, and the tables are counted before
+    is filled once as rank tables, and the tables are counted before
     any member is built from them.
     """
     corr = correction if correction is not None else default_correction()
     grid = tuple(grid)
     domains = [opponent_domain(game, i).flat for i in range(game.n_players)]
     # Players whose opponents have equal labels share one space.
-    tables = {d: list(_grid_tables(d, _grid_values(d, grid))) for d in domains}
+    tables: dict[Domain, list[list[int]]] = {}
+    for d in domains:
+        if d not in tables:
+            levels = _grid_values(d, grid)  # the sorted grid, for every d
+            tables[d] = list(_grid_tables(d, levels))
     total = math.prod(len(tables[d]) for d in domains)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
-    built = {d: [FiniteCapacity(d, t) for t in ts] for d, ts in tables.items()}
+    built = {d: [FiniteCapacity._from_ranks(d, levels, t) for t in ts]
+             for d, ts in tables.items()}
     spaces = [built[d] for d in domains]
     # groups[i]: best-response mask -> indices of player i's members.
     groups: list[dict[int, list[int]]] = []

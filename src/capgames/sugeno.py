@@ -189,20 +189,25 @@ def _identity(level: Fraction) -> Fraction:
     return level
 
 
-def _level_set_max(values: Sequence[Fraction], cap: CapacityBase,
-                   lift: Callable[[Fraction], ExtendedValue] = _identity) -> Fraction:
-    """max over distinct values v of min(v, lift(mu(points >= v))).
+def _level_set_max(values: Sequence[Fraction], level_of: Callable[[int], Fraction],
+                   lift: Callable[[Fraction], ExtendedValue] = _identity,
+                   top: Fraction | int = 1) -> Fraction:
+    """max over distinct values v of min(v, lift(level_of(points >= v))).
 
     The one level-set loop behind the corrected integral (lift = the
     correction map), the classical integral and the tensor product
-    (lift = identity). A level of capacity 1 ends the scan, since later
-    values are strictly smaller and cannot beat it; a level of capacity 0
-    lifts to the bottom of the range and never wins, so it is skipped.
+    (lift = identity). `level_of` maps a point mask to its level, a
+    capacity's `value_mask`. The tensor kernel runs the same loop on
+    ranks in one sorted value list: values, levels and the result are
+    then ints, 0 is the rank of level 0 and `top` the rank of level 1.
+    A level at `top` ends the scan, since later values are strictly
+    smaller and cannot beat it; a level 0 lifts to the bottom of the
+    range and never wins, so it is skipped.
     """
     best: Fraction | None = None
     for v, mask in _level_sets(values):
-        level = cap.value_mask(mask)
-        if level == 1:
+        level = level_of(mask)
+        if level == top:
             return v if best is None or v > best else best
         if level == 0:
             continue
@@ -230,7 +235,7 @@ def sugeno_integral(func: PayoffFunction, cap: CapacityBase,
     set is the whole domain, whose capacity is 1.
     """
     _check_domains(func, cap)
-    return _level_set_max(func.values, cap, correction.evaluate)
+    return _level_set_max(func.values, cap.value_mask, correction.evaluate)
 
 
 def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
@@ -243,7 +248,7 @@ def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
     for v in func.values:
         if v < 0 or v > 1:
             raise RangeError(f"classical integral needs values in [0, 1], got {v}")
-    return _level_set_max(func.values, cap)
+    return _level_set_max(func.values, cap.value_mask)
 
 
 def _satisfies_defining_inequality(t: Fraction, level: Fraction,

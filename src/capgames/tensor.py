@@ -7,9 +7,14 @@ classical Sugeno integral of the section map x -> mu2(B_x) against mu1:
 
 The sup is attained at a section value, which is what the classical
 integral's level-set form computes; a brute-force t-scan over candidate
-levels re-validates this in the test suite. Products of three or more
-factors are the left-associated fold of the two-factor product;
-associativity is never assumed (a probe reports bracketing differences).
+levels re-validates this in the test suite. The formula uses only min,
+max and order, so the dense product runs on ranks: each value is
+replaced by its position in one sorted list of both factors' values,
+the level-set loop and the capacity validation of the output compare
+ints, and the ranks become Fractions only in the returned table.
+Products of three or more factors are the left-associated fold of the
+two-factor product; associativity is never assumed (a probe reports
+bracketing differences).
 
 Flat product domains index tuples row-major in ascending factor order
 and label them by joining the factor labels with "|". The structure
@@ -131,11 +136,25 @@ def _section_values(mask: int, prefix_size: int, last_size: int,
             for z in range(prefix_size)]
 
 
+def _table(cap: CapacityBase) -> Sequence[Fraction]:
+    """Dense value table of any capacity, indexed by mask."""
+    if isinstance(cap, FiniteCapacity):
+        return cap.values
+    return [cap.value_mask(mask) for mask in range(cap.domain.subset_count)]
+
+
 def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     """Dense tensor product of two capacities.
 
     Refuses products beyond the dense cap; use lazy_tensor there. The
-    output is re-validated as a capacity on construction.
+    product uses only min, max and order, so it runs on ranks: the
+    values of both factors, with 0 and 1, form one sorted list `levels`,
+    and each factor's table becomes a table of positions in it. Masks
+    come in row-major order from `itertools.product` over the right
+    factor's ranks (one tuple of section ranks per mask, last row
+    first), and each distinct tuple goes through the level-set loop
+    once. The output is validated as a capacity on the ranks and only
+    then mapped back to the levels.
     """
     m, k = left.domain.size, right.domain.size
     if m * k > DENSE_DOMAIN_CAP:
@@ -144,11 +163,23 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
             "use lazy_tensor"
         )
     pd = product_domain([left.domain, right.domain])
-    values = []
-    for mask in range(pd.flat.subset_count):
-        sections = _section_values(mask, m, k, right)
-        values.append(_level_set_max(sections, left))
-    return FiniteCapacity(pd.flat, values)
+    left_values, right_values = _table(left), _table(right)
+    levels = sorted({Fraction(0), Fraction(1), *left_values, *right_values})
+    rank = {v: r for r, v in enumerate(levels)}
+    left_ranks = [rank[v] for v in left_values]
+    right_ranks = [rank[v] for v in right_values]
+    top = len(levels) - 1
+    memo: dict[tuple[int, ...], int] = {}
+    ranks = []
+    # product varies its last slot fastest, as masks vary their lowest
+    # row: each tuple holds the section ranks of the rows, last row first.
+    for sections in itertools.product(right_ranks, repeat=m):
+        r = memo.get(sections)
+        if r is None:
+            r = memo[sections] = _level_set_max(
+                sections[::-1], left_ranks.__getitem__, top=top)
+        ranks.append(r)
+    return FiniteCapacity._from_ranks(pd.flat, levels, ranks)
 
 
 def tensor_many(caps: Sequence[CapacityBase]) -> CapacityBase:
@@ -226,7 +257,7 @@ class LazyTensorCapacity(CapacityBase):
             sections = _section_values(
                 mask, self._prefix_size, self._last.domain.size, self._last
             )
-            out = _level_set_max(sections, self._prefix)
+            out = _level_set_max(sections, self._prefix.value_mask)
         memo[mask] = out
         return out
 
@@ -247,10 +278,7 @@ def materialize(cap: CapacityBase) -> FiniteCapacity:
         raise ProductTooLarge(
             f"cannot materialize {cap.domain.size}-point capacity densely"
         )
-    return FiniteCapacity(
-        cap.domain,
-        [cap.value_mask(m) for m in range(cap.domain.subset_count)],
-    )
+    return FiniteCapacity(cap.domain, _table(cap))
 
 
 def associativity_probe(caps: Sequence[CapacityBase]) -> list[int]:

@@ -19,9 +19,11 @@ from capgames import (
     SplitMix64,
     SupportProfile,
     check_support_profile,
+    classical_sugeno,
     enumerate_capacities,
     is_equilibrium,
     opponent_domain,
+    product_domain,
     random_capacity,
 )
 
@@ -151,6 +153,29 @@ def dumb_tensor_value(first: FiniteCapacity, second: FiniteCapacity,
         if first.value_mask(holders) >= t:
             return t
     return Fraction(0)
+
+
+def fraction_tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
+    """Reference dense tensor product on Fractions: every product mask's
+    section values go through the classical integral against the left
+    factor, and the table through FiniteCapacity's own validation."""
+    m, k = left.domain.size, right.domain.size
+    flat = product_domain([left.domain, right.domain]).flat
+    row = right.domain.full_mask
+    values = []
+    for mask in range(flat.subset_count):
+        sections = tuple(right.value_mask((mask >> (x * k)) & row)
+                         for x in range(m))
+        values.append(classical_sugeno(PayoffFunction(left.domain, sections), left))
+    return FiniteCapacity(flat, values)
+
+
+def fraction_tensor_many(caps) -> CapacityBase:
+    """Left-associated fold of fraction_tensor2."""
+    acc = caps[0]
+    for nxt in caps[1:]:
+        acc = fraction_tensor2(acc, nxt)
+    return acc
 
 
 def is_possibility(cap: CapacityBase) -> bool:

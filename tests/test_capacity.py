@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from capgames import (
     DENSE_DOMAIN_CAP,
+    CapacityError,
     Domain,
     DomainMismatch,
     DomainTooLarge,
@@ -274,3 +275,114 @@ def test_random_capacities_fully_monotone(seed, size):
         for large in range(n):
             if small & large == small:
                 assert cap.value_mask(small) <= cap.value_mask(large)
+
+
+def ranks_of(cap: FiniteCapacity) -> tuple[list[Fraction], list[int]]:
+    """Sorted distinct values of a capacity and its table as ranks into them."""
+    levels = sorted(set(cap.values))
+    rank = {v: r for r, v in enumerate(levels)}
+    return levels, [rank[v] for v in cap.values]
+
+
+def first_cover_violation(domain: Domain, values) -> tuple[int, int] | None:
+    """(A, A + {x}) with value(A) > value(A + {x}), the first by mask of A
+    and then by x, or None for a monotone table."""
+    for mask in range(domain.subset_count):
+        for k in range(domain.size):
+            bit = 1 << k
+            if not mask & bit and values[mask] > values[mask | bit]:
+                return mask, mask | bit
+    return None
+
+
+def outcome(build):
+    """The values built, as a list, or the error's type, message and
+    named pair, as a tuple."""
+    try:
+        return list(build().values)
+    except CapacityError as exc:
+        return (type(exc), str(exc), getattr(exc, "small", None),
+                getattr(exc, "large", None))
+
+
+def assert_rank_build_matches(domain: Domain, levels, ranks):
+    """The rank constructor and __init__ on the equal Fraction table give
+    the same values or the same error; a monotonicity error names the
+    first violating cover pair."""
+    values = [levels[r] for r in ranks]
+    got = outcome(lambda: FiniteCapacity._from_ranks(domain, levels, ranks))
+    assert got == outcome(lambda: FiniteCapacity(domain, values))
+    if isinstance(got, tuple) and got[0] is MonotonicityError:
+        small, large = first_cover_violation(domain, values)
+        assert got[2:] == (domain.labels_of(small), domain.labels_of(large))
+    return got
+
+
+class TestRankConstructor:
+    # On two points a single proper entry breaks no cover pair: its only
+    # covers are the empty and the full set.
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_every_single_entry_corruption(self, size):
+        domain = letters(size)
+        levels, base = ranks_of(random_capacity(domain, SplitMix64(size), 8))
+        errors = 0
+        for mask in range(1, domain.full_mask):
+            for rank in range(len(levels)):
+                ranks = list(base)
+                ranks[mask] = rank
+                got = assert_rank_build_matches(domain, levels, ranks)
+                violation = first_cover_violation(domain, [levels[r] for r in ranks])
+                assert isinstance(got, tuple) == (violation is not None)
+                errors += isinstance(got, tuple)
+        assert errors > 0
+
+    def test_cover_pair_out_of_order(self):
+        levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+        # {a} 3/4 over {a, b} 1/2, as in the Fraction test above.
+        got = assert_rank_build_matches(ABC, levels, [0, 3, 0, 2, 0, 3, 2, 4])
+        assert got[0] is MonotonicityError
+        assert got[2:] == (("a",), ("a", "b"))
+
+    @pytest.mark.parametrize("mask, rank", [(0, 1), (3, 2)])
+    def test_empty_set_not_0_or_full_set_not_1(self, mask, rank):
+        levels = [F(0), F(1, 2), F(3, 4), F(1)]
+        ranks = [0, 1, 1, 3]
+        ranks[mask] = rank
+        got = assert_rank_build_matches(AB, levels, ranks)
+        assert got[0] is NormalizationError
+
+    def test_level_outside_the_unit_interval(self):
+        levels = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)]
+        assert assert_rank_build_matches(AB, levels, [1, 2, 2, 3]) == [
+            F(0), F(1, 2), F(1, 2), F(1)]
+        for ranks in ([1, 4, 2, 3], [1, 2, 0, 3], [1, 4, 0, 3], [0, 2, 2, 4]):
+            got = assert_rank_build_matches(AB, levels, ranks)
+            assert got[0] is RangeError
+
+    @given(seed=st.integers(0, 2**32), size=st.integers(1, 4),
+           denominator=st.sampled_from((2, 3, 6, 8)),
+           outer=st.sampled_from(((), (F(-1, 4),), (F(5, 4),), (F(-1), F(2)))),
+           corruptions=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 12)),
+                                max_size=3))
+    def test_random_corruptions(self, seed, size, denominator, outer, corruptions):
+        domain = letters(size)
+        cap = random_capacity(domain, SplitMix64(seed), denominator)
+        levels = sorted(set(cap.values) | set(outer))
+        rank = {v: r for r, v in enumerate(levels)}
+        ranks = [rank[v] for v in cap.values]
+        for mask, r in corruptions:
+            ranks[mask % domain.subset_count] = r % len(levels)
+        assert_rank_build_matches(domain, levels, ranks)
+
+    def test_malformed_rank_input(self):
+        with pytest.raises(ValueError):
+            FiniteCapacity._from_ranks(AB, [F(0), F(1)], [0, 1, 1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FiniteCapacity._from_ranks(AB, [F(0), F(1), F(1, 2)], [0, 2, 2, 1])
+        with pytest.raises(ValueError, match="range"):
+            FiniteCapacity._from_ranks(AB, [F(0), F(1)], [0, 1, 2, 1])
+        with pytest.raises(ValueError, match="range"):
+            FiniteCapacity._from_ranks(AB, [F(0), F(1)], [0, -1, 1, 1])
+        big = Domain(tuple(f"p{k}" for k in range(DENSE_DOMAIN_CAP + 1)))
+        with pytest.raises(DomainTooLarge):
+            FiniteCapacity._from_ranks(big, [F(0), F(1)], [])

@@ -430,3 +430,20 @@ def test_import_leaves_numpy_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
+
+
+def test_tensor_command_leaves_numpy_unloaded(tmp_path):
+    # The rank kernel of tensor2 is plain Python: a cold `tensor` command
+    # never pays for numpy.
+    left, right = seeded_capacity(15, 3), seeded_capacity(16, 4)
+    f1 = _write(tmp_path, "left.json", serialize_capacity(left))
+    f2 = _write(tmp_path, "right.json", serialize_capacity(right))
+    out = str(tmp_path / "product.json")
+    src = str(Path(capgames.__file__).resolve().parent.parent)
+    code = ("import sys; from capgames.cli import main; "
+            f"assert main(['tensor', {f1!r}, {f2!r}, '--out', {out!r}]) == 0; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert parse_capacity(out) == tensor_many([left, right])

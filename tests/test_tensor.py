@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capgames import (
     DENSE_DOMAIN_CAP,
@@ -29,7 +29,7 @@ from capgames import (
 )
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import dumb_tensor_value, letters, seeded_capacity
+from helpers import dumb_tensor_value, fraction_tensor_many, letters, seeded_capacity
 
 AB = Domain(("a", "b"))
 XY = Domain(("x", "y"))
@@ -147,6 +147,69 @@ class TestTensorAgainstReference:
         for _ in range(60):
             mask = rng.below(out.domain.subset_count)
             assert out.value_mask(mask) == dumb_tensor_value(left, right, mask)
+
+
+# Factor sizes (left, right) of the rank-kernel tests, up to 3x4, 4x3, 5x2.
+KERNEL_SIZES = ((1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4),
+                (4, 2), (2, 5), (5, 2), (3, 4), (4, 3))
+# Grid denominators: 6 and 8 put values of the two factors between each
+# other in the sorted level list.
+DENOMINATORS = (2, 3, 6, 8)
+
+
+def right_letters(count: int) -> Domain:
+    return Domain(tuple(f"p{k}" for k in range(count)))
+
+
+class TestRankKernel:
+    @settings(max_examples=25)
+    @given(sizes=st.sampled_from(KERNEL_SIZES), seed=st.integers(0, 2**32),
+           left_denominator=st.sampled_from(DENOMINATORS),
+           right_denominator=st.sampled_from(DENOMINATORS))
+    def test_matches_the_defining_sup_on_every_mask(
+            self, sizes, seed, left_denominator, right_denominator):
+        rng = SplitMix64(seed)
+        left = random_capacity(letters(sizes[0]), rng, left_denominator)
+        right = random_capacity(right_letters(sizes[1]), rng, right_denominator)
+        out = tensor2(left, right)
+        for mask in range(out.domain.subset_count):
+            assert out.value_mask(mask) == dumb_tensor_value(left, right, mask)
+
+    @pytest.mark.parametrize("sizes, seed", [((3, 4), 1), ((4, 3), 1), ((5, 2), 8)])
+    def test_interleaved_levels_on_every_mask(self, sizes, seed):
+        rng = SplitMix64(seed)
+        left = random_capacity(letters(sizes[0]), rng, 6)
+        right = random_capacity(right_letters(sizes[1]), rng, 8)
+        # Some level of each factor lies strictly between two of the other's.
+        inner = [set(c.values) - {0, 1} for c in (left, right)]
+        assert any(min(inner[1]) < v < max(inner[1]) for v in inner[0] - inner[1])
+        assert any(min(inner[0]) < v < max(inner[0]) for v in inner[1] - inner[0])
+        out = tensor2(left, right)
+        for mask in range(out.domain.subset_count):
+            assert out.value_mask(mask) == dumb_tensor_value(left, right, mask)
+
+    def test_lazy_factors_have_no_table(self):
+        rng = SplitMix64(17)
+        left = random_capacity(letters(2), rng, 6)
+        lazy = lazy_tensor([random_capacity(Domain(("x", "y")), rng, 8),
+                            random_capacity(Domain(("u", "v")), rng, 3)])
+        assert not hasattr(lazy, "values")
+        out = tensor2(left, lazy)
+        assert out == tensor2(left, materialize(lazy))
+        for mask in range(out.domain.subset_count):
+            assert out.value_mask(mask) == dumb_tensor_value(left, lazy, mask)
+        assert tensor2(lazy, left) == tensor2(materialize(lazy), left)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_three_factors_match_the_fraction_loop(self, seed):
+        rng = SplitMix64(seed)
+        caps = [random_capacity(letters(2), rng, 6),
+                random_capacity(Domain(("x", "y")), rng, 8),
+                random_capacity(PQR, rng, 4)]
+        out = tensor_many(caps)
+        reference = fraction_tensor_many(caps)
+        assert out.domain.labels == reference.domain.labels
+        assert out.values == reference.values
 
 
 class TestTensorMany:
