@@ -14,7 +14,9 @@ capacities:
   order tables.
 * pair separation: any two distinct capacities split the space into two
   intervals built from a witness subset and the midpoint of the two
-  values there, each endpoint falling outside one half.
+  values there, each endpoint falling outside one half. The halves are
+  a function of the (witness, midpoint) key, so the scan builds and
+  checks them once per key and decides every pair by table lookup.
 
 Scaling every value by twice the lcm of the grid denominators turns all
 comparisons into exact integer comparisons (midpoints included), which
@@ -303,12 +305,14 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
         m += int(below_rows[-1].sum())
         if m > interval_budget:
             raise BudgetExceeded(
-                f"at least {m} distinct intervals exceed budget {interval_budget}")
+                f"binarity scan: at least {m} distinct intervals exceed "
+                f"budget {interval_budget}")
     below = np.array(below_rows)
     lows, highs = np.nonzero(below)
     if full_family and m > FULL_FAMILY_CAP:
         raise BudgetExceeded(
-            f"full-family scan capped at {FULL_FAMILY_CAP} intervals, have {m}"
+            f"binarity scan: full-family scan capped at {FULL_FAMILY_CAP} "
+            f"intervals, have {m}"
         )
 
     join_of = _member_table(mat, np.maximum)
@@ -382,27 +386,24 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     )
 
 
-def separating_halves(first: FiniteCapacity, second: FiniteCapacity,
-                      ) -> tuple[CapacityInterval, CapacityInterval]:
-    """Two intervals covering all capacities, each excluding one input.
-
-    The witness is the first subset (ascending bitmask order) where the
-    two disagree; `a` is the midpoint of the two values there. The first
-    returned half holds the capacities with value >= a on the witness
-    (excluding the smaller input), the second those with value <= a
-    (excluding the larger input).
-    """
+def _witness_midpoint(first: FiniteCapacity, second: FiniteCapacity,
+                      ) -> tuple[int, Fraction]:
+    """The first subset (ascending bitmask order) where the two disagree,
+    and the midpoint of their two values there."""
     if first.domain.labels != second.domain.labels:
         raise DomainMismatch("separation needs a common domain")
     if first.values == second.values:
         raise EqualCapacities("cannot separate a capacity from itself")
-    domain = first.domain
-    witness = next(m for m in range(domain.subset_count)
+    witness = next(m for m in range(first.domain.subset_count)
                    if first.values[m] != second.values[m])
-    va, vb = first.values[witness], second.values[witness]
-    a = (va + vb) / 2
-    full = domain.full_mask
+    return witness, (first.values[witness] + second.values[witness]) / 2
 
+
+def _halves(domain: Domain, witness: int, a: Fraction,
+            ) -> tuple[CapacityInterval, CapacityInterval]:
+    """The upper half {mu : mu(witness) >= a} and the lower half
+    {mu : mu(witness) <= a}, each as an interval with top or bottom."""
+    full = domain.full_mask
     upper_gate = FiniteCapacity(domain, [
         Fraction(1) if mask == full
         else (a if mask & witness == witness else Fraction(0))
@@ -417,6 +418,20 @@ def separating_halves(first: FiniteCapacity, second: FiniteCapacity,
         interval(upper_gate, top_capacity(domain)),
         interval(bottom_capacity(domain), lower_gate),
     )
+
+
+def separating_halves(first: FiniteCapacity, second: FiniteCapacity,
+                      ) -> tuple[CapacityInterval, CapacityInterval]:
+    """Two intervals covering all capacities, each excluding one input.
+
+    The witness is the first subset (ascending bitmask order) where the
+    two disagree; `a` is the midpoint of the two values there. The first
+    returned half holds the capacities with value >= a on the witness
+    (excluding the smaller input), the second those with value <= a
+    (excluding the larger input).
+    """
+    witness, a = _witness_midpoint(first, second)
+    return _halves(first.domain, witness, a)
 
 
 @dataclass(frozen=True)
@@ -441,34 +456,82 @@ class SeparationReport:
 
 
 def check_t2(space: GridCapacitySpace) -> SeparationReport:
-    """For every distinct pair, build the halves and verify the cover and
-    the two exclusions against the whole space."""
+    """For every distinct pair, verify that its two halves cover the whole
+    space and that each half excludes one of the pair.
+
+    A pair's halves are a function of its key: the witness w (the first
+    subset where the two differ) and the midpoint a of their values
+    there. So each key's halves are built once, by the `_halves`
+    construction that `separating_halves` uses, and compared against
+    every member of the space once: which members lie in each half, and
+    whether the two halves cover the space. For each row p, one
+    vectorised compare on the scaled integer matrix gives the keys of
+    all pairs (p, q > p), and each pair's cover and two exclusions are
+    then table lookups. A repeated member raises EqualCapacities, as
+    `separating_halves` does.
+    """
+    import numpy as np
+
     start = time.perf_counter()
+    caps = space.capacities
+    for cap in caps[1:]:
+        if cap.domain.labels != caps[0].domain.labels:
+            raise DomainMismatch("separation needs a common domain")
     scale = _scale_of(space.grid)
-    mat = _scaled_matrix(space.capacities, scale)
-    n = len(space.capacities)
+    mat = _scaled_matrix(caps, scale)
+    n = len(caps)
+    # Per key (witness, twice the scaled midpoint): its row in the tables.
+    keys: dict[tuple[int, int], int] = {}
+    in_hi: list[np.ndarray] = []
+    in_lo: list[np.ndarray] = []
     pairs = 0
     failures: list[tuple[int, int, str]] = []
 
-    for p in range(n):
-        for q in range(p + 1, n):
-            pairs += 1
-            cap_p, cap_q = space.capacities[p], space.capacities[q]
-            half_hi, half_lo = separating_halves(cap_p, cap_q)
-            w = next(mask for mask in range(space.domain.subset_count)
-                     if cap_p.values[mask] != cap_q.values[mask])
-            smaller, larger = (p, q) if cap_p.values[w] < cap_q.values[w] else (q, p)
-
-            hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
-                (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
-            in_hi = (mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1)
-            in_lo = (mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1)
-            if not bool((in_hi | in_lo).all()):
+    for p in range(n - 1):
+        rest = mat[p + 1:]
+        differ = rest != mat[p]
+        if not differ.any(axis=1).all():
+            raise EqualCapacities("cannot separate a capacity from itself")
+        witness = differ.argmax(axis=1)
+        vp = mat[p, witness]
+        vq = rest[np.arange(len(rest)), witness]
+        # Twice the scaled midpoint; both values lie in [0, scale], so
+        # their sum fits in uint64 even where it would overflow int64.
+        sums, sum_of_pair = np.unique(vp.astype(np.uint64) + vq.astype(np.uint64),
+                                      return_inverse=True)
+        codes, code_of_pair = np.unique(witness * len(sums) + sum_of_pair,
+                                        return_inverse=True)
+        known = len(keys)
+        row_keys = []
+        for code in codes.tolist():
+            w, s = divmod(code, len(sums))
+            key = (w, int(sums[s]))
+            if key not in keys:
+                keys[key] = len(keys)
+                half_hi, half_lo = _halves(caps[0].domain, w, Fraction(key[1], 2 * scale))
+                hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
+                    (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
+                in_hi.append((mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1))
+                in_lo.append((mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1))
+            row_keys.append(keys[key])
+        if known < len(keys):
+            hi_table, lo_table = np.array(in_hi), np.array(in_lo)
+            covers = (hi_table | lo_table).all(axis=1)
+        kid = np.array(row_keys)[code_of_pair]
+        qs = np.arange(p + 1, n)
+        p_smaller = vp < vq
+        bad_cover = ~covers[kid]
+        bad_hi = hi_table[kid, np.where(p_smaller, p, qs)]
+        bad_lo = lo_table[kid, np.where(p_smaller, qs, p)]
+        for j in np.flatnonzero(bad_cover | bad_hi | bad_lo).tolist():
+            q = p + 1 + j
+            if bad_cover[j]:
                 failures.append((p, q, "halves do not cover the space"))
-            if bool(in_hi[smaller]):
+            if bad_hi[j]:
                 failures.append((p, q, "smaller endpoint not excluded from upper half"))
-            if bool(in_lo[larger]):
+            if bad_lo[j]:
                 failures.append((p, q, "larger endpoint not excluded from lower half"))
+        pairs += len(rest)
     return SeparationReport(
         capacity_count=n,
         pairs_checked=pairs,

@@ -6,6 +6,7 @@ not tautology.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 from capgames import (
@@ -25,7 +26,9 @@ from capgames import (
     opponent_domain,
     product_domain,
     random_capacity,
+    separating_halves,
 )
+from capgames.convexity import SeparationReport, _scale_of, _scaled_matrix
 
 
 def letters(count: int) -> Domain:
@@ -191,3 +194,41 @@ def is_possibility(cap: CapacityBase) -> bool:
 
 def seeded_capacity(seed: int, size: int, denominator: int = 8) -> FiniteCapacity:
     return random_capacity(letters(size), SplitMix64(seed), denominator)
+
+
+def pairwise_t2_scan(space) -> SeparationReport:
+    """Reference separation scan: for every distinct pair, build the halves
+    through separating_halves and verify the cover and the two
+    exclusions against the whole space."""
+    start = time.perf_counter()
+    scale = _scale_of(space.grid)
+    mat = _scaled_matrix(space.capacities, scale)
+    n = len(space.capacities)
+    pairs = 0
+    failures: list[tuple[int, int, str]] = []
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            pairs += 1
+            cap_p, cap_q = space.capacities[p], space.capacities[q]
+            half_hi, half_lo = separating_halves(cap_p, cap_q)
+            w = next(mask for mask in range(space.domain.subset_count)
+                     if cap_p.values[mask] != cap_q.values[mask])
+            smaller, larger = (p, q) if cap_p.values[w] < cap_q.values[w] else (q, p)
+
+            hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
+                (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
+            in_hi = (mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1)
+            in_lo = (mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1)
+            if not bool((in_hi | in_lo).all()):
+                failures.append((p, q, "halves do not cover the space"))
+            if bool(in_hi[smaller]):
+                failures.append((p, q, "smaller endpoint not excluded from upper half"))
+            if bool(in_lo[larger]):
+                failures.append((p, q, "larger endpoint not excluded from lower half"))
+    return SeparationReport(
+        capacity_count=n,
+        pairs_checked=pairs,
+        failures=tuple(failures),
+        seconds=time.perf_counter() - start,
+    )

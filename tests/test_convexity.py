@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capgames import (
     BudgetExceeded,
@@ -27,8 +28,10 @@ from capgames import (
     separating_halves,
     top_capacity,
 )
+from capgames import convexity
+from capgames.convexity import _scale_of
 
-from helpers import letters
+from helpers import letters, pairwise_t2_scan
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -260,12 +263,12 @@ class TestBinarity:
 
     def test_full_family_cap(self):
         space = enumerate_capacities(AB, GRID3)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="binarity scan"):
             check_binarity(space, full_family=True)
 
     def test_interval_budget(self):
         space = enumerate_capacities(AB, GRID3)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="binarity scan"):
             check_binarity(space, interval_budget=10)
 
 
@@ -340,9 +343,66 @@ class TestCheckT2:
         assert report.passed
         assert report.pairs_checked == 129 * 128 // 2
 
+    def test_passes_on_the_four_point_zero_one_space(self):
+        report = check_t2(enumerate_capacities(letters(4), (0, 1)))
+        assert report.passed
+        assert report.pairs_checked == 166 * 165 // 2
+
     def test_report_shape(self):
         report = check_t2(enumerate_capacities(AB, (0, 1)))
         payload = report.to_dict()
         assert payload["passed"] is True
         assert payload["failures"] == []
         assert payload["pairs_checked"] == 6
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_spaces_without_pairs_pass(self, count):
+        space = GridCapacitySpace(AB, GRID3, (top_capacity(AB),) * count)
+        report = check_t2(space)
+        assert report.passed
+        assert report.pairs_checked == 0
+        assert report.capacity_count == count
+
+    def test_repeated_member_rejected(self):
+        x, y = dirac_capacity(AB, "a"), top_capacity(AB)
+        with pytest.raises(EqualCapacities):
+            check_t2(GridCapacitySpace(AB, GRID3, (x, y, x)))
+
+    # Subsets of up to 40 members: the pairwise reference takes about
+    # half a millisecond a pair, 4 s on the whole 3-point space.
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_the_pairwise_reference_on_subsets(self, data):
+        domain, grid = data.draw(st.sampled_from([(ABC, GRID3), (letters(4), (0, 1))]))
+        full = enumerate_capacities(domain, grid)
+        count = data.draw(st.integers(0, 40))
+        keep = sorted(data.draw(st.permutations(range(len(full))))[:count])
+        space = GridCapacitySpace(domain, full.grid, tuple(full.capacities[k] for k in keep))
+        fast, slow = check_t2(space), pairwise_t2_scan(space)
+        assert fast.capacity_count == slow.capacity_count == count
+        assert fast.pairs_checked == slow.pairs_checked == count * (count - 1) // 2
+        assert fast.failures == slow.failures == ()
+
+    @pytest.mark.parametrize("mutation, message", [
+        ("midpoint moved one step", "endpoint not excluded"),
+        ("halves swapped", "endpoint not excluded from upper half"),
+        ("gap between halves", "halves do not cover the space"),
+    ])
+    def test_broken_halves_fail_alike_in_both_scans(self, monkeypatch, mutation, message):
+        # Each broken construction is still a function of (witness, midpoint),
+        # so the keyed scan must report exactly the pairwise scan's failures.
+        space = enumerate_capacities(AB, GRID3)
+        halves, step = convexity._halves, Fraction(1, _scale_of(space.grid))
+
+        def broken(domain, witness, a):
+            if mutation == "midpoint moved one step":
+                return halves(domain, witness, a + step if a + step < 1 else a - step)
+            if mutation == "halves swapped":
+                return halves(domain, witness, a)[::-1]
+            return (halves(domain, witness, min(a + 2 * step, F(1)))[0],
+                    halves(domain, witness, a)[1])
+
+        monkeypatch.setattr(convexity, "_halves", broken)
+        fast, slow = check_t2(space), pairwise_t2_scan(space)
+        assert fast.failures == slow.failures
+        assert any(message in text for _, _, text in fast.failures)

@@ -391,6 +391,14 @@ class TestCli:
                      "--grid", "0,1/4,1/2,3/4,1"]) == 2
         assert "exhaustive budget" in capsys.readouterr().err
 
+    def test_verify_convexity_names_the_binarity_scan_it_refuses(self, capsys):
+        # The 4-point {0, 1/2, 1} space fits the member budget (7,246) but
+        # has more intervals than the binarity scan's budget.
+        assert main(["verify-convexity", "--domain-size", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "binarity scan" in err
+        assert "exceed budget 60000" in err
+
     def test_oracle_compare(self, capsys):
         code = main(["oracle-compare", "--trials", "25", "--seed", "3",
                      "--resolution", "1/64"])
