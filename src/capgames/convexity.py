@@ -20,7 +20,9 @@ capacities:
 
 Scaling every value by twice the lcm of the grid denominators turns all
 comparisons into exact integer comparisons (midpoints included), which
-numpy and big-integer bitsets then batch without touching floats.
+numpy then batches without touching floats; the binarity scan keeps its
+interval links as packed uint64 rows and checks triples by row ANDs and
+popcounts.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ MAX_DOMAIN_POINTS = 4
 # 7,246, the 4-point spaces on 4 or 5 grid values 145,954 and 1,753,909.
 MAX_SPACE_MEMBERS = 10_000
 FULL_FAMILY_CAP = 18
+# Binarity scan blocks: link-table entries per block of rows, and packed
+# words per block of linked pairs.
+_BLOCK_ENTRIES = 1 << 16
+_BLOCK_WORDS = 1 << 15
 
 
 class BudgetExceeded(Exception):
@@ -84,7 +90,8 @@ class GridCapacitySpace:
     `enumerate_capacities` builds the full space. A space built by hand,
     such as a subset of it, must be closed under pointwise max and min
     (a sublattice) for `check_binarity`, which raises AssertionError
-    otherwise.
+    otherwise. Every member value must lie in the grid: ValueError names
+    the first member and value that do not.
     """
 
     domain: Domain
@@ -92,6 +99,11 @@ class GridCapacitySpace:
     capacities: tuple[FiniteCapacity, ...]
 
     def __post_init__(self):
+        grid = set(self.grid)
+        for k, cap in enumerate(self.capacities):
+            if not grid.issuperset(cap.values):
+                v = next(v for v in cap.values if v not in grid)
+                raise ValueError(f"member {k} has value {v}, which is off the grid")
         object.__setattr__(
             self, "_pos", {cap.values: k for k, cap in enumerate(self.capacities)}
         )
@@ -241,14 +253,6 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
     return index.reshape(-1)[n:].reshape(n, n)
 
 
-def _pack_bool(bools: np.ndarray) -> int:
-    import numpy as np
-
-    return int.from_bytes(
-        np.packbits(bools.astype(np.uint8), bitorder="little").tobytes(), "little"
-    )
-
-
 @dataclass(frozen=True)
 class BinarityReport:
     capacity_count: int
@@ -288,9 +292,18 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
     ordered, and it is then again an interval, i ∩ j. So a pairwise
     linked triple {i, j, k} with i < j < k has a common member iff k is
-    linked to i ∩ j, one bitset test. Building the join and meet
-    tables checks closure for every pair of members and raises
-    AssertionError on a space that is not a lattice.
+    linked to i ∩ j. Building the join and meet tables checks closure
+    for every pair of members and raises AssertionError on a space that
+    is not a lattice.
+
+    Each interval's links are one row of packed uint64 words, built in
+    bounded blocks of rows. The linked pairs are then walked in blocks
+    of about _BLOCK_WORDS words: per pair (i, j), one row AND gives the
+    k linked to both, one popcount counts them, and a second AND with
+    the row of i ∩ j leaves the failures, unpacked only when some word
+    is nonzero. Failures come in (i, j, k) order; a pair stops adding
+    them once 16 are recorded. The full-family scan runs on the same
+    rows as Python integers.
     """
     import numpy as np
 
@@ -320,41 +333,53 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     interval_of = np.full((n, n), -1, dtype=np.intp)
     interval_of[lows, highs] = np.arange(m)
 
-    def intersections(i: int) -> np.ndarray:
-        # Index of i ∩ j for every interval j; -1 where they are not linked.
-        return interval_of[join_of[lows[i], lows], meet_of[highs[i], highs]]
+    # link[i] packs the intervals linked to i, later[i] those of them
+    # above i; bit k of a row is bit k % 64 of its word k // 64.
+    words, row_bytes = -(-m // 64), -(-m // 8)
+    link = np.zeros((m, words), dtype=np.uint64)
+    later = np.zeros((m, words), dtype=np.uint64)
+    block_rows = max(1, _BLOCK_ENTRIES // m)
+    for a in range(0, m, block_rows):
+        block = slice(a, a + block_rows)
+        linked = interval_of[join_of[lows[block, None], lows],
+                             meet_of[highs[block, None], highs]] >= 0
+        link.view(np.uint8)[block, :row_bytes] = np.packbits(
+            linked, axis=1, bitorder="little")
+        later.view(np.uint8)[block, :row_bytes] = np.packbits(
+            np.triu(linked, a + 1), axis=1, bitorder="little")
 
-    rows = [_pack_bool(intersections(i) >= 0) for i in range(m)]
-
-    linked_pairs = 0
-    triples_checked = 0
+    # Over the linked pairs i < j, later[i] & link[j] holds every k > i
+    # linked to both: j itself once per pair, and each triple i < j < k
+    # twice, at (i, j) and at (i, k). Its failures are the k > j of
+    # that set that are not linked to i ∩ j.
+    linked_pairs = int(np.bitwise_count(later).sum())
+    counted = 0
     failures: list[tuple[int, int, int]] = []
-
-    for i in range(m):
-        rest = rows[i] & (~0 << (i + 1))
-        inside = intersections(i).tolist()
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            linked_pairs += 1
-            cand = rows[i] & rows[j] & (~0 << (j + 1))
-            if not cand:
-                continue
-            triples_checked += cand.bit_count()
-            bad = cand & ~rows[inside[j]]
-            while bad:
-                lowb = bad & -bad
-                k = lowb.bit_length() - 1
-                bad ^= lowb
-                failures.append((i, j, k))
-                if len(failures) >= 16:
-                    bad = 0
+    pair_block = max(1, _BLOCK_WORDS // words)
+    for a in range(0, m, block_rows):
+        firsts, seconds = np.nonzero(np.unpackbits(
+            later[a:a + block_rows].view(np.uint8), axis=1, count=m, bitorder="little"))
+        firsts += a
+        for b in range(0, len(firsts), pair_block):
+            i, j = firsts[b:b + pair_block], seconds[b:b + pair_block]
+            common = later[i] & link[j]
+            counted += int(np.bitwise_count(common).sum())
+            inside = interval_of[join_of[lows[i], lows[j]], meet_of[highs[i], highs[j]]]
+            bad = common & ~link[inside]
+            for p in np.flatnonzero(bad.any(axis=1)).tolist():
+                ks = np.flatnonzero(np.unpackbits(
+                    bad[p].view(np.uint8), count=m, bitorder="little"))
+                for k in ks[ks > j[p]].tolist():
+                    failures.append((int(i[p]), int(j[p]), k))
+                    if len(failures) >= 16:
+                        break
+    triples_checked = (counted - linked_pairs) // 2
 
     full_family_sets = None
     if full_family:
         full_family_sets = 0
         all_mask = (1 << m) - 1
+        rows = [int.from_bytes(row.tobytes(), "little") for row in link]
 
         def grow(members: list[int], candidates: int, box_lo, box_hi) -> None:
             nonlocal full_family_sets
@@ -465,8 +490,10 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     construction that `separating_halves` uses, and compared against
     every member of the space once: which members lie in each half, and
     whether the two halves cover the space. For each row p, one
-    vectorised compare on the scaled integer matrix gives the keys of
-    all pairs (p, q > p), and each pair's cover and two exclusions are
+    vectorised compare on the members' grid ranks gives the witnesses
+    of all pairs (p, q > p); a dense table indexed by (witness, smaller
+    rank, larger rank) gives their keys, so only codes not seen before
+    reach the key dictionary. Each pair's cover and two exclusions are
     then table lookups. A repeated member raises EqualCapacities, as
     `separating_halves` does.
     """
@@ -480,46 +507,48 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     scale = _scale_of(space.grid)
     mat = _scaled_matrix(caps, scale)
     n = len(caps)
-    # Per key (witness, twice the scaled midpoint): its row in the tables.
+    # Members lie on the grid, so each value is a rank into its levels.
+    levels = sorted({int(Fraction(g) * scale) for g in space.grid})
+    ranks = np.searchsorted(levels, mat)
+    size = len(levels)
+    # Per key (witness, twice the scaled midpoint): its row in the tables;
+    # key_of maps each (witness, smaller rank, larger rank) code to its key.
     keys: dict[tuple[int, int], int] = {}
+    key_of = np.full(ranks.shape[-1] * size * size, -1, dtype=np.intp)
     in_hi: list[np.ndarray] = []
     in_lo: list[np.ndarray] = []
     pairs = 0
     failures: list[tuple[int, int, str]] = []
 
     for p in range(n - 1):
-        rest = mat[p + 1:]
-        differ = rest != mat[p]
+        rest = ranks[p + 1:]
+        differ = rest != ranks[p]
         if not differ.any(axis=1).all():
             raise EqualCapacities("cannot separate a capacity from itself")
         witness = differ.argmax(axis=1)
-        vp = mat[p, witness]
-        vq = rest[np.arange(len(rest)), witness]
-        # Twice the scaled midpoint; both values lie in [0, scale], so
-        # their sum fits in uint64 even where it would overflow int64.
-        sums, sum_of_pair = np.unique(vp.astype(np.uint64) + vq.astype(np.uint64),
-                                      return_inverse=True)
-        codes, code_of_pair = np.unique(witness * len(sums) + sum_of_pair,
-                                        return_inverse=True)
-        known = len(keys)
-        row_keys = []
-        for code in codes.tolist():
-            w, s = divmod(code, len(sums))
-            key = (w, int(sums[s]))
-            if key not in keys:
-                keys[key] = len(keys)
-                half_hi, half_lo = _halves(caps[0].domain, w, Fraction(key[1], 2 * scale))
-                hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
-                    (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
-                in_hi.append((mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1))
-                in_lo.append((mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1))
-            row_keys.append(keys[key])
-        if known < len(keys):
-            hi_table, lo_table = np.array(in_hi), np.array(in_lo)
-            covers = (hi_table | lo_table).all(axis=1)
-        kid = np.array(row_keys)[code_of_pair]
+        rp = ranks[p, witness]
+        rq = rest[np.arange(len(rest)), witness]
+        codes = (witness * size + np.minimum(rp, rq)) * size + np.maximum(rp, rq)
+        kid = key_of[codes]
+        if (kid < 0).any():
+            known = len(keys)
+            for code in np.unique(codes[kid < 0]).tolist():
+                w, pair = divmod(code, size * size)
+                key = (w, levels[pair // size] + levels[pair % size])
+                if key not in keys:
+                    keys[key] = len(keys)
+                    half_hi, half_lo = _halves(caps[0].domain, w, Fraction(key[1], 2 * scale))
+                    hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
+                        (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
+                    in_hi.append((mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1))
+                    in_lo.append((mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1))
+                key_of[code] = keys[key]
+            if known < len(keys):
+                hi_table, lo_table = np.array(in_hi), np.array(in_lo)
+                covers = (hi_table | lo_table).all(axis=1)
+            kid = key_of[codes]
         qs = np.arange(p + 1, n)
-        p_smaller = vp < vq
+        p_smaller = rp < rq
         bad_cover = ~covers[kid]
         bad_hi = hi_table[kid, np.where(p_smaller, p, qs)]
         bad_lo = lo_table[kid, np.where(p_smaller, qs, p)]

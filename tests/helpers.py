@@ -7,6 +7,8 @@ not tautology.
 
 import itertools
 import time
+
+import numpy as np
 from fractions import Fraction
 
 from capgames import (
@@ -28,7 +30,14 @@ from capgames import (
     random_capacity,
     separating_halves,
 )
-from capgames.convexity import SeparationReport, _scale_of, _scaled_matrix
+from capgames import convexity
+from capgames.convexity import (
+    BinarityReport,
+    FULL_FAMILY_CAP,
+    SeparationReport,
+    _scale_of,
+    _scaled_matrix,
+)
 
 
 def letters(count: int) -> Domain:
@@ -230,5 +239,109 @@ def pairwise_t2_scan(space) -> SeparationReport:
         capacity_count=n,
         pairs_checked=pairs,
         failures=tuple(failures),
+        seconds=time.perf_counter() - start,
+    )
+
+
+def _pack_bool(bools: np.ndarray) -> int:
+    return int.from_bytes(
+        np.packbits(bools.astype(np.uint8), bitorder="little").tobytes(), "little"
+    )
+
+
+def bigint_binarity_scan(space, full_family: bool = False,
+                         interval_budget: int = 60000) -> BinarityReport:
+    """Reference binarity scan: the intervals' link rows as Python
+    big-integer bitsets, every linked pair (i, j) and its triples walked
+    one pair at a time. The join and meet tables come from
+    convexity._member_table, so a test can break both scans alike."""
+    start = time.perf_counter()
+    mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
+    n = len(mat)
+    # Row by row, so that a space far over budget stops before n x n tables.
+    below_rows = []
+    m = 0
+    for row in mat:
+        below_rows.append((row <= mat).all(axis=1))
+        m += int(below_rows[-1].sum())
+        if m > interval_budget:
+            raise BudgetExceeded(
+                f"binarity scan: at least {m} distinct intervals exceed "
+                f"budget {interval_budget}")
+    below = np.array(below_rows)
+    lows, highs = np.nonzero(below)
+    if full_family and m > FULL_FAMILY_CAP:
+        raise BudgetExceeded(
+            f"binarity scan: full-family scan capped at {FULL_FAMILY_CAP} "
+            f"intervals, have {m}"
+        )
+
+    join_of = convexity._member_table(mat, np.maximum)
+    meet_of = convexity._member_table(mat, np.minimum)
+    interval_of = np.full((n, n), -1, dtype=np.intp)
+    interval_of[lows, highs] = np.arange(m)
+
+    def intersections(i: int) -> np.ndarray:
+        # Index of i ∩ j for every interval j; -1 where they are not linked.
+        return interval_of[join_of[lows[i], lows], meet_of[highs[i], highs]]
+
+    rows = [_pack_bool(intersections(i) >= 0) for i in range(m)]
+
+    linked_pairs = 0
+    triples_checked = 0
+    failures: list[tuple[int, int, int]] = []
+
+    for i in range(m):
+        rest = rows[i] & (~0 << (i + 1))
+        inside = intersections(i).tolist()
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            linked_pairs += 1
+            cand = rows[i] & rows[j] & (~0 << (j + 1))
+            if not cand:
+                continue
+            triples_checked += cand.bit_count()
+            bad = cand & ~rows[inside[j]]
+            while bad:
+                lowb = bad & -bad
+                k = lowb.bit_length() - 1
+                bad ^= lowb
+                failures.append((i, j, k))
+                if len(failures) >= 16:
+                    bad = 0
+
+    full_family_sets = None
+    if full_family:
+        full_family_sets = 0
+        all_mask = (1 << m) - 1
+
+        def grow(members: list[int], candidates: int, box_lo, box_hi) -> None:
+            nonlocal full_family_sets
+            rest = candidates
+            while rest:
+                low = rest & -rest
+                k = low.bit_length() - 1
+                rest ^= low
+                nlo = join_of[box_lo, lows[k]]
+                nhi = meet_of[box_hi, highs[k]]
+                nm = members + [k]
+                if len(nm) >= 2:
+                    full_family_sets += 1
+                    if not below[nlo, nhi]:
+                        failures.append(tuple(nm[:3]))
+                grow(nm, rest & rows[k], nlo, nhi)
+
+        for i in range(m):
+            grow([i], rows[i] & (all_mask << (i + 1)), lows[i], highs[i])
+
+    return BinarityReport(
+        capacity_count=len(space.capacities),
+        interval_count=m,
+        linked_pairs=linked_pairs,
+        triples_checked=triples_checked,
+        failures=tuple(failures),
+        full_family_sets=full_family_sets,
         seconds=time.perf_counter() - start,
     )

@@ -5,6 +5,7 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +32,7 @@ from capgames import (
 from capgames import convexity
 from capgames.convexity import _scale_of
 
-from helpers import letters, pairwise_t2_scan
+from helpers import bigint_binarity_scan, letters, pairwise_t2_scan
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -103,6 +104,13 @@ class TestEnumerateCapacities:
         outsider = FiniteCapacity(AB, [F(0), F(1, 2), F(1, 2), F(1)])
         with pytest.raises(ValueError):
             space.index_of(outsider)
+
+    def test_off_grid_member_rejected(self):
+        # 1/2 is off the grid (0, 1); it would scale to a midpoint that
+        # leaves the integers in check_t2.
+        half = FiniteCapacity(AB, [F(0), F(1, 2), F(0), F(1)])
+        with pytest.raises(ValueError, match="member 0 has value 1/2"):
+            GridCapacitySpace(AB, (F(0), F(1)), (half, dirac_capacity(AB, "a")))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -270,6 +278,58 @@ class TestBinarity:
         space = enumerate_capacities(AB, GRID3)
         with pytest.raises(BudgetExceeded, match="binarity scan"):
             check_binarity(space, interval_budget=10)
+
+
+    def test_full_three_point_counts(self):
+        # 3,965 intervals: many row and pair blocks, m not a multiple of 64.
+        report = check_binarity(enumerate_capacities(ABC, GRID3))
+        assert report.passed
+        assert (report.capacity_count, report.interval_count, report.linked_pairs,
+                report.triples_checked) == (129, 3965, 2_785_270, 921_277_916)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_packed_scan_matches_the_bigint_reference(self, data):
+        # An order interval [meet(x, y), join(x, y)] of a space is a sublattice.
+        domain, grid = data.draw(st.sampled_from([(AB, GRID3), (ABC, GRID3), (ABC, (0, 1))]))
+        full = enumerate_capacities(domain, grid)
+        x, y = data.draw(st.lists(st.sampled_from(full.capacities), min_size=2, max_size=2))
+        lo, hi = meet(x, y), join(x, y)
+        space = GridCapacitySpace(full.domain, full.grid, tuple(
+            c for c in full.capacities if lo <= c and c <= hi))
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert (fast.capacity_count, fast.interval_count, fast.linked_pairs,
+                fast.triples_checked) == (slow.capacity_count, slow.interval_count,
+                                          slow.linked_pairs, slow.triples_checked)
+        assert fast.failures == slow.failures == ()
+        if fast.interval_count <= convexity.FULL_FAMILY_CAP:
+            fast = check_binarity(space, full_family=True)
+            slow = bigint_binarity_scan(space, full_family=True)
+            assert fast.full_family_sets == slow.full_family_sets
+            assert fast.failures == slow.failures == ()
+
+    @pytest.mark.parametrize("table, mutation", [
+        ("meet", "shifted"), ("meet", "reversed"), ("join", "shifted")])
+    def test_broken_member_table_fails_alike_in_both_scans(self, monkeypatch, table, mutation):
+        # A broken join or meet table links the wrong intervals; both scans
+        # read the same table, so they must report the same failures.
+        space = enumerate_capacities(AB, GRID3)
+        member_table = convexity._member_table
+        op = np.minimum if table == "meet" else np.maximum
+
+        def broken(mat, fn):
+            found = member_table(mat, fn)
+            if fn is not op:
+                return found
+            return (found + 1) % len(mat) if mutation == "shifted" else len(mat) - 1 - found
+
+        monkeypatch.setattr(convexity, "_member_table", broken)
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert fast.failures == slow.failures
+        assert len(fast.failures) > 16
+        # In (i, j, k) order; past the cap, each failing pair adds one.
+        assert list(fast.failures) == sorted(fast.failures)
+        assert len({f[:2] for f in fast.failures[16:]}) == len(fast.failures) - 16
 
 
 class TestSeparatingHalves:
