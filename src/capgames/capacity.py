@@ -4,14 +4,16 @@ A capacity assigns a rational in [0, 1] to every subset of a finite
 domain, is 0 on the empty set, 1 on the full set, and is monotone under
 inclusion. Nothing here assumes additivity. Subsets are bitmasks over
 the domain's label order (bit k is labels[k]), and dense value tables
-are tuples indexed by mask.
+are tuples indexed by mask. The rank tables of every grid-valued
+capacity, which the convexity scans and the grid equilibrium search
+both enumerate, are filled here too, under an exhaustive budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "CapacityError",
@@ -24,6 +26,7 @@ __all__ = [
     "WeightSumError",
     "DomainTooLarge",
     "MissingSubset",
+    "BudgetExceeded",
     "DENSE_DOMAIN_CAP",
     "Domain",
     "CapacityBase",
@@ -95,7 +98,17 @@ class MissingSubset(CapacityError):
         super().__init__(f"no value given for subset {set(labels) or '{}'}")
 
 
+class BudgetExceeded(Exception):
+    """Requested scan is beyond the configured exhaustive budget."""
+
+
 DENSE_DOMAIN_CAP = 20
+# Exhaustive grid spaces: domain points, grid values, and the members one
+# enumeration may build. The 4-point {0, 1/2, 1} space has 7,246 members,
+# the 4-point spaces on 4 or 5 grid values 145,954 and 1,753,909.
+MAX_DOMAIN_POINTS = 4
+MAX_GRID_POINTS = 5
+MAX_SPACE_MEMBERS = 10_000
 
 RationalLike = Union[Fraction, int]
 SubsetLike = Union[int, Iterable[str]]
@@ -198,6 +211,62 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
     order = sorted(range(1, domain.full_mask), key=lambda m: (m.bit_count(), m))
     return [(mask, tuple(mask ^ (1 << k) for k in range(domain.size) if mask >> k & 1))
             for mask in order]
+
+
+def _grid_values(domain: Domain, grid: Iterable[Fraction | int],
+                 max_points: int = MAX_DOMAIN_POINTS,
+                 max_grid: int = MAX_GRID_POINTS) -> list[Fraction]:
+    """The sorted distinct grid values, once the grid and the domain are
+    checked against the exhaustive budget."""
+    values = sorted({Fraction(g) for g in grid})
+    for g in values:
+        if g < 0 or g > 1:
+            raise RangeError(f"grid value {g} outside [0, 1]")
+    if Fraction(0) not in values or Fraction(1) not in values:
+        raise ValueError("grid must contain 0 and 1")
+    if domain.size > max_points:
+        raise BudgetExceeded(
+            f"domain has {domain.size} points, exhaustive budget stops at {max_points}"
+        )
+    if len(values) > max_grid:
+        raise BudgetExceeded(
+            f"grid has {len(values)} values, exhaustive budget stops at {max_grid}"
+        )
+    return values
+
+
+def _grid_tables(domain: Domain,
+                 values: Sequence[Fraction]) -> Iterator[list[int]]:
+    """Dense rank table of every grid-valued capacity on the domain: the
+    entry at each mask is a position in `values`, which is sorted and
+    runs from 0 to 1 (build a member with `FiniteCapacity._from_ranks`).
+
+    Subsets are filled in ascending cardinality order, so the only
+    constraint live at each step is the maximum over the one-point-
+    smaller subsets; every completion reaching the full set (forced to
+    1) is monotone. Stops with BudgetExceeded before it would yield
+    table MAX_SPACE_MEMBERS + 1.
+    """
+    full = domain.full_mask
+    order = _monotone_fill_order(domain)
+    table = {0: 0, full: len(values) - 1}
+
+    def fill(pos: int) -> Iterator[list[int]]:
+        if pos == len(order):
+            yield [table[m] for m in range(full + 1)]
+            return
+        mask, covers = order[pos]
+        for rank in range(max(table[c] for c in covers), len(values)):
+            table[mask] = rank
+            yield from fill(pos + 1)
+        del table[mask]
+
+    for count, dense in enumerate(fill(0)):
+        if count == MAX_SPACE_MEMBERS:
+            raise BudgetExceeded(
+                f"{domain.size} points with {len(values)} grid values give "
+                f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
+        yield dense
 
 
 def _check_domain_size(domain: Domain) -> None:

@@ -17,22 +17,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .capacity import CapacityError, Domain
-from .convexity import (
-    BudgetExceeded,
-    check_binarity,
-    check_t2,
-    enumerate_capacities,
-)
-from .equilibrium import (
-    DEFAULT_PROFILE_BUDGET,
-    SupportProfile,
-    check_support_profile,
-    find_equilibria_supports,
-    support_profile_count,
-)
-from .game import best_response, expected_payoff
-from .generate import SplitMix64, _letters, random_capacity, random_payoff_function
+# The modules every command loads (io needs the other three). The rest
+# are imported inside the commands that run them, so that a cold process
+# compiles no module its command does not use.
+from .capacity import BudgetExceeded, CapacityError, Domain
 from .io import (
     ParseError,
     ValidationError,
@@ -50,7 +38,6 @@ from .sugeno import (
     sugeno_integral,
     sugeno_oracle,
 )
-from .tensor import ProductTooLarge, tensor_many
 
 __all__ = ["main"]
 
@@ -91,6 +78,8 @@ def cmd_integrate(args) -> tuple[int, dict | str]:
 
 
 def cmd_tensor(args) -> tuple[int, dict | str]:
+    from .tensor import tensor_many
+
     caps = [parse_capacity(p, args.allow_decimal) for p in args.capacities]
     if len(caps) < 2:
         raise ValueError("tensor needs at least two capacity files")
@@ -98,6 +87,8 @@ def cmd_tensor(args) -> tuple[int, dict | str]:
 
 
 def cmd_best_response(args) -> tuple[int, dict | str]:
+    from .game import best_response, expected_payoff
+
     corr = _parse_psi(args.psi)
     game = parse_game(args.game, args.allow_decimal)
     belief = parse_capacity(args.belief, args.allow_decimal)
@@ -116,6 +107,8 @@ def cmd_best_response(args) -> tuple[int, dict | str]:
 
 
 def cmd_check_eq(args) -> tuple[int, dict | str]:
+    from .equilibrium import SupportProfile, check_support_profile
+
     corr = _parse_psi(args.psi)
     game = parse_game(args.game, args.allow_decimal)
     profile = SupportProfile.from_labels(game, _parse_supports(args.supports))
@@ -130,11 +123,18 @@ def cmd_check_eq(args) -> tuple[int, dict | str]:
 
 
 def cmd_solve(args) -> tuple[int, dict | str]:
+    from .equilibrium import (
+        DEFAULT_PROFILE_BUDGET,
+        find_equilibria_supports,
+        support_profile_count,
+    )
+
+    budget = DEFAULT_PROFILE_BUDGET if args.budget is None else args.budget
     corr = _parse_psi(args.psi)
     game = parse_game(args.game, args.allow_decimal)
-    hits = find_equilibria_supports(game, corr, budget=args.budget)
+    hits = find_equilibria_supports(game, corr, budget=budget)
     report = {
-        "config": {"game": args.game, "psi": corr.name, "budget": args.budget},
+        "config": {"game": args.game, "psi": corr.name, "budget": budget},
         "game_hash": canonical_game_hash(game),
         "profiles_scanned": support_profile_count(game),
         "equilibrium_count": len(hits),
@@ -144,6 +144,9 @@ def cmd_solve(args) -> tuple[int, dict | str]:
 
 
 def cmd_verify_convexity(args) -> tuple[int, dict | str]:
+    from .convexity import check_binarity, check_t2, enumerate_capacities
+    from .generate import _letters
+
     grid = _parse_grid(args.grid)
     domain = Domain(_letters(args.domain_size))
     space = enumerate_capacities(domain, grid)
@@ -168,6 +171,8 @@ def cmd_verify_convexity(args) -> tuple[int, dict | str]:
 
 
 def cmd_oracle_compare(args) -> tuple[int, dict | str]:
+    from .generate import SplitMix64, _letters, random_capacity, random_payoff_function
+
     corr = _parse_psi(args.psi)
     resolution = parse_rational(args.resolution)
     if args.trials < 1:
@@ -250,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive support-profile equilibrium scan; "
                             "exit 1 if none found")
     p.add_argument("game")
-    p.add_argument("--budget", type=int, default=DEFAULT_PROFILE_BUDGET)
+    # None stands for equilibrium.DEFAULT_PROFILE_BUDGET, which cmd_solve
+    # reads, so that building the parser does not import the search.
+    p.add_argument("--budget", type=int)
     common(p)
     p.set_defaults(handler=cmd_solve)
 
@@ -286,7 +293,7 @@ def main(argv=None) -> int:
     try:
         code, payload = args.handler(args)
     except (ParseError, ValidationError, CapacityError, BudgetExceeded,
-            ProductTooLarge, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

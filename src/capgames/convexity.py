@@ -31,14 +31,17 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .capacity import (
+    MAX_DOMAIN_POINTS,
+    MAX_GRID_POINTS,
+    BudgetExceeded,
     Domain,
     DomainMismatch,
     FiniteCapacity,
-    RangeError,
-    _monotone_fill_order,
+    _grid_tables,
+    _grid_values,
     bottom_capacity,
     join,
     meet,
@@ -63,20 +66,13 @@ __all__ = [
     "check_t2",
 ]
 
-MAX_GRID_POINTS = 5
-MAX_DOMAIN_POINTS = 4
-# Members one enumeration may build: the 4-point {0, 1/2, 1} space has
-# 7,246, the 4-point spaces on 4 or 5 grid values 145,954 and 1,753,909.
-MAX_SPACE_MEMBERS = 10_000
 FULL_FAMILY_CAP = 18
+# Failures one binarity scan lists; the scan stops recording there.
+FAILURE_CAP = 16
 # Binarity scan blocks: link-table entries per block of rows, and packed
 # words per block of linked pairs.
 _BLOCK_ENTRIES = 1 << 16
 _BLOCK_WORDS = 1 << 15
-
-
-class BudgetExceeded(Exception):
-    """Requested scan is beyond the configured exhaustive budget."""
 
 
 class EqualCapacities(Exception):
@@ -116,62 +112,6 @@ class GridCapacitySpace:
 
     def __len__(self) -> int:
         return len(self.capacities)
-
-
-def _grid_values(domain: Domain, grid: Iterable[Fraction | int],
-                 max_points: int = MAX_DOMAIN_POINTS,
-                 max_grid: int = MAX_GRID_POINTS) -> list[Fraction]:
-    """The sorted distinct grid values, once the grid and the domain are
-    checked against the exhaustive budget."""
-    values = sorted({Fraction(g) for g in grid})
-    for g in values:
-        if g < 0 or g > 1:
-            raise RangeError(f"grid value {g} outside [0, 1]")
-    if Fraction(0) not in values or Fraction(1) not in values:
-        raise ValueError("grid must contain 0 and 1")
-    if domain.size > max_points:
-        raise BudgetExceeded(
-            f"domain has {domain.size} points, exhaustive budget stops at {max_points}"
-        )
-    if len(values) > max_grid:
-        raise BudgetExceeded(
-            f"grid has {len(values)} values, exhaustive budget stops at {max_grid}"
-        )
-    return values
-
-
-def _grid_tables(domain: Domain,
-                 values: Sequence[Fraction]) -> Iterator[list[int]]:
-    """Dense rank table of every grid-valued capacity on the domain: the
-    entry at each mask is a position in `values`, which is sorted and
-    runs from 0 to 1 (build a member with `FiniteCapacity._from_ranks`).
-
-    Subsets are filled in ascending cardinality order, so the only
-    constraint live at each step is the maximum over the one-point-
-    smaller subsets; every completion reaching the full set (forced to
-    1) is monotone. Stops with BudgetExceeded before it would yield
-    table MAX_SPACE_MEMBERS + 1.
-    """
-    full = domain.full_mask
-    order = _monotone_fill_order(domain)
-    table = {0: 0, full: len(values) - 1}
-
-    def fill(pos: int) -> Iterator[list[int]]:
-        if pos == len(order):
-            yield [table[m] for m in range(full + 1)]
-            return
-        mask, covers = order[pos]
-        for rank in range(max(table[c] for c in covers), len(values)):
-            table[mask] = rank
-            yield from fill(pos + 1)
-        del table[mask]
-
-    for count, dense in enumerate(fill(0)):
-        if count == MAX_SPACE_MEMBERS:
-            raise BudgetExceeded(
-                f"{domain.size} points with {len(values)} grid values give "
-                f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
-        yield dense
 
 
 def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
@@ -301,13 +241,17 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     of about _BLOCK_WORDS words: per pair (i, j), one row AND gives the
     k linked to both, one popcount counts them, and a second AND with
     the row of i ∩ j leaves the failures, unpacked only when some word
-    is nonzero. Failures come in (i, j, k) order; a pair stops adding
-    them once 16 are recorded. The full-family scan runs on the same
-    rows as Python integers.
+    is nonzero. Failures come in (i, j, k) order, and the scan stops
+    recording them once FAILURE_CAP are listed, full family included.
+    The full-family scan runs on the same rows as Python integers. A
+    space with no members has no intervals and passes.
     """
     import numpy as np
 
     start = time.perf_counter()
+    if not space.capacities:
+        return BinarityReport(0, 0, 0, 0, (), 0 if full_family else None,
+                              time.perf_counter() - start)
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)
     # Row by row, so that a space far over budget stops before n x n tables.
@@ -364,15 +308,17 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
             i, j = firsts[b:b + pair_block], seconds[b:b + pair_block]
             common = later[i] & link[j]
             counted += int(np.bitwise_count(common).sum())
+            if len(failures) == FAILURE_CAP:
+                continue
             inside = interval_of[join_of[lows[i], lows[j]], meet_of[highs[i], highs[j]]]
             bad = common & ~link[inside]
             for p in np.flatnonzero(bad.any(axis=1)).tolist():
                 ks = np.flatnonzero(np.unpackbits(
                     bad[p].view(np.uint8), count=m, bitorder="little"))
-                for k in ks[ks > j[p]].tolist():
-                    failures.append((int(i[p]), int(j[p]), k))
-                    if len(failures) >= 16:
-                        break
+                ks = ks[ks > j[p]][:FAILURE_CAP - len(failures)]
+                failures.extend((int(i[p]), int(j[p]), k) for k in ks.tolist())
+                if len(failures) == FAILURE_CAP:
+                    break
     triples_checked = (counted - linked_pairs) // 2
 
     full_family_sets = None
@@ -393,7 +339,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
                 nm = members + [k]
                 if len(nm) >= 2:
                     full_family_sets += 1
-                    if not below[nlo, nhi]:
+                    if not below[nlo, nhi] and len(failures) < FAILURE_CAP:
                         failures.append(tuple(nm[:3]))
                 grow(nm, rest & rows[k], nlo, nhi)
 

@@ -39,14 +39,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .capacity import (
+    BudgetExceeded,
     CapacityBase,
     Domain,
     DomainMismatch,
     EmptySupport,
     FiniteCapacity,
+    _grid_tables,
+    _grid_values,
     possibility_capacity,
 )
-from .convexity import BudgetExceeded, _grid_tables, _grid_values
 from .game import GameSpec, best_response, opponent_domain
 from .rational import format_rational
 from .sugeno import CorrectionMap, default_correction

@@ -12,11 +12,13 @@ quality. Anyone can replay an instance stream from the seed alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .capacity import Domain, FiniteCapacity, _monotone_fill_order
-from .game import GameSpec
 from .sugeno import PayoffFunction
+
+if TYPE_CHECKING:
+    from .game import GameSpec
 
 __all__ = [
     "SplitMix64",
@@ -91,6 +93,8 @@ def random_game(rng: SplitMix64, sizes: Sequence[int],
                 values: Sequence[Fraction] = DEFAULT_PAYOFF_VALUES) -> GameSpec:
     """Random finite game with the given strategy counts, payoffs drawn
     uniformly from a fixed rational set so ties stay common."""
+    from .game import GameSpec  # only games need the game module
+
     domains = tuple(Domain(_letters(s)) for s in sizes)
     count = 1
     for s in sizes:

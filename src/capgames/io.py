@@ -15,16 +15,17 @@ Function files:  {"domain": [labels], "values": {label: "p/q", ...}}.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .capacity import CapacityError, Domain, FiniteCapacity
-from .game import GameSpec
 from .rational import format_rational, parse_rational
 from .sugeno import PayoffFunction
+
+if TYPE_CHECKING:
+    from .game import GameSpec
 
 __all__ = [
     "ParseError",
@@ -98,23 +99,42 @@ def _domain_from(node: Any, where: str) -> Domain:
 
 def loads_capacity(text: str, allow_decimal: bool = False,
                    where: str = "capacity") -> FiniteCapacity:
+    """Parse a capacity file. Each distinct value string is parsed once,
+    and the capacity is built and validated on ranks into the sorted
+    distinct values (`FiniteCapacity._from_ranks`, with the checks and
+    messages of the constructor). Subset keys may list their labels in
+    any order."""
     data = _expect_dict(_loads(text, allow_decimal, where), where)
     if "domain" not in data or "values" not in data:
         raise ValidationError(f"{where}: needs 'domain' and 'values'")
     domain = _domain_from(data["domain"], where)
     values = _expect_dict(data["values"], f"{where}: 'values'")
 
-    table: dict[int, Fraction] = {}
+    # In a complete file, keys as serialize_capacity writes them are found
+    # in one lookup; the key table is never larger than the file.
+    canonical = ({key: mask for mask, key in enumerate(_subset_keys(domain))}
+                 if len(values) == domain.subset_count else {})
+    # Each subset's token: its raw value string, or the parsed value of
+    # a non-string literal, which is never looked up before it is parsed.
+    parsed: dict[Any, Fraction] = {}
+    table: dict[int, Any] = {}
     for key, raw in values.items():
-        labels = [] if key == "" else key.split(",")
-        try:
-            mask = domain.as_mask(labels)
-        except CapacityError as exc:
-            raise ValidationError(f"{where}: subset key {key!r}: {exc}") from None
+        mask = canonical.get(key)
+        if mask is None:
+            labels = [] if key == "" else key.split(",")
+            try:
+                mask = domain.as_mask(labels)
+            except CapacityError as exc:
+                raise ValidationError(f"{where}: subset key {key!r}: {exc}") from None
         if mask in table:
             raise ValidationError(
                 f"{where}: subset key {key!r} repeats an earlier subset")
-        table[mask] = _as_rational(raw, f"{where}: value for {key!r}")
+        if not (isinstance(raw, str) and raw in parsed):
+            value = _as_rational(raw, f"{where}: value for {key!r}")
+            if not isinstance(raw, str):
+                raw = value
+            parsed[raw] = value
+        table[mask] = raw
 
     missing = [m for m in range(domain.subset_count) if m not in table]
     if missing:
@@ -122,8 +142,12 @@ def loads_capacity(text: str, allow_decimal: bool = False,
         raise ValidationError(
             f"{where}: missing {len(missing)} subset value(s), first is "
             f"{shown!r}")
+    levels = sorted(set(parsed.values()))
+    rank = {v: r for r, v in enumerate(levels)}
+    rank_of = {token: rank[v] for token, v in parsed.items()}
     try:
-        return FiniteCapacity(domain, [table[m] for m in range(domain.subset_count)])
+        return FiniteCapacity._from_ranks(
+            domain, levels, [rank_of[table[m]] for m in range(domain.subset_count)])
     except CapacityError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -151,6 +175,8 @@ def loads_game(text: str, allow_decimal: bool = False,
             raise ValidationError(f"{where}: missing payoffs for player {key}")
         nested.append(_rationalize(payoffs[key], f"{where}: payoffs[{key}]",
                                    [d.size for d in domains]))
+    from .game import GameSpec  # only game files need the game module
+
     try:
         return GameSpec.from_nested(domains, nested)
     except (ValueError, CapacityError) as exc:
@@ -204,15 +230,31 @@ def parse_function(path: str | Path, allow_decimal: bool = False) -> PayoffFunct
     return loads_function(_read(path), allow_decimal, where=str(path))
 
 
-def _subset_key(domain: Domain, mask: int) -> str:
-    return ",".join(sorted(domain.labels_of(mask)))
+def _subset_keys(domain: Domain) -> list[str]:
+    """Every subset's key, indexed by mask: its labels comma-joined in
+    sorted order. The labels are sorted once, and each key extends the
+    key of the subset without its last label by that label."""
+    keys = [""] * domain.subset_count
+    done = [0]
+    for label in sorted(domain.labels):
+        bit = 1 << domain.index_of(label)
+        for mask in done:
+            keys[mask | bit] = f"{keys[mask]},{label}" if mask else label
+        done += [mask | bit for mask in done]
+    return keys
 
 
 def serialize_capacity(cap: FiniteCapacity, indent: int | None = 2) -> str:
+    texts: dict[Fraction, str] = {}  # each distinct value formatted once
+    column = []
+    for v in cap.values:
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = format_rational(v)
+        column.append(text)
     body = {
         "domain": list(cap.domain.labels),
-        "values": {_subset_key(cap.domain, m): format_rational(cap.values[m])
-                   for m in range(cap.domain.subset_count)},
+        "values": dict(zip(_subset_keys(cap.domain), column)),
     }
     return json.dumps(body, indent=indent)
 
@@ -243,6 +285,8 @@ def serialize_function(func: PayoffFunction, indent: int | None = 2) -> str:
 
 def canonical_game_hash(game: GameSpec) -> str:
     """sha256 over a whitespace-free, key-sorted serialization."""
+    import hashlib  # only game hashes need it
+
     canonical = json.dumps(json.loads(serialize_game(game, indent=None)),
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

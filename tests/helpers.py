@@ -6,6 +6,7 @@ not tautology.
 """
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from fractions import Fraction
 from capgames import (
     BudgetExceeded,
     CapacityBase,
+    CapacityError,
     CorrectionMap,
     Domain,
     FiniteCapacity,
@@ -24,13 +26,14 @@ from capgames import (
     check_support_profile,
     classical_sugeno,
     enumerate_capacities,
+    format_rational,
     is_equilibrium,
     opponent_domain,
     product_domain,
     random_capacity,
     separating_halves,
 )
-from capgames import convexity
+from capgames import convexity, io
 from capgames.convexity import (
     BinarityReport,
     FULL_FAMILY_CAP,
@@ -254,7 +257,8 @@ def bigint_binarity_scan(space, full_family: bool = False,
     """Reference binarity scan: the intervals' link rows as Python
     big-integer bitsets, every linked pair (i, j) and its triples walked
     one pair at a time. The join and meet tables come from
-    convexity._member_table, so a test can break both scans alike."""
+    convexity._member_table, and the failure cap is read from
+    convexity.FAILURE_CAP, so a test can break or cap both scans alike."""
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)
@@ -303,13 +307,13 @@ def bigint_binarity_scan(space, full_family: bool = False,
             if not cand:
                 continue
             triples_checked += cand.bit_count()
-            bad = cand & ~rows[inside[j]]
+            bad = cand & ~rows[inside[j]] if len(failures) < convexity.FAILURE_CAP else 0
             while bad:
                 lowb = bad & -bad
                 k = lowb.bit_length() - 1
                 bad ^= lowb
                 failures.append((i, j, k))
-                if len(failures) >= 16:
+                if len(failures) == convexity.FAILURE_CAP:
                     bad = 0
 
     full_family_sets = None
@@ -329,7 +333,7 @@ def bigint_binarity_scan(space, full_family: bool = False,
                 nm = members + [k]
                 if len(nm) >= 2:
                     full_family_sets += 1
-                    if not below[nlo, nhi]:
+                    if not below[nlo, nhi] and len(failures) < convexity.FAILURE_CAP:
                         failures.append(tuple(nm[:3]))
                 grow(nm, rest & rows[k], nlo, nhi)
 
@@ -345,3 +349,53 @@ def bigint_binarity_scan(space, full_family: bool = False,
         full_family_sets=full_family_sets,
         seconds=time.perf_counter() - start,
     )
+
+
+def init_loads_capacity(text: str, allow_decimal: bool = False,
+                        where: str = "capacity") -> FiniteCapacity:
+    """Reference capacity-file loader: every value parsed where it
+    stands, the capacity built and validated by FiniteCapacity.__init__
+    on the Fraction table. Shares only the JSON and rational helpers of
+    capgames.io."""
+    data = io._expect_dict(io._loads(text, allow_decimal, where), where)
+    if "domain" not in data or "values" not in data:
+        raise io.ValidationError(f"{where}: needs 'domain' and 'values'")
+    domain = io._domain_from(data["domain"], where)
+    values = io._expect_dict(data["values"], f"{where}: 'values'")
+
+    table: dict[int, Fraction] = {}
+    for key, raw in values.items():
+        labels = [] if key == "" else key.split(",")
+        try:
+            mask = domain.as_mask(labels)
+        except CapacityError as exc:
+            raise io.ValidationError(f"{where}: subset key {key!r}: {exc}") from None
+        if mask in table:
+            raise io.ValidationError(
+                f"{where}: subset key {key!r} repeats an earlier subset")
+        table[mask] = io._as_rational(raw, f"{where}: value for {key!r}")
+
+    missing = [m for m in range(domain.subset_count) if m not in table]
+    if missing:
+        shown = ",".join(domain.labels_of(missing[0])) or "<empty set>"
+        raise io.ValidationError(
+            f"{where}: missing {len(missing)} subset value(s), first is "
+            f"{shown!r}")
+    try:
+        return FiniteCapacity(domain, [table[m] for m in range(domain.subset_count)])
+    except CapacityError as exc:
+        raise io.ValidationError(f"{where}: {exc}") from None
+
+
+def subset_key_serialize_capacity(cap: FiniteCapacity, indent: int | None = 2) -> str:
+    """Reference capacity-file writer: each subset key sorted on its own,
+    each value formatted where it stands."""
+    def key(mask: int) -> str:
+        return ",".join(sorted(cap.domain.labels_of(mask)))
+
+    body = {
+        "domain": list(cap.domain.labels),
+        "values": {key(m): format_rational(cap.values[m])
+                   for m in range(cap.domain.subset_count)},
+    }
+    return json.dumps(body, indent=indent)

@@ -326,10 +326,39 @@ class TestBinarity:
         monkeypatch.setattr(convexity, "_member_table", broken)
         fast, slow = check_binarity(space), bigint_binarity_scan(space)
         assert fast.failures == slow.failures
-        assert len(fast.failures) > 16
-        # In (i, j, k) order; past the cap, each failing pair adds one.
+        # Each broken table fails more triples than the cap: the scan lists
+        # the first FAILURE_CAP of them, in (i, j, k) order, and no more.
+        assert len(fast.failures) == convexity.FAILURE_CAP == 16
         assert list(fast.failures) == sorted(fast.failures)
-        assert len({f[:2] for f in fast.failures[16:]}) == len(fast.failures) - 16
+
+    @pytest.mark.parametrize("cap", [16, 7])
+    def test_failure_cap_covers_the_full_family(self, monkeypatch, cap):
+        # With the meet table reversed, the 2-point {0, 1} space fails 5
+        # triples and 5 linked families; a cap of 7 cuts into the families.
+        space = enumerate_capacities(AB, (0, 1))
+        member_table = convexity._member_table
+
+        def broken(mat, fn):
+            found = member_table(mat, fn)
+            return len(mat) - 1 - found if fn is np.minimum else found
+
+        monkeypatch.setattr(convexity, "_member_table", broken)
+        monkeypatch.setattr(convexity, "FAILURE_CAP", cap)
+        fast = check_binarity(space, full_family=True)
+        slow = bigint_binarity_scan(space, full_family=True)
+        assert fast.failures == slow.failures
+        assert len(fast.failures) == min(cap, 10)
+        assert fast.full_family_sets == slow.full_family_sets == 26
+
+    def test_empty_space_passes_with_zero_counts(self):
+        space = GridCapacitySpace(AB, (F(0), F(1)), ())
+        for full_family, sets in ((False, None), (True, 0)):
+            report = check_binarity(space, full_family=full_family)
+            assert report.passed
+            assert (report.capacity_count, report.interval_count, report.linked_pairs,
+                    report.triples_checked, report.failures,
+                    report.full_family_sets) == (0, 0, 0, 0, (), sets)
+        assert check_t2(space).passed
 
 
 class TestSeparatingHalves:

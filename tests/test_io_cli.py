@@ -1,13 +1,16 @@
 """JSON file formats and the command-line front end."""
 
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capgames import (
     Domain,
@@ -18,6 +21,7 @@ from capgames import (
     canonical_game_hash,
     default_correction,
     dirac_capacity,
+    format_rational,
     loads_capacity,
     loads_function,
     loads_game,
@@ -26,16 +30,26 @@ from capgames import (
     serialize_function,
     serialize_game,
     sugeno_integral,
+    tensor2,
     tensor_many,
 )
 import capgames
 from capgames.cli import main
-from capgames.generate import SplitMix64, random_game
+from capgames.generate import (
+    SplitMix64,
+    random_capacity,
+    random_game,
+    random_payoff_function,
+)
+from capgames.game import opponent_domain
+from capgames.tensor import product_domain
 
 from helpers import (
     coordination_game,
+    init_loads_capacity,
     no_support_equilibrium_game,
     seeded_capacity,
+    subset_key_serialize_capacity,
 )
 
 F = Fraction
@@ -58,6 +72,14 @@ class TestCapacityFormat:
         data = json.loads(serialize_capacity(cap))
         assert "a,b,c" in data["values"]
         assert data["values"]["a,b,c"] == "1"
+
+    def test_boolean_rejected_after_an_equal_integer(self):
+        # true == 1 and hash(true) == hash(1): a value parsed once per
+        # distinct literal must still reject the boolean.
+        text = json.dumps({"domain": ["a", "b"],
+                           "values": {"": 0, "a": 1, "b": True, "a,b": 1}})
+        with pytest.raises(ParseError, match="boolean is not a rational"):
+            loads_capacity(text)
 
     def test_accepts_keys_in_any_member_order(self):
         text = json.dumps({
@@ -141,6 +163,96 @@ class TestCapacityFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_capacity(tmp_path / "nothing.json")
+
+
+@functools.cache
+def _valid_values(size: int, seed: int) -> tuple[Domain, tuple[Fraction, ...]]:
+    cap = seeded_capacity(seed, size)
+    return cap.domain, cap.values
+
+
+def _spelled(value: Fraction):
+    """The value as a file may also hold it: a JSON integer for 0 and 1,
+    an unreduced p/q otherwise."""
+    if value.denominator == 1:
+        return value.numerator
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+class TestRankFilePath:
+    """The rank-based loader and the writer against the old per-entry
+    loader (validated by FiniteCapacity.__init__) and the per-subset
+    writer, kept in helpers as references."""
+
+    @pytest.mark.parametrize("size", [3, 4, 12])
+    @pytest.mark.parametrize("kind", ["valid", "range", "normalization", "cover"])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_loader_matches_the_init_loader(self, size, kind, data):
+        domain, table = _valid_values(size, data.draw(st.integers(0, 2)))
+        values = list(table)
+        full = domain.full_mask
+        if kind == "range":
+            values[data.draw(st.integers(0, full))] = data.draw(
+                st.sampled_from([F(-1, 2), F(-1, 8), F(9, 8), F(2)]))
+        elif kind == "normalization":
+            mask = data.draw(st.sampled_from([0, full]))
+            values[mask] = data.draw(st.sampled_from(
+                [F(1, 8), F(1, 2), F(1)] if mask == 0 else [F(0), F(1, 2), F(7, 8)]))
+        elif kind == "cover":
+            # A cover pair (small, big) below the full set, small > big.
+            small = data.draw(st.sampled_from(
+                [m for m in range(1, full) if m.bit_count() <= size - 2]))
+            big = small | 1 << data.draw(st.sampled_from(
+                [k for k in range(size) if not small >> k & 1]))
+            values[big] = data.draw(st.sampled_from([F(0), F(1, 8), F(1, 2)]))
+            values[small] = data.draw(st.sampled_from([F(5, 8), F(7, 8), F(1)]))
+        # Not plain: every third subset keyed in reverse label order, with
+        # its value spelled another way.
+        plain = data.draw(st.booleans())
+        items = []
+        for m, v in enumerate(values):
+            labels = domain.labels_of(m)
+            if plain or m % 3:
+                items.append((",".join(labels), format_rational(v)))
+            else:
+                items.append((",".join(reversed(labels)), _spelled(v)))
+        random.Random(data.draw(st.integers(0, 1 << 16))).shuffle(items)
+        text = json.dumps({"domain": list(domain.labels), "values": dict(items)})
+
+        try:
+            want = init_loads_capacity(text, where="f.json")
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                loads_capacity(text, where="f.json")
+            assert str(got.value) == str(exc)
+            phrase = {"range": "outside [0, 1]", "normalization": "must get",
+                      "cover": "monotonicity violated"}[kind]
+            assert phrase in str(exc)
+        else:
+            assert kind == "valid"
+            got = loads_capacity(text, where="f.json")
+            assert got == want
+            assert got.values == table
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_writer_matches_the_reference(self, data):
+        # Labels drawn in any order, so keys need sorting; tensor products
+        # (built on ranks, values shared) have unsorted flat labels too.
+        pool = ["b", "a", "c10", "c2", "Z", "x_y", "\u00e9", "10", "9"]
+        rng = SplitMix64(data.draw(st.integers(0, 1 << 16)))
+        labels = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                                    unique=True))
+        cap = random_capacity(Domain(tuple(labels)), rng)
+        if data.draw(st.booleans()):
+            right = data.draw(st.permutations(["q", "p", "r", "s"]))
+            right = right[:data.draw(st.integers(1, 4))]
+            cap = tensor2(random_capacity(Domain(tuple(labels[:3])), rng),
+                          random_capacity(Domain(tuple(right)), rng))
+        indent = data.draw(st.sampled_from([2, None, 0]))
+        assert (serialize_capacity(cap, indent=indent)
+                == subset_key_serialize_capacity(cap, indent=indent))
 
 
 class TestGameFormat:
@@ -440,6 +552,21 @@ def test_import_leaves_numpy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+def _cold_run(args: list[str], cwd) -> tuple[int, set[str]]:
+    """Run one command through `main` in a fresh interpreter; return its
+    exit code and the capgames modules (and numpy) it loaded."""
+    src = str(Path(capgames.__file__).resolve().parent.parent)
+    code = ("import json, sys; from capgames.cli import main; "
+            f"code = main({args!r}); "
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('capgames.') or m == 'numpy')]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    exit_code, modules = json.loads(run.stdout.splitlines()[-1])
+    return exit_code, {m.removeprefix("capgames.") for m in modules}
+
+
 def test_tensor_command_leaves_numpy_unloaded(tmp_path):
     # The rank kernel of tensor2 is plain Python: a cold `tensor` command
     # never pays for numpy.
@@ -447,11 +574,65 @@ def test_tensor_command_leaves_numpy_unloaded(tmp_path):
     f1 = _write(tmp_path, "left.json", serialize_capacity(left))
     f2 = _write(tmp_path, "right.json", serialize_capacity(right))
     out = str(tmp_path / "product.json")
-    src = str(Path(capgames.__file__).resolve().parent.parent)
-    code = ("import sys; from capgames.cli import main; "
-            f"assert main(['tensor', {f1!r}, {f2!r}, '--out', {out!r}]) == 0; "
-            "assert 'numpy' not in sys.modules, 'numpy was imported'")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0, run.stderr
+    code, modules = _cold_run(["tensor", f1, f2, "--out", out], tmp_path)
+    assert code == 0
+    assert "numpy" not in modules, "numpy was imported"
     assert parse_capacity(out) == tensor_many([left, right])
+
+
+# Every command loads these: the modules `main` needs to report any error,
+# and the Sugeno layer, which every command evaluates or builds on.
+BASE = {"cli", "capacity", "io", "rational", "sugeno"}
+GAME = BASE | {"game", "tensor"}
+
+# The command shapes of the benchmark's cli workload, in its order, with
+# the exit code and the modules each one loads.
+COLD_COMMANDS = [
+    (["integrate", "cap4.json", "fun4.json"], 0, BASE),
+    (["integrate", "cap5.json", "fun5.json", "--psi", "logit"], 0, BASE),
+    (["tensor", "left.json", "right.json", "--out", "product.json"], 0, BASE | {"tensor"}),
+    (["integrate", "product.json", "fprod.json"], 0, BASE),
+    (["best-response", "game1.json", "--player", "0", "--belief", "belief1.json"], 0, GAME),
+    (["best-response", "game3.json", "--player", "0", "--belief", "belief3.json"], 0, GAME),
+    (["check-eq", "coord.json", "--supports", "A;A"], 0, GAME | {"equilibrium"}),
+    (["check-eq", "coord.json", "--supports", "A,B;B"], 1, GAME | {"equilibrium"}),
+    (["solve", "coord.json"], 0, GAME | {"equilibrium"}),
+    (["solve", "empty.json"], 1, GAME | {"equilibrium"}),
+    (["verify-convexity", "--domain-size", "2"], 0,
+     BASE | {"convexity", "generate", "numpy"}),
+    (["oracle-compare", "--trials", "5", "--seed", "7"], 0, BASE | {"generate"}),
+]
+
+
+@pytest.fixture(scope="module")
+def cold_inputs(tmp_path_factory):
+    where = tmp_path_factory.mktemp("cold")
+    rng = SplitMix64(7)
+    for size in (4, 5):
+        dom = Domain(tuple("abcde"[:size]))
+        _write(where, f"cap{size}.json", serialize_capacity(random_capacity(dom, rng)))
+        _write(where, f"fun{size}.json",
+               serialize_function(random_payoff_function(dom, rng)))
+    left, right = Domain(("a", "b", "c")), Domain(("p", "q", "r", "s"))
+    _write(where, "left.json", serialize_capacity(random_capacity(left, rng)))
+    _write(where, "right.json", serialize_capacity(random_capacity(right, rng)))
+    flat = product_domain([left, right]).flat
+    _write(where, "fprod.json", serialize_function(random_payoff_function(flat, rng)))
+    for k, sizes in ((1, (2, 3)), (3, (2, 2, 2))):
+        game = random_game(rng, sizes)
+        _write(where, f"game{k}.json", serialize_game(game))
+        opp = opponent_domain(game, 0).flat
+        _write(where, f"belief{k}.json", serialize_capacity(random_capacity(opp, rng)))
+    _write(where, "coord.json", serialize_game(coordination_game()))
+    _write(where, "empty.json", serialize_game(no_support_equilibrium_game()))
+    return where
+
+
+def test_each_command_loads_only_the_modules_it_runs(cold_inputs):
+    # In command order, so that `integrate` reads the product `tensor` wrote.
+    # Only verify-convexity loads the convexity scans (and numpy), only
+    # check-eq and solve the equilibrium search, and no command but the
+    # game commands loads the game layer.
+    for args, want_code, want in COLD_COMMANDS:
+        code, modules = _cold_run(args, cold_inputs)
+        assert (code, modules) == (want_code, want), args
