@@ -11,6 +11,9 @@ both enumerate, are filled here too, under an exhaustive budget.
 
 from __future__ import annotations
 
+import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -297,6 +300,48 @@ def _check_normalized(empty: Fraction, full: Fraction) -> None:
         raise NormalizationError(f"full set must get 1, got {full}")
 
 
+@functools.cache
+def _cover_masks(size: int, code: str) -> tuple[int, int, tuple[int, ...]]:
+    """Field width in bits, and guard masks, of a rank table on `size`
+    points packed into fields of the array typecode `code`: the guard
+    (top) bit of every field, and for each point k the guard bits of the
+    fields whose mask lacks k. One entry per (domain size, field width)
+    pair, so at most 40; the largest, 20 points in 32-bit fields, holds
+    21 ints of 4 MiB."""
+    width = array(code).itemsize
+    on = (1 << (8 * width - 1)).to_bytes(width, sys.byteorder)
+    off = bytes(width)
+    guard = int.from_bytes(on * (1 << size), sys.byteorder)
+    # Point k's fields alternate in runs of 2^k: lacking k, then holding it.
+    lacking = tuple(
+        int.from_bytes((on * (1 << k) + off * (1 << k)) * (1 << (size - k - 1)),
+                       sys.byteorder)
+        for k in range(size))
+    return 8 * width, guard, lacking
+
+
+def _cover_pairs_hold(size: int, ranks: Sequence[int], level_count: int) -> bool:
+    """Whether ranks[A] <= ranks[A + {x}] for every cover pair, decided
+    on packed ints.
+
+    Each rank fills one fixed-width field of a packed int, field A at
+    mask A, and stays below the field's top (guard) bit: 16-bit fields
+    while there are fewer than 2^15 levels, else 32-bit ones. For a
+    point k, shifting right by 2^k fields puts ranks[A + 2^k] in field
+    A; with the guard bits set, subtracting the packed ranks leaves each
+    field's guard bit set iff its larger-set rank is at least its own,
+    and no field borrows from the next. One AND with the mask of the
+    fields lacking k then checks every cover pair along k at once.
+    """
+    code = "H" if level_count < 2**15 else "I"
+    bits, guard, lacking = _cover_masks(size, code)
+    packed = int.from_bytes(array(code, ranks).tobytes(), sys.byteorder)
+    for k, mask in enumerate(lacking):
+        if (((packed >> (bits << k)) | guard) - packed) & mask != mask:
+            return False
+    return True
+
+
 def _check_cover_pairs(domain: Domain, table: Sequence,
                        levels: Sequence[Fraction] | None = None) -> None:
     """Raise MonotonicityError at the first cover pair (A, A + {x}), by
@@ -304,8 +349,13 @@ def _check_cover_pairs(domain: Domain, table: Sequence,
 
     Cover pairs suffice: A <= A + {x} for every x outside A implies
     monotonicity for all nested pairs by transitivity. `table` holds
-    Fractions, or ranks into `levels`, which the error then reports.
+    Fractions, or ranks into `levels`, which the error then reports. A
+    rank table is first checked whole on packed ints
+    (`_cover_pairs_hold`); the loop below runs only when that check
+    fails, to name the first violating pair.
     """
+    if levels is not None and _cover_pairs_hold(domain.size, table, len(levels)):
+        return
     full = domain.full_mask
     for mask, v in enumerate(table):
         rest = full & ~mask
@@ -340,9 +390,17 @@ class FiniteCapacity(CapacityBase):
     @classmethod
     def _from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
                     ranks: Sequence[int]) -> "FiniteCapacity":
-        """Build from ranks into `levels`, a strictly increasing list.
+        """Build from ranks into `levels`, a strictly increasing list:
+        `_many_from_ranks` on one table."""
+        return cls._many_from_ranks(domain, levels, [ranks])[0]
 
-        The table is values[mask] = levels[ranks[mask]]. Every check of
+    @classmethod
+    def _many_from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
+                         tables: Iterable[Sequence[int]]) -> list["FiniteCapacity"]:
+        """Build one capacity per rank table into `levels`, a strictly
+        increasing list; the domain and the levels are checked once.
+
+        Each table is values[mask] = levels[ranks[mask]]. Every check of
         `__init__` runs, in the same order and with the same exceptions
         and messages, but on the ints: since rank order is level order,
         the cover pairs compare ranks. Only then is the Fraction table
@@ -353,21 +411,26 @@ class FiniteCapacity(CapacityBase):
         levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        _check_table_length(domain, ranks)
-        if min(ranks) < 0 or max(ranks) >= len(levels):
-            raise ValueError(f"ranks must lie in range({len(levels)})")
         # The levels ascend, so only the two ends can leave [0, 1].
-        if levels[0] < 0 or levels[-1] > 1:
-            outside = {r for r, v in enumerate(levels) if v < 0 or v > 1}
-            for mask, r in enumerate(ranks):
-                if r in outside:
-                    _raise_out_of_range(domain, mask, levels[r])
-        _check_normalized(levels[ranks[0]], levels[ranks[domain.full_mask]])
-        _check_cover_pairs(domain, ranks, levels)
-        cap = cls.__new__(cls)
-        object.__setattr__(cap, "domain", domain)
-        object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
-        return cap
+        outside = ({r for r, v in enumerate(levels) if v < 0 or v > 1}
+                   if levels and (levels[0] < 0 or levels[-1] > 1) else None)
+        full = domain.full_mask
+        caps = []
+        for ranks in tables:
+            _check_table_length(domain, ranks)
+            if min(ranks) < 0 or max(ranks) >= len(levels):
+                raise ValueError(f"ranks must lie in range({len(levels)})")
+            if outside:
+                for mask, r in enumerate(ranks):
+                    if r in outside:
+                        _raise_out_of_range(domain, mask, levels[r])
+            _check_normalized(levels[ranks[0]], levels[ranks[full]])
+            _check_cover_pairs(domain, ranks, levels)
+            cap = cls.__new__(cls)
+            object.__setattr__(cap, "domain", domain)
+            object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
+            caps.append(cap)
+        return caps
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteCapacity is immutable")

@@ -125,8 +125,8 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
     BudgetExceeded before it would build member MAX_SPACE_MEMBERS + 1.
     """
     values = _grid_values(domain, grid, max_points, max_grid)
-    caps = tuple(FiniteCapacity._from_ranks(domain, values, t)
-                 for t in _grid_tables(domain, values))
+    caps = tuple(FiniteCapacity._many_from_ranks(
+        domain, values, _grid_tables(domain, values)))
     return GridCapacitySpace(domain, tuple(values), caps)
 
 

@@ -22,12 +22,16 @@ beliefs themselves.
 
 The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
-depends on player i's belief alone, so each member of a player's grid
-space gets one `best_response`, and the space is grouped by response.
-A tuple of realised responses then fixes every player's box, and the
-hits for it are the product of each player's group members that
-vanish outside their box. The space sizes are counted, and the product
-checked against the budget, before any member is built.
+depends on player i's belief alone, so the members of a player's grid
+space are grouped by response. The corrected integral only compares
+payoff values with corrected levels, so every member's response is
+decided on its rank table, in one sorted chain of the player's payoff
+values and the corrections of the interior grid levels; `best_response`
+stays the reference the tests hold this to. A tuple of realised
+responses then fixes every player's box, and the hits for it are the
+product of each player's group members that vanish (rank 0) outside
+their box. The space sizes are counted, and the product checked against
+the budget, before any member is built.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from .capacity import (
     _grid_values,
     possibility_capacity,
 )
-from .game import GameSpec, best_response, opponent_domain
+from .game import GameSpec, best_response, opponent_domain, payoff_slice
 from .rational import format_rational
-from .sugeno import CorrectionMap, default_correction
+from .sugeno import CorrectionMap, _level_set_max, _level_sets, default_correction
 from .tensor import _row_major_strides, lazy_tensor
 
 __all__ = [
@@ -180,7 +184,7 @@ def is_equilibrium(game: GameSpec,
     responses = tuple(best_response(game, i, system.beliefs[i], corr)
                       for i in range(game.n_players))
     masks = [d.as_mask(r) for d, r in zip(game.strategy_domains, responses)]
-    residuals = [_values_outside_box(game, i, masks, [belief])[0]
+    residuals = [belief.value_mask(_outside_box(game, i, masks))
                  for i, belief in enumerate(system.beliefs)]
     degenerate = tuple(i for i in range(game.n_players)
                        if system.beliefs[i].is_vacuous())
@@ -193,17 +197,14 @@ def is_equilibrium(game: GameSpec,
     )
 
 
-def _values_outside_box(game: GameSpec, player: int,
-                        responses: Sequence[int],
-                        beliefs: Iterable[CapacityBase]) -> list[Fraction]:
-    """Each belief of the player, evaluated on the opponent profiles
-    outside the box of the others' best responses (`responses` holds one
-    own-strategy mask per player; the player's own is not read). The
-    player's equilibrium condition is that this value is exactly 0."""
+def _outside_box(game: GameSpec, player: int, responses: Sequence[int]) -> int:
+    """Mask of the opponent profiles outside the box of the others' best
+    responses (`responses` holds one own-strategy mask per player; the
+    player's own is not read). The player's equilibrium condition is
+    that their belief is exactly 0 on it."""
     opp = opponent_domain(game, player)
     box = opp.mask_of_box([m for j, m in enumerate(responses) if j != player])
-    outside = opp.flat.full_mask & ~box
-    return [b.value_mask(outside) for b in beliefs]
+    return opp.flat.full_mask & ~box
 
 
 def _profile_beliefs(game: GameSpec, profile: SupportProfile) -> BeliefSystem:
@@ -383,6 +384,40 @@ def iterate_best_response_supports(game: GameSpec,
     return CycleReport(tuple(trajectory), None)
 
 
+def _grid_response_masks(game: GameSpec, player: int,
+                         levels: Sequence[Fraction],
+                         tables: Iterable[Sequence[int]],
+                         correction: CorrectionMap) -> list[int]:
+    """The player's best-response mask against each belief given as a
+    rank table into `levels`, the sorted grid from 0 to 1.
+
+    The corrected integral compares payoff values with corrected levels
+    only, so it runs on ranks in one sorted chain of the player's payoff
+    values and the correction of every interior grid level. Each
+    strategy's level sets are computed once, as (chain rank, mask)
+    pairs, and each table goes through the level-set loop with its grid
+    ranks as levels: grid rank 0 is level 0, the last is level 1, and
+    the lift of any other is its correction's chain rank.
+    """
+    labels = game.strategy_domains[player].labels
+    slices = [payoff_slice(game, player, lab).values for lab in labels]
+    corrected = [correction.evaluate(g) for g in levels[1:-1]]
+    chain = sorted({*corrected, *itertools.chain.from_iterable(slices)})
+    rank = {v: r for r, v in enumerate(chain)}
+    # Indexed by grid rank; the two ends are never lifted.
+    lift = [None, *map(rank.__getitem__, corrected), None]
+    level_sets = [list(_level_sets(list(map(rank.__getitem__, values))))
+                  for values in slices]
+    top = len(levels) - 1
+    masks = []
+    for ranks in tables:
+        scores = [_level_set_max(sets, ranks.__getitem__, lift.__getitem__, top)
+                  for sets in level_sets]
+        best = max(scores)
+        masks.append(sum(1 << s for s, v in enumerate(scores) if v == best))
+    return masks
+
+
 def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
                          correction: CorrectionMap | None = None,
                          budget: int = DEFAULT_PROFILE_BUDGET,
@@ -393,10 +428,11 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
 
     The search is decoupled: a player's best response depends on their
     own belief only. Each player's space is grouped by the best-response
-    mask of its members, one `best_response` per member. For every tuple
-    r of realised masks, player i accepts the members of group r_i whose
-    value outside the box of r_-i is exactly 0, the residual rule of
-    `is_equilibrium`; the hits for r are the product of the accepted
+    mask of its members, all decided on their rank tables in one pass
+    (`_grid_response_masks`). For every tuple r of realised masks,
+    player i accepts the members of group r_i whose rank outside the
+    box of r_-i is 0, the rank of value 0: the residual rule of
+    `is_equilibrium`. The hits for r are the product of the accepted
     lists. The budget bounds the product of the space sizes: each space
     is filled once as rank tables, and the tables are counted before
     any member is built from them.
@@ -414,28 +450,27 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
-    built = {d: [FiniteCapacity._from_ranks(d, levels, t) for t in ts]
+    built = {d: FiniteCapacity._many_from_ranks(d, levels, ts)
              for d, ts in tables.items()}
-    spaces = [built[d] for d in domains]
     # groups[i]: best-response mask -> indices of player i's members.
     groups: list[dict[int, list[int]]] = []
-    for i, space in enumerate(spaces):
-        own = game.strategy_domains[i]
+    for i, d in enumerate(domains):
         by_mask: dict[int, list[int]] = {}
-        for k, cap in enumerate(space):
-            mask = own.mask_of(best_response(game, i, cap, corr))
+        masks = _grid_response_masks(game, i, levels, tables[d], corr)
+        for k, mask in enumerate(masks):
             by_mask.setdefault(mask, []).append(k)
         groups.append(by_mask)
     hits: list[tuple[int, ...]] = []
     for responses in itertools.product(*groups):
         accepted = []
-        for i, (space, by_mask) in enumerate(zip(spaces, groups)):
-            members = by_mask[responses[i]]
-            values = _values_outside_box(game, i, responses,
-                                         (space[k] for k in members))
-            accepted.append([k for k, v in zip(members, values) if v == 0])
+        for i, (d, by_mask) in enumerate(zip(domains, groups)):
+            outside = _outside_box(game, i, responses)
+            space = tables[d]
+            accepted.append([k for k in by_mask[responses[i]]
+                             if space[k][outside] == 0])
         hits.extend(itertools.product(*accepted))
     hits.sort()
+    spaces = [built[d] for d in domains]
     return [BeliefSystem(tuple(space[k] for space, k in zip(spaces, combo)))
             for combo in hits]
 

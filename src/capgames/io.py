@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .capacity import CapacityError, Domain, FiniteCapacity
+from .capacity import CapacityError, Domain, FiniteCapacity, _check_domain_size
 from .rational import format_rational, parse_rational
 from .sugeno import PayoffFunction
 
@@ -103,11 +103,16 @@ def loads_capacity(text: str, allow_decimal: bool = False,
     and the capacity is built and validated on ranks into the sorted
     distinct values (`FiniteCapacity._from_ranks`, with the checks and
     messages of the constructor). Subset keys may list their labels in
-    any order."""
+    any order. A domain beyond the dense cap is refused before any of
+    the values is read."""
     data = _expect_dict(_loads(text, allow_decimal, where), where)
     if "domain" not in data or "values" not in data:
         raise ValidationError(f"{where}: needs 'domain' and 'values'")
     domain = _domain_from(data["domain"], where)
+    try:
+        _check_domain_size(domain)
+    except CapacityError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     values = _expect_dict(data["values"], f"{where}: 'values'")
 
     # In a complete file, keys as serialize_capacity writes them are found

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .capacity import (
     CapacityBase,
@@ -189,23 +189,30 @@ def _identity(level: Fraction) -> Fraction:
     return level
 
 
-def _level_set_max(values: Sequence[Fraction], level_of: Callable[[int], Fraction],
+def _level_set_max(level_sets: Iterable[tuple[Fraction, int]],
+                   level_of: Callable[[int], Fraction],
                    lift: Callable[[Fraction], ExtendedValue] = _identity,
                    top: Fraction | int = 1) -> Fraction:
-    """max over distinct values v of min(v, lift(level_of(points >= v))).
+    """max over (v, mask) of min(v, lift(level_of(mask))), for the level
+    sets of a function as `_level_sets` yields them: values descending,
+    each with the mask of the points at or above it.
 
     The one level-set loop behind the corrected integral (lift = the
     correction map), the classical integral and the tensor product
     (lift = identity). `level_of` maps a point mask to its level, a
-    capacity's `value_mask`. The tensor kernel runs the same loop on
-    ranks in one sorted value list: values, levels and the result are
-    then ints, 0 is the rank of level 0 and `top` the rank of level 1.
+    capacity's `value_mask`. Two callers run it on ranks, where values,
+    levels and the result are ints, 0 is the rank of level 0 and `top`
+    the rank of level 1: the tensor kernel, whose values and levels are
+    ranks in one sorted list, and the grid equilibrium search, whose
+    level sets are computed once per payoff slice, whose levels are
+    ranks in the grid and whose lift maps a grid rank to the rank of
+    its correction in one sorted chain with the payoff values.
     A level at `top` ends the scan, since later values are strictly
     smaller and cannot beat it; a level 0 lifts to the bottom of the
     range and never wins, so it is skipped.
     """
     best: Fraction | None = None
-    for v, mask in _level_sets(values):
+    for v, mask in level_sets:
         level = level_of(mask)
         if level == top:
             return v if best is None or v > best else best
@@ -235,7 +242,8 @@ def sugeno_integral(func: PayoffFunction, cap: CapacityBase,
     set is the whole domain, whose capacity is 1.
     """
     _check_domains(func, cap)
-    return _level_set_max(func.values, cap.value_mask, correction.evaluate)
+    return _level_set_max(_level_sets(func.values), cap.value_mask,
+                          correction.evaluate)
 
 
 def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
@@ -248,7 +256,7 @@ def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
     for v in func.values:
         if v < 0 or v > 1:
             raise RangeError(f"classical integral needs values in [0, 1], got {v}")
-    return _level_set_max(func.values, cap.value_mask)
+    return _level_set_max(_level_sets(func.values), cap.value_mask)
 
 
 def _satisfies_defining_inequality(t: Fraction, level: Fraction,

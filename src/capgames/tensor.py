@@ -38,7 +38,7 @@ from .capacity import (
     DENSE_DOMAIN_CAP,
     pushforward,
 )
-from .sugeno import _level_set_max
+from .sugeno import _level_set_max, _level_sets
 
 __all__ = [
     "ProductTooLarge",
@@ -177,7 +177,7 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
         r = memo.get(sections)
         if r is None:
             r = memo[sections] = _level_set_max(
-                sections[::-1], left_ranks.__getitem__, top=top)
+                _level_sets(sections[::-1]), left_ranks.__getitem__, top=top)
         ranks.append(r)
     return FiniteCapacity._from_ranks(pd.flat, levels, ranks)
 
@@ -257,7 +257,7 @@ class LazyTensorCapacity(CapacityBase):
             sections = _section_values(
                 mask, self._prefix_size, self._last.domain.size, self._last
             )
-            out = _level_set_max(sections, self._prefix.value_mask)
+            out = _level_set_max(_level_sets(sections), self._prefix.value_mask)
         memo[mask] = out
         return out
 

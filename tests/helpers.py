@@ -7,12 +7,14 @@ not tautology.
 
 import itertools
 import json
+import math
 import time
 
 import numpy as np
 from fractions import Fraction
 
 from capgames import (
+    BeliefSystem,
     BudgetExceeded,
     CapacityBase,
     CapacityError,
@@ -23,8 +25,10 @@ from capgames import (
     PayoffFunction,
     SplitMix64,
     SupportProfile,
+    best_response,
     check_support_profile,
     classical_sugeno,
+    default_correction,
     enumerate_capacities,
     format_rational,
     is_equilibrium,
@@ -120,6 +124,46 @@ def product_grid_scan(game: GameSpec, grid, corr: CorrectionMap | None = None,
         if cert.holds:
             out.append(cert.beliefs)
     return out
+
+
+def best_response_grid_search(game: GameSpec, grid,
+                              corr: CorrectionMap | None = None,
+                              budget: int = 1 << 24):
+    """Reference decoupled grid search, one best_response per member:
+    each player's grid space is grouped by the member's best-response
+    mask; for every tuple of realised masks, each player accepts the
+    members of their group that are exactly 0 outside the box of the
+    others' masks, and the hits are the product of the accepted lists,
+    in itertools.product order over the spaces (player 0 slowest)."""
+    corr = corr if corr is not None else default_correction()
+    grid = tuple(grid)
+    spaces = [enumerate_capacities(opponent_domain(game, i).flat, grid).capacities
+              for i in range(game.n_players)]
+    if math.prod(map(len, spaces)) > budget:
+        raise BudgetExceeded(
+            f"{math.prod(map(len, spaces))} candidate belief systems exceed "
+            f"the budget {budget}")
+    groups = []
+    for i, space in enumerate(spaces):
+        own = game.strategy_domains[i]
+        by_mask: dict[int, list[int]] = {}
+        for k, cap in enumerate(space):
+            mask = own.mask_of(best_response(game, i, cap, corr))
+            by_mask.setdefault(mask, []).append(k)
+        groups.append(by_mask)
+    hits = []
+    for responses in itertools.product(*groups):
+        accepted = []
+        for i, (space, by_mask) in enumerate(zip(spaces, groups)):
+            opp = opponent_domain(game, i)
+            box = opp.mask_of_box([m for j, m in enumerate(responses) if j != i])
+            outside = opp.flat.full_mask & ~box
+            accepted.append([k for k in by_mask[responses[i]]
+                             if space[k].value_mask(outside) == 0])
+        hits.extend(itertools.product(*accepted))
+    hits.sort()
+    return [BeliefSystem(tuple(space[k] for space, k in zip(spaces, combo)))
+            for combo in hits]
 
 
 def satisfies_defining_inequality(t: Fraction, level: Fraction,

@@ -28,6 +28,7 @@ from capgames import (
     top_capacity,
     vanishes_outside,
 )
+from capgames.capacity import _check_cover_pairs, _cover_pairs_hold
 from capgames.generate import SplitMix64, random_capacity
 
 from helpers import letters
@@ -386,3 +387,82 @@ class TestRankConstructor:
         big = Domain(tuple(f"p{k}" for k in range(DENSE_DOMAIN_CAP + 1)))
         with pytest.raises(DomainTooLarge):
             FiniteCapacity._from_ranks(big, [F(0), F(1)], [])
+
+
+def cover_pair_outcome(domain: Domain, levels, ranks):
+    """The packed verdict of a rank table, and the text of the error
+    `_check_cover_pairs` raises on it (None when it passes)."""
+    holds = _cover_pairs_hold(domain.size, ranks, len(levels))
+    try:
+        _check_cover_pairs(domain, ranks, levels)
+    except MonotonicityError as exc:
+        return holds, str(exc)
+    return holds, None
+
+
+def loop_outcome(domain: Domain, levels, ranks):
+    """What the per-mask loop decides on the same table: no violation,
+    or the error naming the first violating cover pair."""
+    violation = first_cover_violation(domain, ranks)
+    if violation is None:
+        return True, None
+    small, large = violation
+    return False, str(MonotonicityError(
+        domain.labels_of(small), domain.labels_of(large),
+        levels[ranks[small]], levels[ranks[large]]))
+
+
+class TestPackedCoverPairs:
+    """The packed-int cover-pair check of rank tables against the
+    per-mask loop: the same verdict, and the same error text."""
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_single_entry_corruptions(self, size):
+        domain = letters(size)
+        rng = SplitMix64(100 + size)
+        levels, base = ranks_of(random_capacity(domain, rng, 8))
+        assert cover_pair_outcome(domain, levels, base) == (True, None)
+        # Every corruption up to 6 points, 60 drawn ones beyond.
+        if size <= 6:
+            changes = list(itertools.product(range(domain.subset_count),
+                                             range(len(levels))))
+        else:
+            changes = [(rng.below(domain.subset_count), rng.below(len(levels)))
+                       for _ in range(60)]
+        broken = 0
+        for mask, rank in changes:
+            ranks = list(base)
+            ranks[mask] = rank
+            got = cover_pair_outcome(domain, levels, ranks)
+            assert got == loop_outcome(domain, levels, ranks)
+            broken += not got[0]
+        # One point has levels 0 and 1 only: no single entry breaks (0, 1).
+        assert broken > 0 or size == 1
+
+    def test_fraction_loop_gives_the_same_text(self):
+        levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+        ranks = [0, 3, 0, 2, 0, 3, 2, 4]
+        values = [levels[r] for r in ranks]
+        with pytest.raises(MonotonicityError) as loop:
+            _check_cover_pairs(ABC, values)
+        assert cover_pair_outcome(ABC, levels, ranks) == (False, str(loop.value))
+
+    def test_thirty_two_bit_fields(self):
+        # A mask read with its bits reversed is a monotone rank: 65,536
+        # levels on 16 points, beyond the 2^15 that 16-bit fields hold.
+        # Unlike the mask itself, it falls from {a} to {b}, so a shift
+        # by the wrong number of fields fails it.
+        domain = letters(16)
+        count = domain.subset_count
+        levels = [F(r, count - 1) for r in range(count)]
+        base = [int(f"{m:016b}"[::-1], 2) for m in range(count)]
+        assert cover_pair_outcome(domain, levels, base) == (True, None)
+        cap = FiniteCapacity._from_ranks(domain, levels, base)
+        assert cap.values[1] == F(1 << 15, count - 1)
+        for mask, rank in ((0x0003, 0), (0x8001, 0), (0xFFFE, 0),
+                           (0x0001, 0xFFFF), (0x4000, 0xFFFE)):
+            ranks = list(base)
+            ranks[mask] = rank
+            got = cover_pair_outcome(domain, levels, ranks)
+            assert got == loop_outcome(domain, levels, ranks)
+            assert got[0] is False

@@ -155,6 +155,15 @@ class TestCapacityFormat:
                            "a,b,c": "1"},
             }))
 
+    def test_oversized_domain_is_refused_before_the_values_are_read(self):
+        # Listing the 2^22 missing subsets took 0.5 s and 176 MiB.
+        text = json.dumps({"domain": [chr(ord("a") + k) for k in range(22)],
+                           "values": {"": "0"}})
+        with pytest.raises(ValidationError,
+                           match="^f.json: domain has 22 points; dense tables "
+                                 "stop at 20$"):
+            loads_capacity(text, where="f.json")
+
     def test_bad_json_reports_position(self):
         with pytest.raises(ParseError) as err:
             loads_capacity("{nope")
@@ -411,6 +420,15 @@ class TestCli:
         fn_file = _write(tmp_path, "fn.json", serialize_function(func))
         assert main(["integrate", cap_file, fn_file, "--psi", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_capacity_file_is_a_usage_error(self, tmp_path, capsys):
+        labels = [chr(ord("a") + k) for k in range(22)]
+        cap_file = _write(tmp_path, "cap.json",
+                          json.dumps({"domain": labels, "values": {"": "0"}}))
+        fn_file = _write(tmp_path, "fn.json", json.dumps(
+            {"domain": labels, "values": {lab: "0" for lab in labels}}))
+        assert main(["integrate", cap_file, fn_file]) == 2
+        assert "domain has 22 points" in capsys.readouterr().err
 
     def test_tensor_emits_a_plain_capacity_file(self, tmp_path, capsys):
         left = seeded_capacity(10, 2)
