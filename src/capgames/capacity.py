@@ -4,7 +4,8 @@ A capacity assigns a rational in [0, 1] to every subset of a finite
 domain, is 0 on the empty set, 1 on the full set, and is monotone under
 inclusion. Nothing here assumes additivity. Subsets are bitmasks over
 the domain's label order (bit k is labels[k]), and dense value tables
-are tuples indexed by mask. The rank tables of every grid-valued
+are tuples indexed by mask, validated as ranks into their sorted
+distinct values (`_check_ranks`). The rank tables of every grid-valued
 capacity, which the convexity scans and the grid equilibrium search
 both enumerate, are filled here too, under an exhaustive budget.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -216,24 +218,22 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
             for mask in order]
 
 
-def _grid_values(domain: Domain, grid: Iterable[Fraction | int],
-                 max_points: int = MAX_DOMAIN_POINTS,
-                 max_grid: int = MAX_GRID_POINTS) -> list[Fraction]:
+def _grid_values(domain: Domain, grid: Iterable[RationalLike]) -> list[Fraction]:
     """The sorted distinct grid values, once the grid and the domain are
     checked against the exhaustive budget."""
-    values = sorted({Fraction(g) for g in grid})
+    values = sorted({_coerce_rational(g, "grid value") for g in grid})
     for g in values:
         if g < 0 or g > 1:
             raise RangeError(f"grid value {g} outside [0, 1]")
     if Fraction(0) not in values or Fraction(1) not in values:
         raise ValueError("grid must contain 0 and 1")
-    if domain.size > max_points:
+    if domain.size > MAX_DOMAIN_POINTS:
         raise BudgetExceeded(
-            f"domain has {domain.size} points, exhaustive budget stops at {max_points}"
+            f"domain has {domain.size} points, exhaustive budget stops at {MAX_DOMAIN_POINTS}"
         )
-    if len(values) > max_grid:
+    if len(values) > MAX_GRID_POINTS:
         raise BudgetExceeded(
-            f"grid has {len(values)} values, exhaustive budget stops at {max_grid}"
+            f"grid has {len(values)} values, exhaustive budget stops at {MAX_GRID_POINTS}"
         )
     return values
 
@@ -279,25 +279,38 @@ def _check_domain_size(domain: Domain) -> None:
         )
 
 
-def _check_table_length(domain: Domain, table: Sequence) -> None:
-    if len(table) != domain.subset_count:
+def _unit_ranks(levels: Sequence[Fraction]) -> range:
+    """The ranks of the levels that lie in [0, 1]; the levels ascend, so
+    these are one run."""
+    return range(bisect_left(levels, 0), bisect_right(levels, 1))
+
+
+def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
+                 ranks: Sequence[int]) -> None:
+    """Validate the table values[mask] = levels[ranks[mask]] of strictly
+    increasing levels, with `unit` = `_unit_ranks(levels)`, in this
+    order: its length and rank bounds (ValueError), its range at the
+    first mask outside [0, 1] (RangeError), 0 on the empty set and 1 on
+    the full set (NormalizationError), then its cover pairs
+    (MonotonicityError). Rank order is level order, so they compare ints."""
+    if len(ranks) != domain.subset_count:
         raise ValueError(
             f"need {domain.subset_count} values for a {domain.size}-point domain, "
-            f"got {len(table)}"
+            f"got {len(ranks)}"
         )
-
-
-def _raise_out_of_range(domain: Domain, mask: int, value: Fraction) -> None:
-    raise RangeError(
-        f"value {value} on {set(domain.labels_of(mask)) or '{}'} outside [0, 1]"
-    )
-
-
-def _check_normalized(empty: Fraction, full: Fraction) -> None:
+    low, high = min(ranks), max(ranks)
+    if low < 0 or high >= len(levels):
+        raise ValueError(f"ranks must lie in range({len(levels)})")
+    if low < unit.start or high >= unit.stop:
+        mask = next(m for m, r in enumerate(ranks) if r not in unit)
+        raise RangeError(f"value {levels[ranks[mask]]} on "
+                         f"{set(domain.labels_of(mask)) or '{}'} outside [0, 1]")
+    empty, full = levels[ranks[0]], levels[ranks[domain.full_mask]]
     if empty != 0:
         raise NormalizationError(f"empty set must get 0, got {empty}")
     if full != 1:
         raise NormalizationError(f"full set must get 1, got {full}")
+    _check_cover_pairs(domain, ranks, levels)
 
 
 @functools.cache
@@ -342,48 +355,48 @@ def _cover_pairs_hold(size: int, ranks: Sequence[int], level_count: int) -> bool
     return True
 
 
-def _check_cover_pairs(domain: Domain, table: Sequence,
-                       levels: Sequence[Fraction] | None = None) -> None:
+def _check_cover_pairs(domain: Domain, ranks: Sequence[int],
+                       levels: Sequence[Fraction]) -> None:
     """Raise MonotonicityError at the first cover pair (A, A + {x}), by
-    mask of A and then by x, whose smaller set has the larger entry.
+    mask of A and then by x, whose smaller set has the larger rank; the
+    error reports the two levels.
 
     Cover pairs suffice: A <= A + {x} for every x outside A implies
-    monotonicity for all nested pairs by transitivity. `table` holds
-    Fractions, or ranks into `levels`, which the error then reports. A
-    rank table is first checked whole on packed ints
-    (`_cover_pairs_hold`); the loop below runs only when that check
-    fails, to name the first violating pair.
+    monotonicity for all nested pairs by transitivity. The table is
+    first checked whole on packed ints (`_cover_pairs_hold`); the loop
+    below runs only when that check fails, to name the first violating
+    pair.
     """
-    if levels is not None and _cover_pairs_hold(domain.size, table, len(levels)):
+    if _cover_pairs_hold(domain.size, ranks, len(levels)):
         return
     full = domain.full_mask
-    for mask, v in enumerate(table):
+    for mask, r in enumerate(ranks):
         rest = full & ~mask
         while rest:
             bit = rest & -rest
-            if v > table[mask | bit]:
-                big = table[mask | bit]
-                if levels is not None:
-                    v, big = levels[v], levels[big]
+            if r > ranks[mask | bit]:
                 raise MonotonicityError(domain.labels_of(mask),
-                                        domain.labels_of(mask | bit), v, big)
+                                        domain.labels_of(mask | bit),
+                                        levels[r], levels[ranks[mask | bit]])
             rest ^= bit
 
 
 class FiniteCapacity(CapacityBase):
-    """Dense, validated, immutable capacity on a domain of at most 20 points."""
+    """Dense, validated, immutable capacity on a domain of at most 20 points.
+
+    `values` is the Fraction table, indexed by mask. Construction ranks
+    it into its sorted distinct values and validates it on the ranks
+    (`_check_ranks`).
+    """
 
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
         table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        _check_table_length(domain, table)
-        for mask, v in enumerate(table):
-            if v < 0 or v > 1:
-                _raise_out_of_range(domain, mask, v)
-        _check_normalized(table[0], table[domain.full_mask])
-        _check_cover_pairs(domain, table)
+        levels = sorted(set(table))
+        rank = {v: r for r, v in enumerate(levels)}
+        _check_ranks(domain, levels, _unit_ranks(levels), [rank[v] for v in table])
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", table)
 
@@ -391,7 +404,8 @@ class FiniteCapacity(CapacityBase):
     def _from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
                     ranks: Sequence[int]) -> "FiniteCapacity":
         """Build from ranks into `levels`, a strictly increasing list:
-        `_many_from_ranks` on one table."""
+        `_many_from_ranks` on one table. Constructors that know their
+        table as ranks use it to skip `__init__`'s ranking of the values."""
         return cls._many_from_ranks(domain, levels, [ranks])[0]
 
     @classmethod
@@ -400,32 +414,20 @@ class FiniteCapacity(CapacityBase):
         """Build one capacity per rank table into `levels`, a strictly
         increasing list; the domain and the levels are checked once.
 
-        Each table is values[mask] = levels[ranks[mask]]. Every check of
-        `__init__` runs, in the same order and with the same exceptions
-        and messages, but on the ints: since rank order is level order,
-        the cover pairs compare ranks. Only then is the Fraction table
-        built. Levels that do not strictly increase, or ranks outside
-        range(len(levels)), raise ValueError.
+        Each table is values[mask] = levels[ranks[mask]], validated by
+        `_check_ranks` as in `__init__`, with the same exceptions and
+        messages; only then is the Fraction table built. Levels that do
+        not strictly increase, or ranks outside range(len(levels)),
+        raise ValueError.
         """
         _check_domain_size(domain)
         levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        # The levels ascend, so only the two ends can leave [0, 1].
-        outside = ({r for r, v in enumerate(levels) if v < 0 or v > 1}
-                   if levels and (levels[0] < 0 or levels[-1] > 1) else None)
-        full = domain.full_mask
+        unit = _unit_ranks(levels)
         caps = []
         for ranks in tables:
-            _check_table_length(domain, ranks)
-            if min(ranks) < 0 or max(ranks) >= len(levels):
-                raise ValueError(f"ranks must lie in range({len(levels)})")
-            if outside:
-                for mask, r in enumerate(ranks):
-                    if r in outside:
-                        _raise_out_of_range(domain, mask, levels[r])
-            _check_normalized(levels[ranks[0]], levels[ranks[full]])
-            _check_cover_pairs(domain, ranks, levels)
+            _check_ranks(domain, levels, unit, ranks)
             cap = cls.__new__(cls)
             object.__setattr__(cap, "domain", domain)
             object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
@@ -481,28 +483,26 @@ def _require_same_domain(a: CapacityBase, b: CapacityBase) -> None:
         )
 
 
+_ZERO_ONE = (Fraction(0), Fraction(1))
+
+
 def top_capacity(domain: Domain) -> FiniteCapacity:
     """1 on every nonempty subset."""
-    return FiniteCapacity(
-        domain, [Fraction(0)] + [Fraction(1)] * (domain.subset_count - 1)
-    )
+    return FiniteCapacity._from_ranks(
+        domain, _ZERO_ONE, [0] + [1] * (domain.subset_count - 1))
 
 
 def bottom_capacity(domain: Domain) -> FiniteCapacity:
     """0 on every proper subset; the minimum of the pointwise order."""
-    values = [Fraction(0)] * domain.subset_count
-    values[domain.full_mask] = Fraction(1)
-    return FiniteCapacity(domain, values)
+    return FiniteCapacity._from_ranks(
+        domain, _ZERO_ONE, [0] * domain.full_mask + [1])
 
 
 def dirac_capacity(domain: Domain, label: str) -> FiniteCapacity:
     """Point mass: 1 exactly on subsets containing the label."""
-    bit = 1 << domain.index_of(label)
-    return FiniteCapacity(
-        domain,
-        [Fraction(1) if mask & bit else Fraction(0)
-         for mask in range(domain.subset_count)],
-    )
+    k = domain.index_of(label)
+    return FiniteCapacity._from_ranks(
+        domain, _ZERO_ONE, [mask >> k & 1 for mask in range(domain.subset_count)])
 
 
 def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapacity:
@@ -510,11 +510,9 @@ def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapaci
     smask = domain.mask_of(support)
     if smask == 0:
         raise EmptySupport("possibility capacity needs a nonempty support")
-    return FiniteCapacity(
-        domain,
-        [Fraction(1) if mask & smask else Fraction(0)
-         for mask in range(domain.subset_count)],
-    )
+    return FiniteCapacity._from_ranks(
+        domain, _ZERO_ONE,
+        [1 if mask & smask else 0 for mask in range(domain.subset_count)])
 
 
 def probability_capacity(domain: Domain,

@@ -34,8 +34,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .capacity import (
-    MAX_DOMAIN_POINTS,
-    MAX_GRID_POINTS,
     BudgetExceeded,
     Domain,
     DomainMismatch,
@@ -67,6 +65,8 @@ __all__ = [
 ]
 
 FULL_FAMILY_CAP = 18
+# Distinct intervals one binarity scan may hold; beyond, BudgetExceeded.
+INTERVAL_BUDGET = 60000
 # Failures one binarity scan lists; the scan stops recording there.
 FAILURE_CAP = 16
 # Binarity scan blocks: link-table entries per block of rows, and packed
@@ -114,9 +114,8 @@ class GridCapacitySpace:
         return len(self.capacities)
 
 
-def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
-                         max_points: int = MAX_DOMAIN_POINTS,
-                         max_grid: int = MAX_GRID_POINTS) -> GridCapacitySpace:
+def enumerate_capacities(domain: Domain,
+                         grid: Iterable[Fraction | int]) -> GridCapacitySpace:
     """Exhaustively enumerate the grid-valued capacities on the domain.
 
     Members come in the fill order of `_grid_tables` (ascending
@@ -124,7 +123,7 @@ def enumerate_capacities(domain: Domain, grid: Iterable[Fraction | int],
     validates each one on its rank table. The enumeration stops with
     BudgetExceeded before it would build member MAX_SPACE_MEMBERS + 1.
     """
-    values = _grid_values(domain, grid, max_points, max_grid)
+    values = _grid_values(domain, grid)
     caps = tuple(FiniteCapacity._many_from_ranks(
         domain, values, _grid_tables(domain, values)))
     return GridCapacitySpace(domain, tuple(values), caps)
@@ -220,8 +219,7 @@ class BinarityReport:
         }
 
 
-def check_binarity(space: GridCapacitySpace, full_family: bool = False,
-                   interval_budget: int = 60000) -> BinarityReport:
+def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> BinarityReport:
     """Scan every linked interval triple for an empty common part.
 
     The space is a lattice under pointwise max (join) and min (meet),
@@ -260,10 +258,10 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False,
     for row in mat:
         below_rows.append((row <= mat).all(axis=1))
         m += int(below_rows[-1].sum())
-        if m > interval_budget:
+        if m > INTERVAL_BUDGET:
             raise BudgetExceeded(
                 f"binarity scan: at least {m} distinct intervals exceed "
-                f"budget {interval_budget}")
+                f"budget {INTERVAL_BUDGET}")
     below = np.array(below_rows)
     lows, highs = np.nonzero(below)
     if full_family and m > FULL_FAMILY_CAP:
@@ -373,22 +371,23 @@ def _witness_midpoint(first: FiniteCapacity, second: FiniteCapacity,
 def _halves(domain: Domain, witness: int, a: Fraction,
             ) -> tuple[CapacityInterval, CapacityInterval]:
     """The upper half {mu : mu(witness) >= a} and the lower half
-    {mu : mu(witness) <= a}, each as an interval with top or bottom."""
+    {mu : mu(witness) <= a}: the intervals [upper gate, top] and
+    [bottom, lower gate], whose corners are ordered already. The two
+    gates take the values 0, a and 1, and are built on ranks."""
     full = domain.full_mask
-    upper_gate = FiniteCapacity(domain, [
-        Fraction(1) if mask == full
-        else (a if mask & witness == witness else Fraction(0))
+    levels = sorted({Fraction(0), a, Fraction(1)})
+    zero, mid, one = map(levels.index, (0, a, 1))
+    upper_gate = FiniteCapacity._from_ranks(domain, levels, [
+        one if mask == full else (mid if mask & witness == witness else zero)
         for mask in range(domain.subset_count)
     ])
-    lower_gate = FiniteCapacity(domain, [
-        Fraction(0) if mask == 0
-        else (a if mask | witness == witness else Fraction(1))
+    lower_gate = FiniteCapacity._from_ranks(domain, levels, [
+        zero if mask == 0 else (mid if mask | witness == witness else one)
         for mask in range(domain.subset_count)
     ])
-    return (
-        interval(upper_gate, top_capacity(domain)),
-        interval(bottom_capacity(domain), lower_gate),
-    )
+    top, bottom = top_capacity(domain), bottom_capacity(domain)
+    return (CapacityInterval(upper_gate, top, upper_gate, top),
+            CapacityInterval(bottom, lower_gate, bottom, lower_gate))
 
 
 def separating_halves(first: FiniteCapacity, second: FiniteCapacity,

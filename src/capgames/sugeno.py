@@ -292,8 +292,7 @@ def _satisfies_defining_inequality(t: Fraction, level: Fraction,
 
 
 def sugeno_oracle(func: PayoffFunction, cap: CapacityBase,
-                  correction: CorrectionMap, resolution: Fraction,
-                  scan: str = "binary") -> Fraction:
+                  correction: CorrectionMap, resolution: Fraction) -> Fraction:
     """Grid-scan re-derivation of the corrected integral from its definition.
 
     Scans t over an arithmetic grid of the given resolution spanning
@@ -304,15 +303,12 @@ def sugeno_oracle(func: PayoffFunction, cap: CapacityBase,
     form within one resolution step.
 
     The satisfying set is downward closed: the level capacity is
-    non-increasing in t while the inverse correction strictly increases.
-    The default scan therefore binary-searches the grid; scan="linear"
-    walks it top-down instead (kept for differential testing).
+    non-increasing in t while the inverse correction strictly increases,
+    so the scan binary-searches the grid.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise BadResolution(f"resolution must be positive, got {resolution}")
-    if scan not in ("binary", "linear"):
-        raise ValueError(f"unknown scan strategy {scan!r}")
     _check_domains(func, cap)
 
     low = func.minimum - 1
@@ -323,16 +319,6 @@ def sugeno_oracle(func: PayoffFunction, cap: CapacityBase,
         return _satisfies_defining_inequality(
             t, cap.value_mask(func.level_mask(t)), correction
         )
-
-    if scan == "linear":
-        points = sorted(
-            set(low + k * resolution for k in range(steps + 1)) | set(func.values),
-            reverse=True,
-        )
-        for t in points:
-            if ok(t):
-                return t
-        raise AssertionError("unreachable: the grid floor sits below min f")
 
     # Binary search for the largest satisfying grid index; k = 0 always
     # satisfies because the level set there is the full domain.

@@ -14,15 +14,20 @@ import numpy as np
 from fractions import Fraction
 
 from capgames import (
+    DENSE_DOMAIN_CAP,
     BeliefSystem,
     BudgetExceeded,
     CapacityBase,
     CapacityError,
     CorrectionMap,
     Domain,
+    DomainTooLarge,
     FiniteCapacity,
     GameSpec,
+    MonotonicityError,
+    NormalizationError,
     PayoffFunction,
+    RangeError,
     SplitMix64,
     SupportProfile,
     best_response,
@@ -37,7 +42,7 @@ from capgames import (
     random_capacity,
     separating_halves,
 )
-from capgames import convexity, io
+from capgames import convexity, io, sugeno
 from capgames.convexity import (
     BinarityReport,
     FULL_FAMILY_CAP,
@@ -178,6 +183,23 @@ def satisfies_defining_inequality(t: Fraction, level: Fraction,
     return corr.evaluate(level) >= t
 
 
+def linear_sugeno_oracle(func: PayoffFunction, cap: CapacityBase,
+                         corr: CorrectionMap, resolution: Fraction) -> Fraction:
+    """Reference for sugeno_oracle's binary search: the same grid of t
+    (step `resolution` over [min f - 1, max f + 1], plus the payoff
+    values) walked top-down, returning the first t that satisfies the
+    defining inequality, decided by the library's exact bisection."""
+    low = func.minimum - 1
+    steps = math.ceil((func.maximum + 1 - low) / resolution)
+    points = sorted({low + k * resolution for k in range(steps + 1)} | set(func.values),
+                    reverse=True)
+    for t in points:
+        level = cap.value_mask(func.level_mask(t))
+        if sugeno._satisfies_defining_inequality(t, level, corr):
+            return t
+    raise AssertionError("unreachable: the grid floor sits below min f")
+
+
 def dumb_corrected_sugeno(func: PayoffFunction, cap: CapacityBase,
                           corr: CorrectionMap) -> Fraction:
     """Definition-first integral: collect every payoff value and every
@@ -248,6 +270,36 @@ def is_possibility(cap: CapacityBase) -> bool:
     return True
 
 
+def fraction_capacity_table(domain: Domain, values) -> tuple[Fraction, ...]:
+    """Reference capacity validation on the Fraction table, independent
+    of the rank checks: the domain size, the table length, each entry's
+    range in mask order, normalisation, then the cover pairs (A, A + {x})
+    by mask of A and then by x. Returns the table, or raises the error
+    FiniteCapacity must raise, with the same message."""
+    if domain.size > DENSE_DOMAIN_CAP:
+        raise DomainTooLarge(f"domain has {domain.size} points; dense tables "
+                             f"stop at {DENSE_DOMAIN_CAP}")
+    table = tuple(Fraction(v) for v in values)
+    if len(table) != domain.subset_count:
+        raise ValueError(f"need {domain.subset_count} values for a "
+                         f"{domain.size}-point domain, got {len(table)}")
+    for mask, v in enumerate(table):
+        if v < 0 or v > 1:
+            raise RangeError(
+                f"value {v} on {set(domain.labels_of(mask)) or '{}'} outside [0, 1]")
+    if table[0] != 0:
+        raise NormalizationError(f"empty set must get 0, got {table[0]}")
+    if table[-1] != 1:
+        raise NormalizationError(f"full set must get 1, got {table[-1]}")
+    for mask, v in enumerate(table):
+        for k in range(domain.size):
+            large = mask | 1 << k
+            if large != mask and v > table[large]:
+                raise MonotonicityError(domain.labels_of(mask), domain.labels_of(large),
+                                        v, table[large])
+    return table
+
+
 def seeded_capacity(seed: int, size: int, denominator: int = 8) -> FiniteCapacity:
     return random_capacity(letters(size), SplitMix64(seed), denominator)
 
@@ -296,13 +348,13 @@ def _pack_bool(bools: np.ndarray) -> int:
     )
 
 
-def bigint_binarity_scan(space, full_family: bool = False,
-                         interval_budget: int = 60000) -> BinarityReport:
+def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
     """Reference binarity scan: the intervals' link rows as Python
     big-integer bitsets, every linked pair (i, j) and its triples walked
     one pair at a time. The join and meet tables come from
-    convexity._member_table, and the failure cap is read from
-    convexity.FAILURE_CAP, so a test can break or cap both scans alike."""
+    convexity._member_table, and the failure cap and the interval budget
+    are read from convexity.FAILURE_CAP and convexity.INTERVAL_BUDGET, so
+    a test can break, cap or budget both scans alike."""
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)
@@ -312,10 +364,10 @@ def bigint_binarity_scan(space, full_family: bool = False,
     for row in mat:
         below_rows.append((row <= mat).all(axis=1))
         m += int(below_rows[-1].sum())
-        if m > interval_budget:
+        if m > convexity.INTERVAL_BUDGET:
             raise BudgetExceeded(
                 f"binarity scan: at least {m} distinct intervals exceed "
-                f"budget {interval_budget}")
+                f"budget {convexity.INTERVAL_BUDGET}")
     below = np.array(below_rows)
     lows, highs = np.nonzero(below)
     if full_family and m > FULL_FAMILY_CAP:

@@ -31,7 +31,7 @@ from capgames import (
 from capgames.capacity import _check_cover_pairs, _cover_pairs_hold
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import letters
+from helpers import fraction_capacity_table, letters
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -297,25 +297,23 @@ def first_cover_violation(domain: Domain, values) -> tuple[int, int] | None:
 
 
 def outcome(build):
-    """The values built, as a list, or the error's type, message and
-    named pair, as a tuple."""
+    """The values built (a capacity's table, or a table itself), as a
+    list, or the error's type, message and named pair, as a tuple."""
     try:
-        return list(build().values)
-    except CapacityError as exc:
+        built = build()
+    except (CapacityError, ValueError) as exc:
         return (type(exc), str(exc), getattr(exc, "small", None),
                 getattr(exc, "large", None))
+    return list(getattr(built, "values", built))
 
 
 def assert_rank_build_matches(domain: Domain, levels, ranks):
-    """The rank constructor and __init__ on the equal Fraction table give
-    the same values or the same error; a monotonicity error names the
-    first violating cover pair."""
+    """The rank constructor, and __init__ on the equal Fraction table,
+    give the values or the error of the Fraction reference checks."""
     values = [levels[r] for r in ranks]
-    got = outcome(lambda: FiniteCapacity._from_ranks(domain, levels, ranks))
-    assert got == outcome(lambda: FiniteCapacity(domain, values))
-    if isinstance(got, tuple) and got[0] is MonotonicityError:
-        small, large = first_cover_violation(domain, values)
-        assert got[2:] == (domain.labels_of(small), domain.labels_of(large))
+    got = outcome(lambda: fraction_capacity_table(domain, values))
+    assert outcome(lambda: FiniteCapacity._from_ranks(domain, levels, ranks)) == got
+    assert outcome(lambda: FiniteCapacity(domain, values)) == got
     return got
 
 
@@ -389,6 +387,31 @@ class TestRankConstructor:
             FiniteCapacity._from_ranks(big, [F(0), F(1)], [])
 
 
+# Corruptions of a capacity table: entries moved outside [0, 1], off 0
+# or 1 at the ends, or out of order, and tables one entry short or long.
+INT_ENTRIES = st.integers(-1, 2)
+FRACTION_ENTRIES = st.builds(F, st.integers(-4, 12), st.just(8))
+
+
+@given(seed=st.integers(0, 2**32), size=st.integers(1, 5),
+       ints=st.booleans(), data=st.data(),
+       length_change=st.sampled_from((0, 0, 0, -1, 1)))
+def test_constructor_matches_the_fraction_checks(seed, size, ints, data, length_change):
+    domain = letters(size)
+    cap = random_capacity(domain, SplitMix64(seed), 1 if ints else 8)
+    values = [int(v) for v in cap.values] if ints else list(cap.values)
+    entries = INT_ENTRIES if ints else FRACTION_ENTRIES
+    for mask, v in data.draw(st.lists(st.tuples(st.integers(0, 31), entries),
+                                      max_size=3)):
+        values[mask % domain.subset_count] = v
+    if length_change < 0:
+        values.pop()
+    elif length_change > 0:
+        values.append(data.draw(entries))
+    got = outcome(lambda: FiniteCapacity(domain, values))
+    assert got == outcome(lambda: fraction_capacity_table(domain, values))
+
+
 def cover_pair_outcome(domain: Domain, levels, ranks):
     """The packed verdict of a rank table, and the text of the error
     `_check_cover_pairs` raises on it (None when it passes)."""
@@ -444,7 +467,7 @@ class TestPackedCoverPairs:
         ranks = [0, 3, 0, 2, 0, 3, 2, 4]
         values = [levels[r] for r in ranks]
         with pytest.raises(MonotonicityError) as loop:
-            _check_cover_pairs(ABC, values)
+            fraction_capacity_table(ABC, values)
         assert cover_pair_outcome(ABC, levels, ranks) == (False, str(loop.value))
 
     def test_thirty_two_bit_fields(self):

@@ -120,6 +120,12 @@ class TestEnumerateCapacities:
         with pytest.raises(RangeError):
             enumerate_capacities(AB, (0, 1, F(3, 2)))
 
+    @pytest.mark.parametrize("grid", [(0, 0.1, 1), (False, True), ("0", "1/3", "1")])
+    def test_grid_values_are_fractions_or_ints(self, grid):
+        # A float, a bool or a string is refused, as a capacity value is.
+        with pytest.raises(TypeError, match="grid value"):
+            enumerate_capacities(AB, grid)
+
     def test_budgets(self):
         with pytest.raises(BudgetExceeded):
             enumerate_capacities(Domain(("a", "b", "c", "d", "e")), (0, 1))
@@ -274,10 +280,13 @@ class TestBinarity:
         with pytest.raises(BudgetExceeded, match="binarity scan"):
             check_binarity(space, full_family=True)
 
-    def test_interval_budget(self):
+    def test_interval_budget(self, monkeypatch):
         space = enumerate_capacities(AB, GRID3)
-        with pytest.raises(BudgetExceeded, match="binarity scan"):
-            check_binarity(space, interval_budget=10)
+        monkeypatch.setattr(convexity, "INTERVAL_BUDGET", 10)
+        with pytest.raises(BudgetExceeded, match="budget 10"):
+            check_binarity(space)
+        with pytest.raises(BudgetExceeded, match="budget 10"):
+            bigint_binarity_scan(space)
 
 
     def test_full_three_point_counts(self):

@@ -408,6 +408,11 @@ class TestFindEquilibriaGrid:
         with pytest.raises(BudgetExceeded):
             find_equilibria_grid(coordination_game(), (0, F(1, 2), 1), budget=5)
 
+    @pytest.mark.parametrize("grid", [(0, 0.1, 1), (False, True), ("0", "1/3", "1")])
+    def test_grid_values_are_fractions_or_ints(self, grid):
+        with pytest.raises(TypeError, match="grid value"):
+            find_equilibria_grid(coordination_game(), grid)
+
     @given(st.data())
     def test_decoupled_search_matches_the_product_loop(self, data):
         game = draw_game(data)

@@ -26,7 +26,7 @@ from capgames import (
 )
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import dumb_corrected_sugeno, letters, seeded_capacity
+from helpers import dumb_corrected_sugeno, letters, linear_sugeno_oracle, seeded_capacity
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -262,9 +262,8 @@ class TestOracle:
             cap = random_capacity(dom, rng)
             vals = tuple(F(rng.below(17) - 8, 2) for _ in range(3))
             f = PayoffFunction(dom, vals)
-            fast = sugeno_oracle(f, cap, PSI, F(1, 64), scan="binary")
-            slow = sugeno_oracle(f, cap, PSI, F(1, 64), scan="linear")
-            assert fast == slow
+            assert sugeno_oracle(f, cap, PSI, F(1, 64)) == linear_sugeno_oracle(
+                f, cap, PSI, F(1, 64))
 
     def test_oracle_within_one_step_below_the_closed_form(self):
         rng = SplitMix64(23)
@@ -289,11 +288,6 @@ class TestOracle:
             sugeno_oracle(f, uniform(AB), PSI, F(0))
         with pytest.raises(BadResolution):
             sugeno_oracle(f, uniform(AB), PSI, F(-1, 10))
-
-    def test_rejects_unknown_scan(self):
-        f = PayoffFunction(AB, (F(1), F(0)))
-        with pytest.raises(ValueError):
-            sugeno_oracle(f, uniform(AB), PSI, F(1, 10), scan="zigzag")
 
 
 class TestClassicalSugeno:
