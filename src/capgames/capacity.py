@@ -5,14 +5,17 @@ domain, is 0 on the empty set, 1 on the full set, and is monotone under
 inclusion. Nothing here assumes additivity. Subsets are bitmasks over
 the domain's label order (bit k is labels[k]), and dense value tables
 are tuples indexed by mask, validated as ranks into their sorted
-distinct values (`_check_ranks`). The rank tables of every grid-valued
-capacity, which the convexity scans and the grid equilibrium search
-both enumerate, are filled here too, under an exhaustive budget.
+distinct values (`_check_ranks`). Every layer reads values only through
+order, so `_ranked` is the one integer encoding of them all. The rank
+tables of every grid-valued capacity, which the convexity scans and the
+grid equilibrium search both enumerate, are filled here too, under an
+exhaustive budget.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
@@ -119,6 +122,23 @@ RationalLike = Union[Fraction, int]
 SubsetLike = Union[int, Iterable[str]]
 
 
+def _ranked(*tables: Sequence[RationalLike],
+            ) -> tuple[list[RationalLike], list[list[int]]]:
+    """The sorted distinct values of all the tables, and each table as
+    ranks into them. Values are told apart by their (numerator,
+    denominator) key, exact since ints and Fractions are kept in lowest
+    terms, and cheaper than the Fraction hash (a modular inverse)."""
+    key = operator.attrgetter("numerator", "denominator")
+    keyed = [list(map(key, table)) for table in tables]
+    distinct: dict[tuple[int, int], RationalLike] = {}
+    for table, keys in zip(tables, keyed):
+        distinct.update(zip(keys, table))
+    order = sorted(distinct, key=distinct.__getitem__)
+    rank = {k: r for r, k in enumerate(order)}
+    return ([distinct[k] for k in order],
+            [list(map(rank.__getitem__, keys)) for keys in keyed])
+
+
 def _coerce_rational(value: RationalLike, context: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -221,7 +241,7 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
 def _grid_values(domain: Domain, grid: Iterable[RationalLike]) -> list[Fraction]:
     """The sorted distinct grid values, once the grid and the domain are
     checked against the exhaustive budget."""
-    values = sorted({_coerce_rational(g, "grid value") for g in grid})
+    values, _ = _ranked([_coerce_rational(g, "grid value") for g in grid])
     for g in values:
         if g < 0 or g > 1:
             raise RangeError(f"grid value {g} outside [0, 1]")
@@ -385,8 +405,8 @@ class FiniteCapacity(CapacityBase):
     """Dense, validated, immutable capacity on a domain of at most 20 points.
 
     `values` is the Fraction table, indexed by mask. Construction ranks
-    it into its sorted distinct values and validates it on the ranks
-    (`_check_ranks`).
+    it into its sorted distinct values (`_ranked`) and validates it on
+    the ranks (`_check_ranks`).
     """
 
     __slots__ = ("domain", "values")
@@ -394,9 +414,8 @@ class FiniteCapacity(CapacityBase):
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
         table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        levels = sorted(set(table))
-        rank = {v: r for r, v in enumerate(levels)}
-        _check_ranks(domain, levels, _unit_ranks(levels), [rank[v] for v in table])
+        levels, (ranks,) = _ranked(table)
+        _check_ranks(domain, levels, _unit_ranks(levels), ranks)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", table)
 

@@ -18,20 +18,21 @@ capacities:
   a function of the (witness, midpoint) key, so the scan builds and
   checks them once per key and decides every pair by table lookup.
 
-Scaling every value by twice the lcm of the grid denominators turns all
-comparisons into exact integer comparisons (midpoints included), which
-numpy then batches without touching floats; the binarity scan keeps its
+Both checks read values only through order, so a space ranks each
+member into its sorted distinct grid once (`capacity._ranked`), and the
+scans compare those ints in numpy batches; a half's corners, midpoints
+included, become rank bounds by bisection. The binarity scan keeps its
 interval links as packed uint64 rows and checks triples by row ANDs and
 popcounts.
 """
 
 from __future__ import annotations
 
-import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .capacity import (
     BudgetExceeded,
@@ -40,6 +41,7 @@ from .capacity import (
     FiniteCapacity,
     _grid_tables,
     _grid_values,
+    _ranked,
     bottom_capacity,
     join,
     meet,
@@ -87,7 +89,8 @@ class GridCapacitySpace:
     such as a subset of it, must be closed under pointwise max and min
     (a sublattice) for `check_binarity`, which raises AssertionError
     otherwise. Every member value must lie in the grid: ValueError names
-    the first member and value that do not.
+    the first member and value that do not. Each member is kept as its
+    row of ranks into the sorted distinct grid, which the scans compare.
     """
 
     domain: Domain
@@ -95,20 +98,25 @@ class GridCapacitySpace:
     capacities: tuple[FiniteCapacity, ...]
 
     def __post_init__(self):
-        grid = set(self.grid)
-        for k, cap in enumerate(self.capacities):
-            if not grid.issuperset(cap.values):
-                v = next(v for v in cap.values if v not in grid)
-                raise ValueError(f"member {k} has value {v}, which is off the grid")
-        object.__setattr__(
-            self, "_pos", {cap.values: k for k, cap in enumerate(self.capacities)}
-        )
+        levels, (grid_ranks, *rows) = _ranked(
+            self.grid, *(cap.values for cap in self.capacities))
+        on_grid = set(grid_ranks)
+        if len(on_grid) < len(levels):
+            for k, (cap, row) in enumerate(zip(self.capacities, rows)):
+                if not on_grid.issuperset(row):
+                    v = next(v for v, r in zip(cap.values, row) if r not in on_grid)
+                    raise ValueError(f"member {k} has value {v}, which is off the grid")
+        ranks = tuple(map(tuple, rows))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_pos", {row: k for k, row in enumerate(ranks)})
 
     def index_of(self, cap: FiniteCapacity) -> int:
-        try:
-            return self._pos[cap.values]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError("capacity is not a member of this space") from None
+        levels, (_, row) = _ranked(self._levels, cap.values)  # type: ignore[attr-defined]
+        row = tuple(row)
+        if len(levels) > len(self._levels) or row not in self._pos:  # type: ignore[attr-defined]
+            raise ValueError("capacity is not a member of this space")
+        return self._pos[row]  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.capacities)
@@ -148,30 +156,6 @@ def interval(first: FiniteCapacity, second: FiniteCapacity) -> CapacityInterval:
 def interval_membership(iv: CapacityInterval, cap: FiniteCapacity) -> bool:
     """Pointwise lower <= cap <= upper over every subset."""
     return iv.lower <= cap and cap <= iv.upper
-
-
-def _scale_of(values: Iterable[Fraction]) -> int:
-    # Twice the lcm so that midpoints of grid values also land on integers.
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return 2 * denom
-
-
-def _scaled_matrix(caps: Sequence[FiniteCapacity], scale: int) -> np.ndarray:
-    """One row of value * scale per capacity; each product must be an integer."""
-    import numpy as np
-
-    rows = []
-    for cap in caps:
-        row = []
-        for v in cap.values:
-            q, r = divmod(v.numerator * scale, v.denominator)
-            if r:
-                raise AssertionError("scaled capacity value left the integers")
-            row.append(q)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
 
 
 def _member_table(mat: np.ndarray, op) -> np.ndarray:
@@ -226,7 +210,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     so the interval of two members x, y is the pair of members
     (meet(x, y), join(x, y)), and the intervals are exactly the pairs
     (L, H) of members with L <= H, numbered in the order of their
-    scaled (lower, upper) rows. Intervals i and j meet in
+    (lower, upper) grid rank rows. Intervals i and j meet in
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
     ordered, and it is then again an interval, i ∩ j. So a pairwise
     linked triple {i, j, k} with i < j < k has a common member iff k is
@@ -250,7 +234,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     if not space.capacities:
         return BinarityReport(0, 0, 0, 0, (), 0 if full_family else None,
                               time.perf_counter() - start)
-    mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
+    mat = np.unique(np.array(space._ranks), axis=0)
     n = len(mat)
     # Row by row, so that a space far over budget stops before n x n tables.
     below_rows = []
@@ -375,8 +359,7 @@ def _halves(domain: Domain, witness: int, a: Fraction,
     [bottom, lower gate], whose corners are ordered already. The two
     gates take the values 0, a and 1, and are built on ranks."""
     full = domain.full_mask
-    levels = sorted({Fraction(0), a, Fraction(1)})
-    zero, mid, one = map(levels.index, (0, a, 1))
+    levels, ((zero, mid, one),) = _ranked((Fraction(0), a, Fraction(1)))
     upper_gate = FiniteCapacity._from_ranks(domain, levels, [
         one if mask == full else (mid if mask & witness == witness else zero)
         for mask in range(domain.subset_count)
@@ -449,16 +432,13 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     for cap in caps[1:]:
         if cap.domain.labels != caps[0].domain.labels:
             raise DomainMismatch("separation needs a common domain")
-    scale = _scale_of(space.grid)
-    mat = _scaled_matrix(caps, scale)
+    levels = space._levels
+    ranks = np.array(space._ranks)
     n = len(caps)
-    # Members lie on the grid, so each value is a rank into its levels.
-    levels = sorted({int(Fraction(g) * scale) for g in space.grid})
-    ranks = np.searchsorted(levels, mat)
     size = len(levels)
-    # Per key (witness, twice the scaled midpoint): its row in the tables;
-    # key_of maps each (witness, smaller rank, larger rank) code to its key.
-    keys: dict[tuple[int, int], int] = {}
+    # Per key (witness, midpoint): its row in the tables; key_of maps
+    # each (witness, smaller rank, larger rank) code to its key.
+    keys: dict[tuple[int, Fraction], int] = {}
     key_of = np.full(ranks.shape[-1] * size * size, -1, dtype=np.intp)
     in_hi: list[np.ndarray] = []
     in_lo: list[np.ndarray] = []
@@ -479,14 +459,17 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
             known = len(keys)
             for code in np.unique(codes[kid < 0]).tolist():
                 w, pair = divmod(code, size * size)
-                key = (w, levels[pair // size] + levels[pair % size])
+                key = (w, Fraction(levels[pair // size] + levels[pair % size], 2))
                 if key not in keys:
                     keys[key] = len(keys)
-                    half_hi, half_lo = _halves(caps[0].domain, w, Fraction(key[1], 2 * scale))
-                    hi_lower, hi_upper, lo_lower, lo_upper = _scaled_matrix(
-                        (half_hi.lower, half_hi.upper, half_lo.lower, half_lo.upper), scale)
-                    in_hi.append((mat >= hi_lower).all(axis=1) & (mat <= hi_upper).all(axis=1))
-                    in_lo.append((mat >= lo_lower).all(axis=1) & (mat <= lo_upper).all(axis=1))
+                    # A value is >= a corner value c iff its rank is >= the
+                    # least rank whose level is >= c, and <= c iff its rank
+                    # is below the least rank whose level is > c.
+                    for half, inside in zip(_halves(caps[0].domain, w, key[1]),
+                                            (in_hi, in_lo)):
+                        low = [bisect_left(levels, c) for c in half.lower.values]
+                        high = [bisect_right(levels, c) for c in half.upper.values]
+                        inside.append((ranks >= low).all(axis=1) & (ranks < high).all(axis=1))
                 key_of[code] = keys[key]
             if known < len(keys):
                 hi_table, lo_table = np.array(in_hi), np.array(in_lo)

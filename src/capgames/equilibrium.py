@@ -51,6 +51,7 @@ from .capacity import (
     FiniteCapacity,
     _grid_tables,
     _grid_values,
+    _ranked,
     possibility_capacity,
 )
 from .game import GameSpec, best_response, opponent_domain, payoff_slice
@@ -402,12 +403,10 @@ def _grid_response_masks(game: GameSpec, player: int,
     labels = game.strategy_domains[player].labels
     slices = [payoff_slice(game, player, lab).values for lab in labels]
     corrected = [correction.evaluate(g) for g in levels[1:-1]]
-    chain = sorted({*corrected, *itertools.chain.from_iterable(slices)})
-    rank = {v: r for r, v in enumerate(chain)}
+    _, (lifted, *slice_ranks) = _ranked(corrected, *slices)
     # Indexed by grid rank; the two ends are never lifted.
-    lift = [None, *map(rank.__getitem__, corrected), None]
-    level_sets = [list(_level_sets(list(map(rank.__getitem__, values))))
-                  for values in slices]
+    lift = [None, *lifted, None]
+    level_sets = [list(_level_sets(ranks)) for ranks in slice_ranks]
     top = len(levels) - 1
     masks = []
     for ranks in tables:

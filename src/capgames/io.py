@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .capacity import CapacityError, Domain, FiniteCapacity, _check_domain_size
+from .capacity import CapacityError, Domain, FiniteCapacity, _check_domain_size, _ranked
 from .rational import format_rational, parse_rational
 from .sugeno import PayoffFunction
 
@@ -147,9 +147,8 @@ def loads_capacity(text: str, allow_decimal: bool = False,
         raise ValidationError(
             f"{where}: missing {len(missing)} subset value(s), first is "
             f"{shown!r}")
-    levels = sorted(set(parsed.values()))
-    rank = {v: r for r, v in enumerate(levels)}
-    rank_of = {token: rank[v] for token, v in parsed.items()}
+    levels, (ranks,) = _ranked(list(parsed.values()))
+    rank_of = dict(zip(parsed, ranks))
     try:
         return FiniteCapacity._from_ranks(
             domain, levels, [rank_of[table[m]] for m in range(domain.subset_count)])

@@ -36,6 +36,8 @@ from .capacity import (
     DomainMismatch,
     FiniteCapacity,
     DENSE_DOMAIN_CAP,
+    _ZERO_ONE,
+    _ranked,
     pushforward,
 )
 from .sugeno import _level_set_max, _level_sets
@@ -149,11 +151,11 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     Refuses products beyond the dense cap; use lazy_tensor there. The
     product uses only min, max and order, so it runs on ranks: the
     values of both factors, with 0 and 1, form one sorted list `levels`,
-    and each factor's table becomes a table of positions in it. Masks
-    come in row-major order from `itertools.product` over the right
-    factor's ranks (one tuple of section ranks per mask, last row
-    first), and each distinct tuple goes through the level-set loop
-    once. The output is validated as a capacity on the ranks and only
+    and each factor's table becomes a table of positions in it
+    (`_ranked`). Masks come in row-major order from `itertools.product`
+    over the right factor's ranks (one tuple of section ranks per mask,
+    last row first), and each distinct tuple goes through the level-set
+    loop once. The output is validated as a capacity on the ranks and only
     then mapped back to the levels.
     """
     m, k = left.domain.size, right.domain.size
@@ -163,11 +165,7 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
             "use lazy_tensor"
         )
     pd = product_domain([left.domain, right.domain])
-    left_values, right_values = _table(left), _table(right)
-    levels = sorted({Fraction(0), Fraction(1), *left_values, *right_values})
-    rank = {v: r for r, v in enumerate(levels)}
-    left_ranks = [rank[v] for v in left_values]
-    right_ranks = [rank[v] for v in right_values]
+    levels, (_, left_ranks, right_ranks) = _ranked(_ZERO_ONE, _table(left), _table(right))
     top = len(levels) - 1
     memo: dict[tuple[int, ...], int] = {}
     ranks = []

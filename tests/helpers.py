@@ -43,13 +43,7 @@ from capgames import (
     separating_halves,
 )
 from capgames import convexity, io, sugeno
-from capgames.convexity import (
-    BinarityReport,
-    FULL_FAMILY_CAP,
-    SeparationReport,
-    _scale_of,
-    _scaled_matrix,
-)
+from capgames.convexity import BinarityReport, FULL_FAMILY_CAP, SeparationReport
 
 
 def letters(count: int) -> Domain:
@@ -304,10 +298,42 @@ def seeded_capacity(seed: int, size: int, denominator: int = 8) -> FiniteCapacit
     return random_capacity(letters(size), SplitMix64(seed), denominator)
 
 
+def _scale_of(values) -> int:
+    """Twice the lcm of the values' denominators, so that the values and
+    the midpoints of any two of them scale to integers."""
+    denom = 1
+    for v in values:
+        denom = math.lcm(denom, v.denominator)
+    return 2 * denom
+
+
+def _scaled_matrix(caps, scale: int) -> np.ndarray:
+    """One row of value * scale per capacity; each product must be an integer."""
+    rows = []
+    for cap in caps:
+        row = []
+        for v in cap.values:
+            q, r = divmod(v.numerator * scale, v.denominator)
+            if r:
+                raise AssertionError("scaled capacity value left the integers")
+            row.append(q)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def ranked_reference(*tables):
+    """Reference for capacity._ranked: the sorted set of all the values,
+    and each table through a Fraction-keyed rank dict."""
+    levels = sorted(set(itertools.chain.from_iterable(tables)))
+    rank = {Fraction(v): r for r, v in enumerate(levels)}
+    return levels, [[rank[Fraction(v)] for v in table] for table in tables]
+
+
 def pairwise_t2_scan(space) -> SeparationReport:
     """Reference separation scan: for every distinct pair, build the halves
     through separating_halves and verify the cover and the two
-    exclusions against the whole space."""
+    exclusions against the whole space, on values scaled by twice the
+    lcm of the grid denominators (not on the library's grid ranks)."""
     start = time.perf_counter()
     scale = _scale_of(space.grid)
     mat = _scaled_matrix(space.capacities, scale)
@@ -354,7 +380,9 @@ def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
     one pair at a time. The join and meet tables come from
     convexity._member_table, and the failure cap and the interval budget
     are read from convexity.FAILURE_CAP and convexity.INTERVAL_BUDGET, so
-    a test can break, cap or budget both scans alike."""
+    a test can break, cap or budget both scans alike. The members are
+    compared as values scaled by twice the lcm of the grid denominators,
+    not as the library's grid ranks."""
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)

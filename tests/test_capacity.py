@@ -28,10 +28,10 @@ from capgames import (
     top_capacity,
     vanishes_outside,
 )
-from capgames.capacity import _check_cover_pairs, _cover_pairs_hold
+from capgames.capacity import _check_cover_pairs, _cover_pairs_hold, _ranked
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import fraction_capacity_table, letters
+from helpers import fraction_capacity_table, letters, ranked_reference
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -387,6 +387,27 @@ class TestRankConstructor:
             FiniteCapacity._from_ranks(big, [F(0), F(1)], [])
 
 
+# Values of any sign, as ints and Fractions, with 1 also written F(2, 2).
+RANKED_VALUES = st.one_of(st.integers(-3, 3),
+                          st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+                          st.sampled_from((1, F(2, 2))))
+
+
+class TestRanked:
+    def test_one_value_written_two_ways_gets_one_rank(self):
+        levels, ranks = _ranked([1, F(2, 2), 0], [F(-1, 2), 1])
+        assert levels == [F(-1, 2), 0, 1]
+        assert ranks == [[2, 2, 1], [0, 2]]
+
+    @given(st.lists(st.lists(RANKED_VALUES, max_size=8), min_size=1, max_size=4))
+    def test_matches_the_fraction_dict_reference(self, tables):
+        levels, ranks = _ranked(*tables)
+        assert (levels, ranks) == ranked_reference(*tables)
+        assert all(a < b for a, b in zip(levels, levels[1:]))
+        for table, table_ranks in zip(tables, ranks):
+            assert [levels[r] for r in table_ranks] == table
+
+
 # Corruptions of a capacity table: entries moved outside [0, 1], off 0
 # or 1 at the ends, or out of order, and tables one entry short or long.
 INT_ENTRIES = st.integers(-1, 2)
@@ -400,6 +421,23 @@ def test_constructor_matches_the_fraction_checks(seed, size, ints, data, length_
     domain = letters(size)
     cap = random_capacity(domain, SplitMix64(seed), 1 if ints else 8)
     values = [int(v) for v in cap.values] if ints else list(cap.values)
+    # Per point x, swap the values of some S and S + x such that the
+    # table breaks monotonicity along x alone: v(S) < v(S + x), the
+    # other upper covers of S are at least v(S + x) and the other lower
+    # covers of S + x at most v(S). Neither set is empty or full.
+    bits = [1 << k for k in range(size)]
+    for bit in bits:
+        swaps = [m for m in range(1, domain.full_mask - bit)
+                 if not m & bit and values[m] < values[m | bit]
+                 and all(values[m | b] >= values[m | bit] for b in bits
+                         if b != bit and not m & b)
+                 and all(values[m ^ b | bit] <= values[m] for b in bits if m & b)]
+        if swaps:
+            small = data.draw(st.sampled_from(swaps))
+            swapped = list(values)
+            swapped[small], swapped[small | bit] = values[small | bit], values[small]
+            assert (outcome(lambda: FiniteCapacity(domain, swapped))
+                    == outcome(lambda: fraction_capacity_table(domain, swapped)))
     entries = INT_ENTRIES if ints else FRACTION_ENTRIES
     for mask, v in data.draw(st.lists(st.tuples(st.integers(0, 31), entries),
                                       max_size=3)):

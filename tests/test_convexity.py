@@ -30,9 +30,8 @@ from capgames import (
     top_capacity,
 )
 from capgames import convexity
-from capgames.convexity import _scale_of
 
-from helpers import bigint_binarity_scan, letters, pairwise_t2_scan
+from helpers import _scale_of, bigint_binarity_scan, letters, pairwise_t2_scan
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -104,13 +103,18 @@ class TestEnumerateCapacities:
         outsider = FiniteCapacity(AB, [F(0), F(1, 2), F(1, 2), F(1)])
         with pytest.raises(ValueError):
             space.index_of(outsider)
+        # The same on a hand-built space whose grid is out of order.
+        space = GridCapacitySpace(AB, (1, F(1, 2), 0), enumerate_capacities(AB, GRID3).capacities)
+        with pytest.raises(ValueError, match="not a member of this space"):
+            space.index_of(FiniteCapacity(AB, [F(0), F(1, 3), F(1, 2), F(1)]))
 
     def test_off_grid_member_rejected(self):
-        # 1/2 is off the grid (0, 1); it would scale to a midpoint that
-        # leaves the integers in check_t2.
+        # 1/2 is off the grid (0, 1), however the grid is written.
         half = FiniteCapacity(AB, [F(0), F(1, 2), F(0), F(1)])
         with pytest.raises(ValueError, match="member 0 has value 1/2"):
             GridCapacitySpace(AB, (F(0), F(1)), (half, dirac_capacity(AB, "a")))
+        with pytest.raises(ValueError, match="^member 1 has value 1/2, which is off the grid$"):
+            GridCapacitySpace(AB, (1, 0), (dirac_capacity(AB, "a"), half))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -504,3 +508,33 @@ class TestCheckT2:
         fast, slow = check_t2(space), pairwise_t2_scan(space)
         assert fast.failures == slow.failures
         assert any(message in text for _, _, text in fast.failures)
+
+
+class TestHandBuiltGrids:
+    """Spaces built by hand on a grid given out of order, with ints and
+    Fractions mixed or with a value no member takes: the scans run on
+    ranks into the sorted distinct grid, and must report what the
+    scaled-value references report."""
+
+    @pytest.mark.parametrize("grid", [(1, F(1, 2), 0), (F(1, 2), 1, F(1, 4), 0, F(1, 2))])
+    @pytest.mark.parametrize("domain, sublattice", [(AB, False), (ABC, True)])
+    def test_scans_match_the_scaled_references(self, grid, domain, sublattice):
+        # With mu({a}) <= mu({b}) and mu({a, c}) = mu({b, c}) on three
+        # points, the members are closed under max and min.
+        full = enumerate_capacities(domain, GRID3)
+        members = full.capacities
+        if sublattice:
+            a, b, c = (domain.mask_of((s,)) for s in ("a", "b", "c"))
+            members = tuple(m for m in members if m.values[a] <= m.values[b]
+                            and m.values[a | c] == m.values[b | c])
+        space = GridCapacitySpace(domain, grid, members)
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert slow.triples_checked > 0
+        assert (fast.capacity_count, fast.interval_count, fast.linked_pairs,
+                fast.triples_checked, fast.failures) == (
+                    slow.capacity_count, slow.interval_count, slow.linked_pairs,
+                    slow.triples_checked, slow.failures)
+        fast, slow = check_t2(space), pairwise_t2_scan(space)
+        assert (fast.pairs_checked, fast.failures) == (slow.pairs_checked, slow.failures)
+        assert fast.pairs_checked == len(members) * (len(members) - 1) // 2
+        assert [space.index_of(m) for m in members] == list(range(len(members)))
