@@ -19,7 +19,6 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -147,23 +146,63 @@ def _coerce_rational(value: RationalLike, context: str) -> Fraction:
     raise TypeError(f"{context}: expected Fraction or int, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Domain:
+class _Record:
+    """Immutable record of the fields named in a subclass's `_fields`.
+
+    Equal to records of the same class with equal fields, hashed as the
+    tuple of its fields, and shown as `Cls(field=value, ...)`. Each
+    subclass declares `__slots__` and sets them in `__init__` through
+    `object.__setattr__`; any other assignment or deletion raises
+    AttributeError. Copies and pickles are rebuilt through `__init__`
+    from the fields, in order, which also refills the derived slots.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Domain(_Record):
     """Ordered finite set of distinct labels; subsets are bitmasks over it."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels", "_index")
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...]):
+        if not labels:
             raise ValueError("domain needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("domain labels must be distinct")
-        for lab in self.labels:
+        for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise ValueError("domain labels must be nonempty strings")
             if "," in lab:
                 raise ValueError(f"label {lab!r} may not contain ','")
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(self.labels)})
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
 
     @property
     def size(self) -> int:
@@ -179,7 +218,7 @@ class Domain:
 
     def index_of(self, label: str) -> int:
         try:
-            return self._index[label]  # type: ignore[attr-defined]
+            return self._index[label]
         except KeyError:
             raise UnknownLabel(f"label {label!r} not in domain {list(self.labels)}") from None
 

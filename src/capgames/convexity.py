@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
@@ -42,6 +41,7 @@ from .capacity import (
     _grid_tables,
     _grid_values,
     _ranked,
+    _Record,
     bottom_capacity,
     join,
     meet,
@@ -81,8 +81,7 @@ class EqualCapacities(Exception):
     """Separation needs two distinct capacities."""
 
 
-@dataclass(frozen=True)
-class GridCapacitySpace:
+class GridCapacitySpace(_Record):
     """Every capacity on the domain whose values all lie in the grid.
 
     `enumerate_capacities` builds the full space. A space built by hand,
@@ -93,30 +92,32 @@ class GridCapacitySpace:
     row of ranks into the sorted distinct grid, which the scans compare.
     """
 
-    domain: Domain
-    grid: tuple[Fraction, ...]
-    capacities: tuple[FiniteCapacity, ...]
+    __slots__ = ("domain", "grid", "capacities", "_levels", "_ranks", "_pos")
+    _fields = ("domain", "grid", "capacities")
 
-    def __post_init__(self):
-        levels, (grid_ranks, *rows) = _ranked(
-            self.grid, *(cap.values for cap in self.capacities))
+    def __init__(self, domain: Domain, grid: tuple[Fraction, ...],
+                 capacities: tuple[FiniteCapacity, ...]):
+        levels, (grid_ranks, *rows) = _ranked(grid, *(cap.values for cap in capacities))
         on_grid = set(grid_ranks)
         if len(on_grid) < len(levels):
-            for k, (cap, row) in enumerate(zip(self.capacities, rows)):
+            for k, (cap, row) in enumerate(zip(capacities, rows)):
                 if not on_grid.issuperset(row):
                     v = next(v for v, r in zip(cap.values, row) if r not in on_grid)
                     raise ValueError(f"member {k} has value {v}, which is off the grid")
         ranks = tuple(map(tuple, rows))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_ranks", ranks)
         object.__setattr__(self, "_pos", {row: k for k, row in enumerate(ranks)})
 
     def index_of(self, cap: FiniteCapacity) -> int:
-        levels, (_, row) = _ranked(self._levels, cap.values)  # type: ignore[attr-defined]
+        levels, (_, row) = _ranked(self._levels, cap.values)
         row = tuple(row)
-        if len(levels) > len(self._levels) or row not in self._pos:  # type: ignore[attr-defined]
+        if len(levels) > len(self._levels) or row not in self._pos:
             raise ValueError("capacity is not a member of this space")
-        return self._pos[row]  # type: ignore[attr-defined]
+        return self._pos[row]
 
     def __len__(self) -> int:
         return len(self.capacities)
@@ -137,14 +138,17 @@ def enumerate_capacities(domain: Domain,
     return GridCapacitySpace(domain, tuple(values), caps)
 
 
-@dataclass(frozen=True)
-class CapacityInterval:
+class CapacityInterval(_Record):
     """Order interval spanned by two capacities (corners are meet and join)."""
 
-    first: FiniteCapacity
-    second: FiniteCapacity
-    lower: FiniteCapacity
-    upper: FiniteCapacity
+    __slots__ = _fields = ("first", "second", "lower", "upper")
+
+    def __init__(self, first: FiniteCapacity, second: FiniteCapacity,
+                 lower: FiniteCapacity, upper: FiniteCapacity):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def interval(first: FiniteCapacity, second: FiniteCapacity) -> CapacityInterval:
@@ -176,15 +180,20 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
     return index.reshape(-1)[n:].reshape(n, n)
 
 
-@dataclass(frozen=True)
-class BinarityReport:
-    capacity_count: int
-    interval_count: int
-    linked_pairs: int
-    triples_checked: int
-    failures: tuple[tuple[int, int, int], ...]
-    full_family_sets: int | None
-    seconds: float
+class BinarityReport(_Record):
+    __slots__ = _fields = ("capacity_count", "interval_count", "linked_pairs",
+                           "triples_checked", "failures", "full_family_sets", "seconds")
+
+    def __init__(self, capacity_count: int, interval_count: int, linked_pairs: int,
+                 triples_checked: int, failures: tuple[tuple[int, int, int], ...],
+                 full_family_sets: int | None, seconds: float):
+        object.__setattr__(self, "capacity_count", capacity_count)
+        object.__setattr__(self, "interval_count", interval_count)
+        object.__setattr__(self, "linked_pairs", linked_pairs)
+        object.__setattr__(self, "triples_checked", triples_checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "full_family_sets", full_family_sets)
+        object.__setattr__(self, "seconds", seconds)
 
     @property
     def passed(self) -> bool:
@@ -234,7 +243,9 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     if not space.capacities:
         return BinarityReport(0, 0, 0, 0, (), 0 if full_family else None,
                               time.perf_counter() - start)
-    mat = np.unique(np.array(space._ranks), axis=0)
+    # np.unique is asked for counts it drops: with no return flag, numpy
+    # imports numpy.ma to test for a masked array.
+    mat, _ = np.unique(np.array(space._ranks), axis=0, return_counts=True)
     n = len(mat)
     # Row by row, so that a space far over budget stops before n x n tables.
     below_rows = []
@@ -387,12 +398,15 @@ def separating_halves(first: FiniteCapacity, second: FiniteCapacity,
     return _halves(first.domain, witness, a)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    capacity_count: int
-    pairs_checked: int
-    failures: tuple[tuple[int, int, str], ...]
-    seconds: float
+class SeparationReport(_Record):
+    __slots__ = _fields = ("capacity_count", "pairs_checked", "failures", "seconds")
+
+    def __init__(self, capacity_count: int, pairs_checked: int,
+                 failures: tuple[tuple[int, int, str], ...], seconds: float):
+        object.__setattr__(self, "capacity_count", capacity_count)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "seconds", seconds)
 
     @property
     def passed(self) -> bool:
@@ -457,7 +471,10 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
         kid = key_of[codes]
         if (kid < 0).any():
             known = len(keys)
-            for code in np.unique(codes[kid < 0]).tolist():
+            # Most rows bring a few new codes, which a set sorts faster
+            # than np.unique; with no return flag, np.unique would also
+            # import numpy.ma.
+            for code in sorted(set(codes[kid < 0].tolist())):
                 w, pair = divmod(code, size * size)
                 key = (w, Fraction(levels[pair // size] + levels[pair % size], 2))
                 if key not in keys:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -52,6 +51,7 @@ from .capacity import (
     _grid_tables,
     _grid_values,
     _ranked,
+    _Record,
     possibility_capacity,
 )
 from .game import GameSpec, best_response, opponent_domain, payoff_slice
@@ -77,12 +77,14 @@ __all__ = [
 DEFAULT_PROFILE_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class SupportProfile:
+class SupportProfile(_Record):
     """One nonempty strategy subset per player, as bitmask plus labels."""
 
-    masks: tuple[int, ...]
-    labels: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("masks", "labels")
+
+    def __init__(self, masks: tuple[int, ...], labels: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_masks(cls, game: GameSpec, masks: Sequence[int]) -> "SupportProfile":
@@ -110,12 +112,14 @@ class SupportProfile:
         return cls.from_masks(game, [d.full_mask for d in game.strategy_domains])
 
 
-@dataclass(frozen=True)
-class BeliefSystem:
+class BeliefSystem(_Record):
     """One capacity per player over the flat product of the others'
     strategies."""
 
-    beliefs: tuple[CapacityBase, ...]
+    __slots__ = _fields = ("beliefs",)
+
+    def __init__(self, beliefs: tuple[CapacityBase, ...]):
+        object.__setattr__(self, "beliefs", beliefs)
 
     @classmethod
     def for_game(cls, game: GameSpec,
@@ -137,19 +141,28 @@ def _validate_system(game: GameSpec, system: BeliefSystem) -> None:
             )
 
 
-@dataclass(frozen=True)
-class EquilibriumCertificate:
+class EquilibriumCertificate(_Record):
     """Verification record: best responses, per-player belief mass outside
     the best-response box (all exactly zero iff equilibrium), and the
     correction map used."""
 
-    beliefs: BeliefSystem
-    best_responses: tuple[tuple[str, ...], ...]
-    residuals: tuple[Fraction, ...]
-    correction_name: str
-    degenerate_players: tuple[int, ...]
-    supports: SupportProfile | None = None
-    supports_within_responses: bool | None = None
+    __slots__ = _fields = ("beliefs", "best_responses", "residuals", "correction_name",
+                           "degenerate_players", "supports", "supports_within_responses")
+
+    def __init__(self, beliefs: BeliefSystem,
+                 best_responses: tuple[tuple[str, ...], ...],
+                 residuals: tuple[Fraction, ...],
+                 correction_name: str,
+                 degenerate_players: tuple[int, ...],
+                 supports: SupportProfile | None = None,
+                 supports_within_responses: bool | None = None):
+        object.__setattr__(self, "beliefs", beliefs)
+        object.__setattr__(self, "best_responses", best_responses)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "correction_name", correction_name)
+        object.__setattr__(self, "degenerate_players", degenerate_players)
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "supports_within_responses", supports_within_responses)
 
     @property
     def holds(self) -> bool:
@@ -238,7 +251,9 @@ def check_support_profile(game: GameSpec, profile: SupportProfile,
         == 0
         for j in range(game.n_players)
     )
-    return replace(cert, supports=profile, supports_within_responses=within)
+    return EquilibriumCertificate(cert.beliefs, cert.best_responses, cert.residuals,
+                                  cert.correction_name, cert.degenerate_players,
+                                  supports=profile, supports_within_responses=within)
 
 
 def support_profile_count(game: GameSpec) -> int:
@@ -339,16 +354,18 @@ def find_equilibria_supports(game: GameSpec,
     return hits
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(_Record):
     """Best-response support iteration that failed to stabilize.
 
     `trajectory` lists the visited profiles in order; `cycle_start` is
     the index the final update returned to, or None when the iteration
     budget ran out before any repeat."""
 
-    trajectory: tuple[SupportProfile, ...]
-    cycle_start: int | None
+    __slots__ = _fields = ("trajectory", "cycle_start")
+
+    def __init__(self, trajectory: tuple[SupportProfile, ...], cycle_start: int | None):
+        object.__setattr__(self, "trajectory", trajectory)
+        object.__setattr__(self, "cycle_start", cycle_start)
 
     @property
     def cycle(self) -> tuple[SupportProfile, ...]:

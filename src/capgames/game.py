@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .capacity import CapacityBase, Domain, DomainMismatch, _coerce_rational
+from .capacity import CapacityBase, Domain, DomainMismatch, _Record, _coerce_rational
 from .sugeno import CorrectionMap, PayoffFunction, sugeno_integral
 from .tensor import ProductDomain, _row_major_strides, product_domain
 
@@ -29,22 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(_Record):
     """Players in ascending index order, a strategy domain and a payoff
     tensor per player."""
 
-    strategy_domains: tuple[Domain, ...]
-    payoffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("strategy_domains", "payoffs", "_strides", "_opp_cache", "_slice_cache")
+    _fields = ("strategy_domains", "payoffs")
 
-    def __post_init__(self):
-        if len(self.strategy_domains) < 2:
+    def __init__(self, strategy_domains: tuple[Domain, ...],
+                 payoffs: tuple[tuple[Fraction, ...], ...]):
+        if len(strategy_domains) < 2:
             raise ValueError("a game needs at least two players")
+        object.__setattr__(self, "strategy_domains", strategy_domains)
         count = self.profile_count
-        if len(self.payoffs) != len(self.strategy_domains):
+        if len(payoffs) != len(strategy_domains):
             raise ValueError("one payoff tensor per player required")
         coerced = []
-        for i, tensor in enumerate(self.payoffs):
+        for i, tensor in enumerate(payoffs):
             if len(tensor) != count:
                 raise ValueError(
                     f"player {i} payoff tensor has {len(tensor)} entries, "
@@ -69,10 +69,10 @@ class GameSpec:
         return math.prod(self.sizes)
 
     def strides(self) -> tuple[int, ...]:
-        return self._strides  # type: ignore[attr-defined]
+        return self._strides
 
     def flat_index(self, profile: Sequence[int]) -> int:
-        return sum(i * s for i, s in zip(profile, self._strides))  # type: ignore[attr-defined]
+        return sum(i * s for i, s in zip(profile, self._strides))
 
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
         return self.payoffs[player][self.flat_index(profile)]
@@ -99,7 +99,7 @@ class GameSpec:
 def opponent_domain(game: GameSpec, player: int) -> ProductDomain:
     """Flat product of everyone else's strategy domains, ascending order."""
     _check_player(game, player)
-    cache = game._opp_cache  # type: ignore[attr-defined]
+    cache = game._opp_cache
     if player not in cache:
         others = [d for j, d in enumerate(game.strategy_domains) if j != player]
         cache[player] = product_domain(others)
@@ -115,7 +115,7 @@ def payoff_slice(game: GameSpec, player: int, strategy: str) -> PayoffFunction:
     """The player's payoff as a function of the opponents' joint choice,
     with their own strategy pinned."""
     _check_player(game, player)
-    cache = game._slice_cache  # type: ignore[attr-defined]
+    cache = game._slice_cache
     key = (player, strategy)
     if key not in cache:
         own = game.strategy_domains[player].index_of(strategy)

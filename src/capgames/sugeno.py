@@ -19,7 +19,6 @@ closed form beyond capacity evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -29,6 +28,7 @@ from .capacity import (
     Domain,
     DomainMismatch,
     RangeError,
+    _Record,
     _coerce_rational,
 )
 from .rational import NEG_INF, POS_INF, ExtendedValue
@@ -49,16 +49,18 @@ class BadResolution(ValueError):
     """Oracle resolution must be a positive rational."""
 
 
-@dataclass(frozen=True)
-class CorrectionMap:
+class CorrectionMap(_Record):
     """Strictly increasing bijection (0,1) -> R with signed-infinity endpoints.
 
     `name` identifies the map in certificates and reports. The callable
     receives interior rationals only and must return an exact Fraction.
     """
 
-    name: str
-    _interior: Callable[[Fraction], Fraction]
+    __slots__ = _fields = ("name", "_interior")
+
+    def __init__(self, name: str, _interior: Callable[[Fraction], Fraction]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_interior", _interior)
 
     def evaluate(self, level: Fraction) -> ExtendedValue:
         if level < 0 or level > 1:
@@ -118,22 +120,17 @@ def logit_correction(scale: Fraction | int = 1) -> CorrectionMap:
     return CorrectionMap(f"logit-{s}", interior)
 
 
-@dataclass(frozen=True)
-class PayoffFunction:
+class PayoffFunction(_Record):
     """Rational-valued function on a finite domain, stored by label index."""
 
-    domain: Domain
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("domain", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.domain.size:
-            raise ValueError(
-                f"need {self.domain.size} values, got {len(self.values)}"
-            )
+    def __init__(self, domain: Domain, values: tuple[Fraction, ...]):
+        if len(values) != domain.size:
+            raise ValueError(f"need {domain.size} values, got {len(values)}")
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(
-            self, "values",
-            tuple(_coerce_rational(v, "payoff value") for v in self.values),
-        )
+            self, "values", tuple(_coerce_rational(v, "payoff value") for v in values))
 
     @classmethod
     def from_mapping(cls, domain: Domain,

@@ -25,7 +25,6 @@ re-parsed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +36,7 @@ from .capacity import (
     FiniteCapacity,
     DENSE_DOMAIN_CAP,
     _ZERO_ONE,
+    _Record,
     _ranked,
     pushforward,
 )
@@ -67,11 +67,19 @@ def _row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(strides)
 
 
-@dataclass(frozen=True)
-class ProductDomain:
-    """Ordered factor domains with a flat, row-major indexed label domain."""
+class ProductDomain(_Record):
+    """Ordered factor domains with a flat, row-major indexed label domain.
 
-    factors: tuple[Domain, ...]
+    `flat` is always built from the factors; the argument is ignored."""
+
+    __slots__ = ("factors", "flat", "_sizes", "_strides")
+    _fields = ("factors", "flat")
+
+    def __init__(self, factors: tuple[Domain, ...], flat: Domain | None = None):
+        object.__setattr__(self, "factors", factors)
+        # Called through self, so that perfbench's tracer, which patches
+        # the method on the class, counts every build.
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.factors:
@@ -84,11 +92,9 @@ class ProductDomain:
         object.__setattr__(self, "_strides", _row_major_strides(sizes))
         object.__setattr__(self, "flat", Domain(labels))
 
-    flat: Domain = None  # type: ignore[assignment]  # filled in __post_init__
-
     @property
     def sizes(self) -> tuple[int, ...]:
-        return self._sizes  # type: ignore[attr-defined]
+        return self._sizes
 
     @property
     def size(self) -> int:
@@ -98,7 +104,7 @@ class ProductDomain:
         if len(point) != len(self.factors):
             raise ValueError(f"point needs {len(self.factors)} coordinates")
         idx = 0
-        for lab, d, stride in zip(point, self.factors, self._strides):  # type: ignore[attr-defined]
+        for lab, d, stride in zip(point, self.factors, self._strides):
             idx += d.index_of(lab) * stride
         return idx
 
@@ -107,7 +113,7 @@ class ProductDomain:
             raise ValueError(f"index {index} out of range")
         return tuple(
             d.labels[(index // stride) % d.size]
-            for d, stride in zip(self.factors, self._strides)  # type: ignore[attr-defined]
+            for d, stride in zip(self.factors, self._strides)
         )
 
     def mask_of_box(self, coordinate_masks: Sequence[int]) -> int:
@@ -117,7 +123,7 @@ class ProductDomain:
         mask = 0
         for idx in range(self.size):
             keep = True
-            for d, stride, cmask in zip(self.factors, self._strides, coordinate_masks):  # type: ignore[attr-defined]
+            for d, stride, cmask in zip(self.factors, self._strides, coordinate_masks):
                 if not (cmask >> ((idx // stride) % d.size)) & 1:
                     keep = False
                     break

@@ -570,14 +570,21 @@ def test_import_leaves_numpy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+# Modules a cold command could load for nothing: `dataclasses` (which
+# imports `inspect`) and `numpy.ma` each cost 8-16 ms with no bytecode
+# cache. numpy imports `inspect` itself, and `numpy.ma` whenever
+# `np.unique` is called without a return flag.
+WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect")
+
+
 def _cold_run(args: list[str], cwd) -> tuple[int, set[str]]:
     """Run one command through `main` in a fresh interpreter; return its
-    exit code and the capgames modules (and numpy) it loaded."""
+    exit code and the capgames modules it loaded, with those of WATCHED."""
     src = str(Path(capgames.__file__).resolve().parent.parent)
     code = ("import json, sys; from capgames.cli import main; "
             f"code = main({args!r}); "
             "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.startswith('capgames.') or m == 'numpy')]))")
+            f"if m.startswith('capgames.') or m in {WATCHED!r})]))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
@@ -617,7 +624,7 @@ COLD_COMMANDS = [
     (["solve", "coord.json"], 0, GAME | {"equilibrium"}),
     (["solve", "empty.json"], 1, GAME | {"equilibrium"}),
     (["verify-convexity", "--domain-size", "2"], 0,
-     BASE | {"convexity", "generate", "numpy"}),
+     BASE | {"convexity", "generate", "numpy", "inspect"}),
     (["oracle-compare", "--trials", "5", "--seed", "7"], 0, BASE | {"generate"}),
 ]
 
@@ -648,9 +655,10 @@ def cold_inputs(tmp_path_factory):
 
 def test_each_command_loads_only_the_modules_it_runs(cold_inputs):
     # In command order, so that `integrate` reads the product `tensor` wrote.
-    # Only verify-convexity loads the convexity scans (and numpy), only
-    # check-eq and solve the equilibrium search, and no command but the
-    # game commands loads the game layer.
+    # Only verify-convexity loads the convexity scans (and numpy, which
+    # imports inspect), only check-eq and solve the equilibrium search,
+    # and no command but the game commands loads the game layer. No
+    # command loads dataclasses or numpy.ma.
     for args, want_code, want in COLD_COMMANDS:
         code, modules = _cold_run(args, cold_inputs)
         assert (code, modules) == (want_code, want), args
