@@ -50,6 +50,13 @@ __all__ = [
 ]
 
 
+def _subset_text(labels: Sequence[str]) -> str:
+    """A subset written as set text, its labels in domain order:
+    {'a', 'b'}, and {} when empty. Unlike a set's repr, the order does not
+    follow the string hash seed."""
+    return "{" + ", ".join(map(repr, labels)) + "}"
+
+
 class CapacityError(Exception):
     """Base for all capacity construction and lookup failures."""
 
@@ -68,8 +75,8 @@ class MonotonicityError(CapacityError):
         self.small_value = small_value
         self.large_value = large_value
         super().__init__(
-            f"monotonicity violated: value {small_value} on {set(small) or '{}'} "
-            f"exceeds value {large_value} on {set(large) or '{}'}"
+            f"monotonicity violated: value {small_value} on {_subset_text(small)} "
+            f"exceeds value {large_value} on {_subset_text(large)}"
         )
 
 
@@ -102,7 +109,7 @@ class MissingSubset(CapacityError):
 
     def __init__(self, labels: tuple[str, ...]):
         self.labels = labels
-        super().__init__(f"no value given for subset {set(labels) or '{}'}")
+        super().__init__(f"no value given for subset {_subset_text(labels)}")
 
 
 class BudgetExceeded(Exception):
@@ -363,7 +370,7 @@ def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
     if low < unit.start or high >= unit.stop:
         mask = next(m for m, r in enumerate(ranks) if r not in unit)
         raise RangeError(f"value {levels[ranks[mask]]} on "
-                         f"{set(domain.labels_of(mask)) or '{}'} outside [0, 1]")
+                         f"{_subset_text(domain.labels_of(mask))} outside [0, 1]")
     empty, full = levels[ranks[0]], levels[ranks[domain.full_mask]]
     if empty != 0:
         raise NormalizationError(f"empty set must get 0, got {empty}")
@@ -495,6 +502,10 @@ class FiniteCapacity(CapacityBase):
     def __setattr__(self, name, value):
         raise AttributeError("FiniteCapacity is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles are rebuilt, and re-validated, by __init__.
+        return type(self), (self.domain, self.values)
+
     def value_mask(self, mask: int) -> Fraction:
         return self.values[mask]
 
@@ -528,7 +539,7 @@ class FiniteCapacity(CapacityBase):
 
     def __repr__(self) -> str:
         pairs = ", ".join(
-            f"{set(self.domain.labels_of(m)) or '{}'}: {v}"
+            f"{_subset_text(self.domain.labels_of(m))}: {v}"
             for m, v in enumerate(self.values)
         )
         return f"FiniteCapacity({pairs})"

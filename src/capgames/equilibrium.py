@@ -15,10 +15,12 @@ payoff slice is therefore the slice's maximum over the box, whatever
 the correction map, and a profile passes iff every player's support
 sits inside the set of strategies attaining the largest box maximum.
 The scan decides every profile by that set inclusion, from box-max
-tables built once per player with the subset-max recurrence; the
-measure path (`check_support_profile`) then certifies each hit, so
-every reported equilibrium carries a certificate computed from the
-beliefs themselves.
+tables built once per player with the subset-max recurrence on payoff
+ranks; for each choice of the other players' supports it visits only
+the last player's supports inside their response. The measure path
+(`check_support_profile`) then certifies each hit, so every reported
+equilibrium carries a certificate computed from the beliefs themselves;
+within one scan, the hits share each possibility capacity and belief.
 
 The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
@@ -54,10 +56,10 @@ from .capacity import (
     _Record,
     possibility_capacity,
 )
-from .game import GameSpec, best_response, opponent_domain, payoff_slice
+from .game import GameSpec, _payoff_ranks, best_response, opponent_domain, payoff_slice
 from .rational import format_rational
 from .sugeno import CorrectionMap, _level_set_max, _level_sets, default_correction
-from .tensor import _row_major_strides, lazy_tensor
+from .tensor import LazyTensorCapacity, _row_major_strides
 
 __all__ = [
     "DEFAULT_PROFILE_BUDGET",
@@ -222,12 +224,32 @@ def _outside_box(game: GameSpec, player: int, responses: Sequence[int]) -> int:
 
 
 def _profile_beliefs(game: GameSpec, profile: SupportProfile) -> BeliefSystem:
-    caps = [possibility_capacity(game.strategy_domains[j], profile.labels[j])
-            for j in range(game.n_players)]
+    """Player i believes the tensor of the others' possibility capacities
+    on their supports; with one opponent, that opponent's capacity itself.
+    A lazy tensor is built on the game's opponent domain.
+
+    During a support scan the game holds a cache, so that the scan
+    builds each capacity, keyed (player, mask), and each belief, keyed
+    (player, the others' masks), once."""
+    cache = game._belief_cache
+    if cache is None:
+        cache = {}
+    masks = profile.masks
+    caps = []
+    for j, (domain, labels) in enumerate(zip(game.strategy_domains, profile.labels)):
+        cap = cache.get((j, masks[j]))
+        if cap is None:
+            cap = cache[j, masks[j]] = possibility_capacity(domain, labels)
+        caps.append(cap)
     beliefs = []
     for i in range(game.n_players):
-        factors = [caps[j] for j in range(game.n_players) if j != i]
-        beliefs.append(lazy_tensor(factors))
+        key = (i, masks[:i] + masks[i + 1:])
+        belief = cache.get(key)
+        if belief is None:
+            factors = caps[:i] + caps[i + 1:]
+            belief = cache[key] = factors[0] if len(factors) == 1 else (
+                LazyTensorCapacity(factors, _product=opponent_domain(game, i)))
+        beliefs.append(belief)
     return BeliefSystem(tuple(beliefs))
 
 
@@ -261,8 +283,7 @@ def support_profile_count(game: GameSpec) -> int:
     return math.prod((1 << d.size) - 1 for d in game.strategy_domains)
 
 
-def _subset_max_axis(table: list[Fraction], dims: list[int],
-                     axis: int) -> list[Fraction]:
+def _subset_max_axis(table: list[int], dims: list[int], axis: int) -> list[int]:
     """Replace one axis of a row-major table, indexed by the k strategies
     of a player, by that player's 2^k - 1 nonempty masks (mask m at
     position m - 1), each entry the maximum over the mask's strategies.
@@ -272,10 +293,10 @@ def _subset_max_axis(table: list[Fraction], dims: list[int],
     """
     k = dims[axis]
     inner = math.prod(dims[axis + 1:])
-    out: list[Fraction] = []
+    out: list[int] = []
     for o in range(math.prod(dims[:axis])):
         base = o * k * inner
-        by_mask: list[list[Fraction]] = [[]]
+        by_mask: list[list[int]] = [[]]
         for m in range(1, 1 << k):
             low = m & -m
             if m == low:
@@ -292,9 +313,9 @@ def _best_response_masks(game: GameSpec, player: int) -> list[int]:
     """Player's best-response mask against every box of opponent
     supports, row-major over the opponents' masks (mask m at m - 1) in
     ascending player order: the own strategies whose payoff maximum over
-    the box is largest."""
+    the box is largest, compared as payoff ranks (`_payoff_ranks`)."""
     dims = list(game.sizes)
-    table = list(game.payoffs[player])
+    table = list(_payoff_ranks(game)[player])
     for axis in range(game.n_players):
         if axis != player:
             table = _subset_max_axis(table, dims, axis)
@@ -320,9 +341,11 @@ def find_equilibria_supports(game: GameSpec,
 
     Each profile is decided by box-max inclusion: it passes iff every
     player's support lies inside their best-response mask against the
-    others' support box. Every hit is then certified by the measure
-    path, `check_support_profile` with the given correction, which must
-    agree (AssertionError otherwise).
+    others' support box. For each choice of the other players' masks,
+    only the last player's nonempty submasks of their response are
+    visited, in ascending order; the others are then tested. Every hit
+    is certified by the measure path, `check_support_profile` with the
+    given correction, which must agree (AssertionError otherwise).
     """
     total = support_profile_count(game)
     if total > budget:
@@ -338,19 +361,36 @@ def find_equilibria_supports(game: GameSpec,
         strides = list(_row_major_strides(widths[:i] + widths[i + 1:]))
         strides.insert(i, 0)
         weights.append(strides)
+    last = n - 1
     hits: list[tuple[SupportProfile, EquilibriumCertificate]] = []
-    for masks in itertools.product(*(range(1, w + 1) for w in widths)):
-        coords = [m - 1 for m in masks]
-        if any(mask & ~resp[sum(c * w for c, w in zip(coords, wts))]
-               for mask, resp, wts in zip(masks, responses, weights)):
-            continue
-        profile = SupportProfile.from_masks(game, masks)
-        cert = check_support_profile(game, profile, correction)
-        if not (cert.holds and cert.supports_within_responses):
-            raise AssertionError(
-                f"support profile {profile.labels} passed the box-max test "
-                f"but failed its certificate")
-        hits.append((profile, cert))
+    # The hits share their beliefs through a cache that the game holds
+    # for this scan only: kept past it, it would hold memory for nothing.
+    object.__setattr__(game, "_belief_cache", {})
+    try:
+        for head in itertools.product(*(range(1, w + 1) for w in widths[:last])):
+            coords = [m - 1 for m in head]
+            # Each player's response index from the masks in `head`; the
+            # last player's mask m adds m - 1 to the others' (their last
+            # opponent, so of step 1), and nothing to their own.
+            bases = [sum(c * w for c, w in zip(coords, wts)) for wts in weights]
+            allowed = responses[last][bases[last]]
+            sub = 0
+            while True:
+                sub = (sub - allowed) & allowed  # the next submask, ascending
+                if not sub:
+                    break
+                if any(mask & ~resp[base + sub - 1]
+                       for mask, resp, base in zip(head, responses, bases)):
+                    continue
+                profile = SupportProfile.from_masks(game, head + (sub,))
+                cert = check_support_profile(game, profile, correction)
+                if not (cert.holds and cert.supports_within_responses):
+                    raise AssertionError(
+                        f"support profile {profile.labels} passed the box-max "
+                        f"test but failed its certificate")
+                hits.append((profile, cert))
+    finally:
+        object.__setattr__(game, "_belief_cache", None)
     return hits
 
 
@@ -493,23 +533,19 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
 
 def pure_nash(game: GameSpec) -> list[tuple[str, ...]]:
     """Classical exhaustive pure Nash scan by payoff comparison,
-    profiles in ascending strategy-index order."""
+    profiles in ascending strategy-index order: a profile is kept when
+    no player has a strictly better deviation. Payoffs compare as their
+    ranks (`_payoff_ranks`)."""
+    domains, strides = game.strategy_domains, game.strides()
+    ranks = _payoff_ranks(game)
     hits: list[tuple[str, ...]] = []
-    for combo in itertools.product(*(range(d.size) for d in game.strategy_domains)):
-        stable = True
-        for i in range(game.n_players):
-            base = game.payoff(i, combo)
-            for alt in range(game.strategy_domains[i].size):
-                if alt == combo[i]:
-                    continue
-                deviated = list(combo)
-                deviated[i] = alt
-                if game.payoff(i, deviated) > base:
-                    stable = False
-                    break
-            if not stable:
+    # Row-major flat indices count up in itertools.product order.
+    for flat, combo in enumerate(itertools.product(*(range(d.size) for d in domains))):
+        for table, own, stride, d in zip(ranks, combo, strides, domains):
+            # The player's deviations: the entries along their axis.
+            start = flat - own * stride
+            if table[flat] != max(table[start:start + d.size * stride:stride]):
                 break
-        if stable:
-            hits.append(tuple(d.labels[k]
-                              for d, k in zip(game.strategy_domains, combo)))
+        else:
+            hits.append(tuple(d.labels[k] for d, k in zip(domains, combo)))
     return hits

@@ -15,7 +15,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .capacity import CapacityBase, Domain, DomainMismatch, _Record, _coerce_rational
+from .capacity import (
+    CapacityBase,
+    Domain,
+    DomainMismatch,
+    _Record,
+    _coerce_rational,
+    _ranked,
+)
 from .sugeno import CorrectionMap, PayoffFunction, sugeno_integral
 from .tensor import ProductDomain, _row_major_strides, product_domain
 
@@ -32,7 +39,8 @@ class GameSpec(_Record):
     """Players in ascending index order, a strategy domain and a payoff
     tensor per player."""
 
-    __slots__ = ("strategy_domains", "payoffs", "_strides", "_opp_cache", "_slice_cache")
+    __slots__ = ("strategy_domains", "payoffs", "_strides", "_opp_cache", "_slice_cache",
+                 "_ranks", "_belief_cache")
     _fields = ("strategy_domains", "payoffs")
 
     def __init__(self, strategy_domains: tuple[Domain, ...],
@@ -55,6 +63,10 @@ class GameSpec(_Record):
         object.__setattr__(self, "_strides", _row_major_strides(self.sizes))
         object.__setattr__(self, "_opp_cache", {})
         object.__setattr__(self, "_slice_cache", {})
+        object.__setattr__(self, "_ranks", None)
+        # The possibility capacities and beliefs of a running support
+        # scan, None outside one (see `equilibrium.find_equilibria_supports`).
+        object.__setattr__(self, "_belief_cache", None)
 
     @property
     def n_players(self) -> int:
@@ -106,6 +118,15 @@ def opponent_domain(game: GameSpec, player: int) -> ProductDomain:
     return cache[player]
 
 
+def _payoff_ranks(game: GameSpec) -> list[list[int]]:
+    """Each player's payoff tensor as ranks into the sorted distinct
+    payoffs of all players (`_ranked`), built once per game. Payoffs
+    compare as their ranks do."""
+    if game._ranks is None:
+        object.__setattr__(game, "_ranks", _ranked(*game.payoffs)[1])
+    return game._ranks
+
+
 def _check_player(game: GameSpec, player: int) -> None:
     if not 0 <= player < game.n_players:
         raise ValueError(f"player {player} out of range for {game.n_players} players")
@@ -120,14 +141,15 @@ def payoff_slice(game: GameSpec, player: int, strategy: str) -> PayoffFunction:
     if key not in cache:
         own = game.strategy_domains[player].index_of(strategy)
         opp = opponent_domain(game, player)
-        other_ranges = [range(d.size) for j, d in enumerate(game.strategy_domains)
-                        if j != player]
-        values = []
-        for combo in itertools.product(*other_ranges):
-            profile = list(combo)
-            profile.insert(player, own)
-            values.append(game.payoff(player, profile))
-        cache[key] = PayoffFunction(opp.flat, tuple(values))
+        # Each opponent's own flat-index steps; their sums, in product
+        # order, run row-major over the opponent profiles.
+        steps = [range(0, d.size * stride, stride)
+                 for j, (d, stride) in enumerate(zip(game.strategy_domains, game._strides))
+                 if j != player]
+        payoffs, base = game.payoffs[player], own * game._strides[player]
+        values = tuple(payoffs[base + sum(offsets)]
+                       for offsets in itertools.product(*steps))
+        cache[key] = PayoffFunction(opp.flat, values)
     return cache[key]
 
 

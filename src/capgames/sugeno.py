@@ -121,16 +121,21 @@ def logit_correction(scale: Fraction | int = 1) -> CorrectionMap:
 
 
 class PayoffFunction(_Record):
-    """Rational-valued function on a finite domain, stored by label index."""
+    """Rational-valued function on a finite domain, stored by label index.
 
-    __slots__ = _fields = ("domain", "values")
+    Its level sets (`_level_sets`) are sorted once, at construction, for
+    every integral taken of it."""
+
+    __slots__ = ("domain", "values", "_level_sets")
+    _fields = ("domain", "values")
 
     def __init__(self, domain: Domain, values: tuple[Fraction, ...]):
         if len(values) != domain.size:
             raise ValueError(f"need {domain.size} values, got {len(values)}")
+        table = tuple(_coerce_rational(v, "payoff value") for v in values)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(
-            self, "values", tuple(_coerce_rational(v, "payoff value") for v in values))
+        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "_level_sets", tuple(_level_sets(table)))
 
     @classmethod
     def from_mapping(cls, domain: Domain,
@@ -165,7 +170,7 @@ class PayoffFunction(_Record):
         The mask at a value v covers every point with payoff >= v, so the
         masks grow along the list.
         """
-        return list(_level_sets(self.values))
+        return list(self._level_sets)
 
 
 def _level_sets(values: Sequence[Fraction]) -> Iterator[tuple[Fraction, int]]:
@@ -239,8 +244,7 @@ def sugeno_integral(func: PayoffFunction, cap: CapacityBase,
     set is the whole domain, whose capacity is 1.
     """
     _check_domains(func, cap)
-    return _level_set_max(_level_sets(func.values), cap.value_mask,
-                          correction.evaluate)
+    return _level_set_max(func._level_sets, cap.value_mask, correction.evaluate)
 
 
 def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
@@ -253,7 +257,7 @@ def classical_sugeno(func: PayoffFunction, cap: CapacityBase) -> Fraction:
     for v in func.values:
         if v < 0 or v > 1:
             raise RangeError(f"classical integral needs values in [0, 1], got {v}")
-    return _level_set_max(_level_sets(func.values), cap.value_mask)
+    return _level_set_max(func._level_sets, cap.value_mask)
 
 
 def _satisfies_defining_inequality(t: Fraction, level: Fraction,

@@ -11,8 +11,9 @@ levels re-validates this in the test suite. The formula uses only min,
 max and order, so the dense product runs on ranks: each value is
 replaced by its position in one sorted list of both factors' values,
 the level-set loop and the capacity validation of the output compare
-ints, and the ranks become Fractions only in the returned table.
-Products of three or more factors are the left-associated fold of the
+ints, and the ranks become Fractions only in the returned table. The
+lazy evaluator runs on ranks the same way and maps each rank it returns
+back to its value. Products of three or more factors are the left-associated fold of the
 two-factor product; associativity is never assumed (a probe reports
 bracketing differences).
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .capacity import (
     CapacityBase,
@@ -136,14 +137,6 @@ def product_domain(factors: Sequence[Domain]) -> ProductDomain:
     return ProductDomain(tuple(factors))
 
 
-def _section_values(mask: int, prefix_size: int, last_size: int,
-                    last: CapacityBase) -> list[Fraction]:
-    """mu_last of each row section of a flat product mask."""
-    row = (1 << last_size) - 1
-    return [last.value_mask((mask >> (z * last_size)) & row)
-            for z in range(prefix_size)]
-
-
 def _table(cap: CapacityBase) -> Sequence[Fraction]:
     """Dense value table of any capacity, indexed by mask."""
     if isinstance(cap, FiniteCapacity):
@@ -219,51 +212,78 @@ def marginal(cap: CapacityBase, product: ProductDomain, axis: int) -> FiniteCapa
 class LazyTensorCapacity(CapacityBase):
     """On-demand left-fold tensor evaluation, no dense table.
 
-    Evaluates the recursive section formula: the product of n factors at
-    B integrates the last factor's section values against the product of
-    the first n-1 factors. Results are memoized per instance; instances
-    are immutable apart from the cache.
+    Evaluates the recursive section formula: the product of the first
+    d + 1 factors at B integrates factor d's section values against the
+    product of the first d factors. Like `tensor2` it runs on ranks:
+    construction ranks the factors' tables once (`_ranked`, with 0 and
+    1), each fold depth memoizes its ranks by mask, and `value_mask` maps
+    the rank of the whole product back to its level. `_memo` is the
+    whole product's memo. A lazy factor is ranked on demand, through its
+    own levels; any other factor is read as a dense table (`_table`).
+    Instances are immutable apart from the memos; copies and pickles are
+    rebuilt from the factors, with empty memos.
     """
 
-    __slots__ = ("domain", "factors", "product", "_last", "_prefix",
-                 "_prefix_size", "_memo")
+    __slots__ = ("domain", "factors", "product", "_levels", "_rank", "_memo")
 
-    def __init__(self, factors: Sequence[CapacityBase]):
+    def __init__(self, factors: Sequence[CapacityBase],
+                 _product: ProductDomain | None = None):
+        # `_product`, when given, is the product of the factors' domains
+        # already built by the caller.
         if not factors:
             raise ValueError("tensor of zero factors is undefined")
         fs = tuple(factors)
-        pd = product_domain([f.domain for f in fs])
+        pd = _product if _product is not None else product_domain([f.domain for f in fs])
+        levels, (_, *tables) = _ranked(_ZERO_ONE, *(
+            f._levels if isinstance(f, LazyTensorCapacity) else _table(f) for f in fs))
+        # A lazy factor's table ranks its own levels into `levels`.
+        ranks = [_composed(table, f._rank) if isinstance(f, LazyTensorCapacity)
+                 else table.__getitem__ for f, table in zip(fs, tables)]
+        rank, memo = ranks[0], {}
+        prefix_size = fs[0].domain.size
+        for f, last_rank in zip(fs[1:], ranks[1:]):
+            memo = {}
+            rank = _fold_rank(rank, prefix_size, last_rank, f.domain.size,
+                              len(levels) - 1, memo)
+            prefix_size *= f.domain.size
         object.__setattr__(self, "factors", fs)
         object.__setattr__(self, "product", pd)
         object.__setattr__(self, "domain", pd.flat)
-        if len(fs) == 1:
-            object.__setattr__(self, "_prefix", None)
-            object.__setattr__(self, "_last", fs[0])
-            object.__setattr__(self, "_prefix_size", 1)
-        else:
-            prefix = fs[0] if len(fs) == 2 else LazyTensorCapacity(fs[:-1])
-            object.__setattr__(self, "_prefix", prefix)
-            object.__setattr__(self, "_last", fs[-1])
-            object.__setattr__(self, "_prefix_size", prefix.domain.size)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("LazyTensorCapacity is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.factors,)
+
     def value_mask(self, mask: int) -> Fraction:
-        memo = self._memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        if self._prefix is None:
-            out = self._last.value_mask(mask)
-        else:
-            sections = _section_values(
-                mask, self._prefix_size, self._last.domain.size, self._last
-            )
-            out = _level_set_max(_level_sets(sections), self._prefix.value_mask)
-        memo[mask] = out
-        return out
+        return self._levels[self._rank(mask)]
+
+
+def _composed(outer: Sequence[int], inner: Callable[[int], int]) -> Callable[[int], int]:
+    return lambda mask: outer[inner(mask)]
+
+
+def _fold_rank(prefix_rank: Callable[[int], int], prefix_size: int,
+               last_rank: Callable[[int], int], last_size: int, top: int,
+               memo: dict[int, int]) -> Callable[[int], int]:
+    """Rank, by mask, of the product of a prefix on `prefix_size` points
+    and a last factor on `last_size` points, each ranked by mask: the
+    level-set loop over the row sections' ranks, memoized in `memo`."""
+    row = (1 << last_size) - 1
+    rows = range(prefix_size)
+
+    def rank(mask: int) -> int:
+        r = memo.get(mask)
+        if r is None:
+            sections = [last_rank((mask >> (z * last_size)) & row) for z in rows]
+            r = memo[mask] = _level_set_max(_level_sets(sections), prefix_rank, top=top)
+        return r
+
+    return rank
 
 
 def lazy_tensor(factors: Sequence[CapacityBase]) -> CapacityBase:

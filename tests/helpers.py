@@ -5,6 +5,7 @@ paths disjoint from the library internals, so agreement is evidence,
 not tautology.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -44,6 +45,8 @@ from capgames import (
 )
 from capgames import convexity, io, sugeno
 from capgames.convexity import BinarityReport, FULL_FAMILY_CAP, SeparationReport
+
+FRACTION_COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
 
 
 def letters(count: int) -> Domain:
@@ -253,6 +256,108 @@ def fraction_tensor_many(caps) -> CapacityBase:
     return acc
 
 
+class FractionLazyTensor(CapacityBase):
+    """Reference lazy left fold on Fractions: the value at B is the
+    classical integral of the last factor's section values against the
+    fold of the earlier factors, itself a FractionLazyTensor, memoized
+    per instance."""
+
+    def __init__(self, factors):
+        fs = self.factors = tuple(factors)
+        self.domain = product_domain([f.domain for f in fs]).flat
+        if len(fs) == 1:
+            self._prefix = None
+        elif len(fs) == 2:
+            self._prefix = fs[0]
+        else:
+            self._prefix = FractionLazyTensor(fs[:-1])
+        self._memo = {}
+
+    def value_mask(self, mask: int) -> Fraction:
+        if mask not in self._memo:
+            last = self.factors[-1]
+            if self._prefix is None:
+                value = last.value_mask(mask)
+            else:
+                k, row = last.domain.size, last.domain.full_mask
+                sections = tuple(last.value_mask((mask >> (z * k)) & row)
+                                 for z in range(self._prefix.domain.size))
+                value = classical_sugeno(
+                    PayoffFunction(self._prefix.domain, sections), self._prefix)
+            self._memo[mask] = value
+        return self._memo[mask]
+
+
+def fraction_box_responses(game: GameSpec, masks) -> list[int]:
+    """Each player's best-response mask against the others' support box,
+    on Fractions: the own strategies whose payoff maximum over the box
+    is largest."""
+    boxes = [[k for k in range(d.size) if m >> k & 1]
+             for d, m in zip(game.strategy_domains, masks)]
+    responses = []
+    for i, d in enumerate(game.strategy_domains):
+        scores = [max(game.payoff(i, profile) for profile in
+                      itertools.product(*boxes[:i], [s], *boxes[i + 1:]))
+                  for s in range(d.size)]
+        top = max(scores)
+        responses.append(sum(1 << s for s, v in enumerate(scores) if v == top))
+    return responses
+
+
+def full_product_support_scan(game: GameSpec, corr: CorrectionMap | None = None):
+    """Reference support scan: every profile of the full product, in
+    ascending-bitmask order (player 0 slowest), decided by box-max
+    inclusion on Fractions (`fraction_box_responses`), each hit
+    certified by check_support_profile."""
+    hits = []
+    for masks in itertools.product(
+            *(range(1, 1 << d.size) for d in game.strategy_domains)):
+        responses = fraction_box_responses(game, masks)
+        if all(m & ~r == 0 for m, r in zip(masks, responses)):
+            profile = SupportProfile.from_masks(game, masks)
+            cert = check_support_profile(game, profile, corr)
+            assert cert.holds and cert.supports_within_responses
+            hits.append((profile, cert))
+    return hits
+
+
+def fraction_pure_nash(game: GameSpec) -> list[tuple[str, ...]]:
+    """Reference pure Nash scan on Fractions: a profile is kept when no
+    player has a strictly better deviation; ascending strategy-index
+    order."""
+    hits = []
+    for combo in itertools.product(*(range(d.size) for d in game.strategy_domains)):
+        stable = all(
+            game.payoff(i, combo[:i] + (alt,) + combo[i + 1:]) <= game.payoff(i, combo)
+            for i, d in enumerate(game.strategy_domains) for alt in range(d.size))
+        if stable:
+            hits.append(tuple(d.labels[k] for d, k in zip(game.strategy_domains, combo)))
+    return hits
+
+
+@contextlib.contextmanager
+def counted_fraction_compares():
+    """Count Fraction comparisons (==, <, <=, >, >=) inside the block, as
+    the benchmark tracer does, by patching the Fraction methods; yields a
+    one-element list holding the count."""
+    count = [0]
+    originals = {op: getattr(Fraction, op) for op in FRACTION_COMPARISONS}
+
+    def counting(op):
+        def counted(a, b):
+            count[0] += 1
+            return op(a, b)
+        return counted
+
+    try:
+        for name, op in originals.items():
+            setattr(Fraction, name, counting(op))
+        yield count
+    finally:
+        for name, op in originals.items():
+            setattr(Fraction, name, op)
+
+
 def is_possibility(cap: CapacityBase) -> bool:
     """True when every value equals the max over member singletons."""
     dom = cap.domain
@@ -279,8 +384,8 @@ def fraction_capacity_table(domain: Domain, values) -> tuple[Fraction, ...]:
                          f"{domain.size}-point domain, got {len(table)}")
     for mask, v in enumerate(table):
         if v < 0 or v > 1:
-            raise RangeError(
-                f"value {v} on {set(domain.labels_of(mask)) or '{}'} outside [0, 1]")
+            subset = ", ".join(repr(lab) for lab in domain.labels_of(mask))
+            raise RangeError(f"value {v} on {{{subset}}} outside [0, 1]")
     if table[0] != 0:
         raise NormalizationError(f"empty set must get 0, got {table[0]}")
     if table[-1] != 1:

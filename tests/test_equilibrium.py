@@ -36,13 +36,23 @@ from capgames import (
     top_capacity,
 )
 from capgames.capacity import _grid_tables, _grid_values
-from capgames.equilibrium import _grid_response_masks, _profile_beliefs
+from capgames.equilibrium import (
+    _best_response_masks,
+    _grid_response_masks,
+    _profile_beliefs,
+    support_profile_count,
+)
+from capgames.game import _payoff_ranks
 from capgames.generate import SplitMix64, random_game
 
 from helpers import (
+    FractionLazyTensor,
     best_response_grid_search,
     coordination_game,
+    counted_fraction_compares,
     dominant_game,
+    fraction_pure_nash,
+    full_product_support_scan,
     letters,
     matching_pennies,
     measure_support_scan,
@@ -67,6 +77,46 @@ def draw_game(data, sizes=None) -> GameSpec:
                for _ in sizes]
     return GameSpec(tuple(letters(k) for k in sizes),
                     tuple(tuple(p) for p in payoffs))
+
+
+def draw_scan_game(data) -> GameSpec:
+    """2-4 players: 1-3 strategies each for 2 or 3 players, 1-2 for 4."""
+    n = data.draw(st.integers(2, 4))
+    most = 3 if n < 4 else 2
+    return draw_game(data, data.draw(st.lists(st.integers(1, most), min_size=n, max_size=n)))
+
+
+def fresh_copy(game: GameSpec) -> GameSpec:
+    """The same game without the caches the original has filled."""
+    return GameSpec(game.strategy_domains, game.payoffs)
+
+
+def belief_tables(beliefs) -> list[tuple[Fraction, ...]]:
+    return [tuple(b.value_mask(m) for m in range(b.domain.subset_count))
+            for b in beliefs]
+
+
+def assert_same_scan(fast, slow) -> None:
+    """Same hits in the same order, with equal certificates: equal
+    reports and beliefs equal at every mask."""
+    assert [p for p, _ in fast] == [p for p, _ in slow]
+    assert [c.to_dict() for _, c in fast] == [c.to_dict() for _, c in slow]
+    assert ([belief_tables(c.beliefs.beliefs) for _, c in fast]
+            == [belief_tables(c.beliefs.beliefs) for _, c in slow])
+
+
+# Criterion 07's recipe (see test_acceptance.scan200) and the indices of
+# its games without a support-profile equilibrium.
+CRITERION_07_EMPTY = (13, 18, 21, 124, 129, 163, 167, 192, 198)
+
+
+def criterion_07_games() -> list[GameSpec]:
+    rng = SplitMix64(7)
+    games = []
+    for _ in range(200):
+        n = 2 + rng.below(2)
+        games.append(random_game(rng, [2 + rng.below(2) for _ in range(n)]))
+    return games
 
 
 GRIDS = ((0, 1), GRID3, (0, F(1, 3), F(2, 3), 1))
@@ -301,6 +351,62 @@ class TestFindEquilibriaSupports:
             assert [c.to_dict() for _, c in fast] == [c.to_dict() for _, c in slow]
 
 
+    @given(st.data())
+    def test_scan_matches_the_full_product_reference(self, data):
+        game = draw_scan_game(data)
+        fast = find_equilibria_supports(game)
+        assert_same_scan(fast, full_product_support_scan(fresh_copy(game)))
+        # Each belief is the Fraction fold of the others' possibility
+        # capacities (a two-player belief: the other's capacity).
+        for profile, cert in fast:
+            caps = [possibility_capacity(d, labels)
+                    for d, labels in zip(game.strategy_domains, profile.labels)]
+            reference = [FractionLazyTensor(caps[:i] + caps[i + 1:])
+                         for i in range(game.n_players)]
+            assert belief_tables(cert.beliefs.beliefs) == belief_tables(reference)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (2, 2, 1, 2)])
+    def test_every_profile_hits_when_all_payoffs_are_equal(self, sizes):
+        game = GameSpec(tuple(letters(k) for k in sizes),
+                        tuple((F(1, 2),) * math.prod(sizes) for _ in sizes))
+        fast = find_equilibria_supports(game)
+        assert len(fast) == support_profile_count(game)
+        assert [p.masks for p, _ in fast] == sorted(p.masks for p, _ in fast)
+        assert_same_scan(fast, full_product_support_scan(fresh_copy(game)))
+
+    def test_criterion_07_empty_games_stay_empty(self):
+        games = criterion_07_games()
+        for k in CRITERION_07_EMPTY:
+            assert find_equilibria_supports(games[k]) == []
+            assert full_product_support_scan(games[k]) == []
+
+    def test_hits_share_beliefs_within_a_scan_only(self):
+        # Every profile is a hit when all payoffs are equal.
+        game = GameSpec((letters(2),) * 3, ((F(0),) * 8,) * 3)
+        hits = find_equilibria_supports(game)
+        by_key = {}
+        for profile, cert in hits:
+            for i, belief in enumerate(cert.beliefs.beliefs):
+                assert belief.product is opponent_domain(game, i)
+                key = (i, profile.masks[:i] + profile.masks[i + 1:])
+                assert by_key.setdefault(key, belief) is belief
+        assert len(by_key) == 3 * 3 ** 2  # per player, the others' masks
+        assert game._belief_cache is None
+        again = find_equilibria_supports(game)
+        assert again[0][1].beliefs.beliefs[0] is not hits[0][1].beliefs.beliefs[0]
+
+    def test_box_max_tables_compare_no_fractions(self):
+        game = random_game(SplitMix64(5), (3, 3, 2))
+        with counted_fraction_compares() as compares:
+            _payoff_ranks(game)
+        # The counter does count: ranking the payoffs sorts Fractions.
+        assert compares[0] > 0
+        with counted_fraction_compares() as compares:
+            for i in range(game.n_players):
+                _best_response_masks(game, i)
+        assert compares == [0]
+
+
 class TestIterateBestResponse:
     def test_coordination_stabilizes_at_full(self):
         out = iterate_best_response_supports(coordination_game())
@@ -504,6 +610,15 @@ class TestPureNash:
         assert pure_nash(dominant_game()) == [("a", "a")]
         assert pure_nash(no_support_equilibrium_game()) == []
         assert pure_nash(one_strategy_game()) == [("only", "sole")]
+
+    @given(st.data())
+    def test_matches_the_fraction_reference(self, data):
+        game = draw_scan_game(data)
+        assert pure_nash(game) == fraction_pure_nash(game)
+
+    def test_every_profile_when_all_payoffs_are_equal(self):
+        game = GameSpec((letters(2), letters(3)), ((F(-1),) * 6, (F(2),) * 6))
+        assert pure_nash(game) == list(itertools.product("ab", "abc"))
 
     @given(seed=st.integers(0, 2**32))
     def test_singleton_profiles_embed_pure_nash(self, seed):

@@ -570,6 +570,27 @@ def test_import_leaves_numpy_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+def test_error_text_does_not_follow_the_hash_seed(tmp_path):
+    # {'a'} exceeds {'a', 'c'}; a set's repr would order the two labels
+    # by the string hash seed, which differs from process to process.
+    values = {"": "0", "a": "1/2", "b": "0", "a,b": "1/2", "c": "0", "a,c": "0",
+              "b,c": "0", "a,b,c": "1"}
+    cap = _write(tmp_path, "cap.json",
+                 json.dumps({"domain": ["a", "b", "c"], "values": values}))
+    fn = _write(tmp_path, "fn.json", serialize_function(
+        PayoffFunction(Domain(("a", "b", "c")), (F(1), F(2), F(3)))))
+    src = str(Path(capgames.__file__).resolve().parent.parent)
+    outcomes = set()
+    for seed in ("1", "2", "3", "4"):
+        run = subprocess.run(
+            [sys.executable, "-m", "capgames.cli", "integrate", cap, fn],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        outcomes.add((run.returncode, run.stderr))
+    assert outcomes == {(2, f"error: {cap}: monotonicity violated: value 1/2 on "
+                            "{'a'} exceeds value 0 on {'a', 'c'}\n")}
+
+
 # Modules a cold command could load for nothing: `dataclasses` (which
 # imports `inspect`) and `numpy.ma` each cost 8-16 ms with no bytecode
 # cache. numpy imports `inspect` itself, and `numpy.ma` whenever

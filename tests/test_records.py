@@ -16,7 +16,9 @@ from capgames import (
     Domain,
     EquilibriumCertificate,
     GameSpec,
+    FiniteCapacity,
     GridCapacitySpace,
+    LazyTensorCapacity,
     PayoffFunction,
     ProductDomain,
     SeparationReport,
@@ -27,8 +29,6 @@ from capgames import (
 )
 
 AB = Domain(("a", "b"))
-# One-point capacities only: a FiniteCapacity repr shows its subsets as
-# sets, whose order on two or more labels follows the string hash seed.
 X = Domain(("x",))
 TOP = top_capacity(X)
 TOP_TEXT = "FiniteCapacity({}: 0, {'x'}: 1)"
@@ -100,14 +100,9 @@ CASES = [
 ]
 IDS = [f"{cls.__name__}-{k}" for k, (cls, *_) in enumerate(CASES)]
 
-# Round trips that hold for records whose fields copy and pickle. A
-# FiniteCapacity can be neither deep-copied nor pickled (its immutable
-# slots refuse the state restore), and neither can the records holding
-# one; CorrectionMap's maps are closures, which do not pickle.
-HOLDS_CAPACITIES = {BeliefSystem, EquilibriumCertificate, GridCapacitySpace,
-                    CapacityInterval}
-DEEP = [case for case in CASES if case[0] not in HOLDS_CAPACITIES]
-PICKLED = [case for case in DEEP if case[0] is not CorrectionMap]
+# Every record deep-copies; all but CorrectionMap, whose maps are
+# closures, pickle.
+PICKLED = [case for case in CASES if case[0] is not CorrectionMap]
 
 
 @pytest.mark.parametrize("cls, kwargs, fields, text", CASES, ids=IDS)
@@ -147,8 +142,8 @@ class TestRecord:
         assert copy.copy(record) == record
 
 
-@pytest.mark.parametrize("cls, kwargs, fields, text", DEEP,
-                         ids=[f"{case[0].__name__}" for case in DEEP])
+@pytest.mark.parametrize("cls, kwargs, fields, text", CASES,
+                         ids=[f"{case[0].__name__}" for case in CASES])
 def test_deep_copy(cls, kwargs, fields, text):
     record = cls(**kwargs)
     twin = copy.deepcopy(record)
@@ -174,3 +169,23 @@ def test_copies_rebuild_the_derived_state():
     for twin in (copy.deepcopy(product), pickle.loads(pickle.dumps(product))):
         assert twin.index_of(("b", "x")) == 1
         assert twin.flat.index_of("b|x") == 1
+
+
+def _copies(obj):
+    return [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+
+def test_capacities_copy_and_pickle():
+    cap = FiniteCapacity(AB, [F(0), F(1, 3), F(1, 2), F(1)])
+    # Subsets are shown in domain order, whatever the string hash seed.
+    assert repr(cap) == "FiniteCapacity({}: 0, {'a'}: 1/3, {'b'}: 1/2, {'a', 'b'}: 1)"
+    for twin in _copies(cap):
+        assert twin == cap and repr(twin) == repr(cap)
+        assert twin.value(("b",)) == F(1, 2)
+    lazy = LazyTensorCapacity((cap, top_capacity(X), cap))
+    values = [lazy.value_mask(m) for m in range(lazy.domain.subset_count)]
+    for twin in _copies(lazy):
+        assert twin.factors == lazy.factors and twin.product == lazy.product
+        # Rebuilt from the factors: its memo starts empty.
+        assert twin is lazy or not twin._memo
+        assert [twin.value_mask(m) for m in range(twin.domain.subset_count)] == values

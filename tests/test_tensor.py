@@ -16,6 +16,7 @@ from capgames import (
     associativity_probe,
     bottom_capacity,
     dirac_capacity,
+    LazyTensorCapacity,
     lazy_tensor,
     marginal,
     materialize,
@@ -29,7 +30,14 @@ from capgames import (
 )
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import dumb_tensor_value, fraction_tensor_many, letters, seeded_capacity
+from helpers import (
+    FractionLazyTensor,
+    counted_fraction_compares,
+    dumb_tensor_value,
+    fraction_tensor_many,
+    letters,
+    seeded_capacity,
+)
 
 AB = Domain(("a", "b"))
 XY = Domain(("x", "y"))
@@ -316,6 +324,77 @@ class TestLazyTensor:
         assert lazy.value_mask(box) == dumb_tensor_value(left, right, box)
         with pytest.raises(ProductTooLarge):
             materialize(lazy)
+
+
+# Products of at most 12 points: every one of their masks is checked.
+LAZY_PRODUCT_POINTS = 12
+
+
+@st.composite
+def lazy_factors(draw):
+    """2-4 capacities of 1-3 points, LAZY_PRODUCT_POINTS points in all at
+    most, with values on drawn grids k/denominator ({0, 1} included)."""
+    caps, points = [], 1
+    for _ in range(draw(st.integers(2, 4))):
+        size = draw(st.integers(1, min(3, LAZY_PRODUCT_POINTS // points)))
+        points *= size
+        denominator = draw(st.sampled_from((1, 2, 3, 5, 12)))
+        seed = draw(st.integers(0, 2**32))
+        caps.append(random_capacity(letters(size), SplitMix64(seed), denominator))
+    return caps
+
+
+class TestRankedLazyTensor:
+    @given(caps=lazy_factors())
+    def test_matches_the_fraction_fold_on_every_mask(self, caps):
+        lazy, reference = LazyTensorCapacity(caps), FractionLazyTensor(caps)
+        assert lazy.domain == reference.domain
+        for mask in range(lazy.domain.subset_count):
+            assert lazy.value_mask(mask) == reference.value_mask(mask)
+
+    @settings(max_examples=20)
+    @given(caps=lazy_factors())
+    def test_lazy_factors_match_the_fraction_fold(self, caps):
+        # A lazy first factor is the fold of its own factors; in last
+        # place, a lazy factor is evaluated on each row section.
+        first = LazyTensorCapacity([LazyTensorCapacity(caps[:2]), *caps[2:]])
+        last = LazyTensorCapacity([caps[0], LazyTensorCapacity(caps[1:])])
+        flat = FractionLazyTensor(caps)
+        nested = FractionLazyTensor([caps[0], FractionLazyTensor(caps[1:])])
+        assert first.domain == last.domain == flat.domain
+        for mask in range(flat.domain.subset_count):
+            assert first.value_mask(mask) == flat.value_mask(mask)
+            assert last.value_mask(mask) == nested.value_mask(mask)
+
+    def test_a_lazy_factor_past_the_dense_cap_stays_lazy(self):
+        left = seeded_capacity(95, 2)
+        inner = lazy_tensor([seeded_capacity(93, 5), seeded_capacity(94, 5)])
+        outer = lazy_tensor([left, inner])
+        reference = FractionLazyTensor([left, inner])
+        assert outer.domain.size == 50
+        rng = SplitMix64(96)
+        masks = [0, outer.domain.full_mask] + [rng.below(1 << 50) for _ in range(20)]
+        assert ([outer.value_mask(m) for m in masks]
+                == [reference.value_mask(m) for m in masks])
+
+    def test_given_product_domain_is_used(self):
+        caps = [seeded_capacity(k, 2) for k in (111, 112, 113)]
+        pd = product_domain([c.domain for c in caps])
+        lazy = LazyTensorCapacity(caps, _product=pd)
+        assert lazy.product is pd and lazy.domain is pd.flat
+        assert [lazy.value_mask(m) for m in range(256)] == list(tensor_many(caps).values)
+
+    def test_evaluation_compares_no_fractions(self):
+        caps = [random_capacity(letters(k), SplitMix64(k), 6) for k in (2, 3, 2)]
+        lazy = LazyTensorCapacity(caps)
+        reference = FractionLazyTensor(caps)
+        with counted_fraction_compares() as compares:
+            values = [lazy.value_mask(m) for m in range(lazy.domain.subset_count)]
+        assert compares == [0]
+        # The counter does count: the Fraction fold compares.
+        with counted_fraction_compares() as compares:
+            assert values == [reference.value_mask(m) for m in range(len(values))]
+        assert compares[0] > 0
 
 
 class TestSupportLaw:
