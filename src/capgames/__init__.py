@@ -53,14 +53,12 @@ _EXPORTS = {
     ),
     "equilibrium": (
         "BeliefSystem",
-        "CycleReport",
         "EquilibriumCertificate",
         "SupportProfile",
         "check_support_profile",
         "find_equilibria_grid",
         "find_equilibria_supports",
         "is_equilibrium",
-        "iterate_best_response_supports",
         "pure_nash",
         "support_profile_count",
     ),

@@ -507,6 +507,8 @@ class FiniteCapacity(CapacityBase):
         return type(self), (self.domain, self.values)
 
     def value_mask(self, mask: int) -> Fraction:
+        if not 0 <= mask < len(self.values):
+            self.domain.check_mask(mask)
         return self.values[mask]
 
     @classmethod

@@ -66,12 +66,10 @@ __all__ = [
     "SupportProfile",
     "BeliefSystem",
     "EquilibriumCertificate",
-    "CycleReport",
     "is_equilibrium",
     "check_support_profile",
     "support_profile_count",
     "find_equilibria_supports",
-    "iterate_best_response_supports",
     "find_equilibria_grid",
     "pure_nash",
 ]
@@ -392,54 +390,6 @@ def find_equilibria_supports(game: GameSpec,
     finally:
         object.__setattr__(game, "_belief_cache", None)
     return hits
-
-
-class CycleReport(_Record):
-    """Best-response support iteration that failed to stabilize.
-
-    `trajectory` lists the visited profiles in order; `cycle_start` is
-    the index the final update returned to, or None when the iteration
-    budget ran out before any repeat."""
-
-    __slots__ = _fields = ("trajectory", "cycle_start")
-
-    def __init__(self, trajectory: tuple[SupportProfile, ...], cycle_start: int | None):
-        object.__setattr__(self, "trajectory", trajectory)
-        object.__setattr__(self, "cycle_start", cycle_start)
-
-    @property
-    def cycle(self) -> tuple[SupportProfile, ...]:
-        if self.cycle_start is None:
-            return ()
-        return self.trajectory[self.cycle_start:]
-
-
-def iterate_best_response_supports(game: GameSpec,
-                                   correction: CorrectionMap | None = None,
-                                   max_iters: int = 64,
-                                   ) -> Union[SupportProfile, CycleReport]:
-    """Iterate S <- best responses against the beliefs built from S,
-    starting from full supports. Returns the first stable profile
-    (its stability check doubles as verification) or a cycle report."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    current = SupportProfile.full(game)
-    seen = {current.masks: 0}
-    trajectory = [current]
-    for _ in range(max_iters):
-        cert = check_support_profile(game, current, correction)
-        nxt = tuple(game.strategy_domains[j].as_mask(cert.best_responses[j])
-                    for j in range(game.n_players))
-        if nxt == current.masks:
-            if not cert.holds:
-                raise AssertionError("stable support profile failed verification")
-            return current
-        if nxt in seen:
-            return CycleReport(tuple(trajectory), seen[nxt])
-        current = SupportProfile.from_masks(game, nxt)
-        seen[current.masks] = len(trajectory)
-        trajectory.append(current)
-    return CycleReport(tuple(trajectory), None)
 
 
 def _grid_response_masks(game: GameSpec, player: int,

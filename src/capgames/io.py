@@ -263,19 +263,22 @@ def serialize_capacity(cap: FiniteCapacity, indent: int | None = 2) -> str:
     return json.dumps(body, indent=indent)
 
 
-def serialize_game(game: GameSpec, indent: int | None = 2) -> str:
+def _game_body(game: GameSpec) -> dict:
     def nest(player: int, prefix: list[int], axis: int):
         if axis == game.n_players:
             return format_rational(game.payoff(player, prefix))
         return [nest(player, prefix + [k], axis + 1)
                 for k in range(game.sizes[axis])]
 
-    body = {
+    return {
         "players": game.n_players,
         "strategies": [list(d.labels) for d in game.strategy_domains],
         "payoffs": {str(i): nest(i, [], 0) for i in range(game.n_players)},
     }
-    return json.dumps(body, indent=indent)
+
+
+def serialize_game(game: GameSpec, indent: int | None = 2) -> str:
+    return json.dumps(_game_body(game), indent=indent)
 
 
 def serialize_function(func: PayoffFunction, indent: int | None = 2) -> str:
@@ -291,6 +294,5 @@ def canonical_game_hash(game: GameSpec) -> str:
     """sha256 over a whitespace-free, key-sorted serialization."""
     import hashlib  # only game hashes need it
 
-    canonical = json.dumps(json.loads(serialize_game(game, indent=None)),
-                           sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_game_body(game), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

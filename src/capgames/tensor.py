@@ -89,9 +89,23 @@ class ProductDomain(_Record):
         # itertools.product varies the last factor fastest: row-major.
         labels = tuple("|".join(point) for point in
                        itertools.product(*(d.labels for d in self.factors)))
+        try:
+            flat = Domain(labels)
+        except ValueError:
+            # Factor labels may contain "|": name two points that join
+            # to one label.
+            seen: dict[str, tuple[str, ...]] = {}
+            for point in itertools.product(*(d.labels for d in self.factors)):
+                label = "|".join(point)
+                if label in seen:
+                    raise ValueError(
+                        f"factor points {seen[label]} and {point} join to the "
+                        f"same product label {label!r}") from None
+                seen[label] = point
+            raise
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_strides", _row_major_strides(sizes))
-        object.__setattr__(self, "flat", Domain(labels))
+        object.__setattr__(self, "flat", flat)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -260,6 +274,7 @@ class LazyTensorCapacity(CapacityBase):
         return type(self), (self.factors,)
 
     def value_mask(self, mask: int) -> Fraction:
+        self.domain.check_mask(mask)
         return self._levels[self._rank(mask)]
 
 

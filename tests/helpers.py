@@ -83,8 +83,7 @@ def one_strategy_game() -> GameSpec:
 
 
 def no_support_equilibrium_game() -> GameSpec:
-    """2x2 game with no support-profile equilibrium (exhaustively found;
-    best-response supports cycle on it)."""
+    """2x2 game with no support-profile equilibrium (exhaustively found)."""
     return GameSpec.from_nested(
         [Domain(("a", "b")), Domain(("a", "b"))],
         [[[-2, -1], [-1, -2]], [[-1, -2], [-2, 0]]],

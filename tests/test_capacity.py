@@ -116,6 +116,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             cap.values = ()
 
+    def test_value_mask_is_range_checked(self):
+        cap = FiniteCapacity(AB, [F(0), F(1, 3), F(1, 2), F(1)])
+        assert [cap.value_mask(m) for m in range(4)] == list(cap.values)
+        for mask in (-1, -4, 4, 1 << 20):
+            with pytest.raises(ValueError, match=f"mask {mask} out of range "
+                                                 "for 2-point domain"):
+                cap.value_mask(mask)
+
     def test_rejects_exactly_invalid_tables(self):
         grid = [F(0), F(1, 2), F(1)]
         for combo in itertools.product(grid, repeat=4):

@@ -1,4 +1,4 @@
-"""Equilibrium conditions, support scans, iteration, and grid oracle."""
+"""Equilibrium conditions, support scans, and grid oracle."""
 
 import itertools
 import math
@@ -12,10 +12,11 @@ from capgames import (
     BeliefSystem,
     FiniteCapacity,
     BudgetExceeded,
-    CycleReport,
+    Domain,
     DomainMismatch,
     EmptySupport,
     GameSpec,
+    LazyTensorCapacity,
     SupportProfile,
     best_response,
     bottom_capacity,
@@ -26,7 +27,6 @@ from capgames import (
     find_equilibria_grid,
     find_equilibria_supports,
     is_equilibrium,
-    iterate_best_response_supports,
     logit_correction,
     materialize,
     opponent_domain,
@@ -288,6 +288,21 @@ class TestCheckSupportProfile:
         with pytest.raises(ValueError):
             check_support_profile(game, bogus)
 
+    def test_ten_strategy_three_player_profile_certifies(self):
+        # Each opponent product has 100 points, past the dense cap, so
+        # the beliefs are lazy tensors.
+        domains = (letters(10),) * 3
+        profiles = list(itertools.product(range(10), repeat=3))
+        # Every player's own strategy "a" strictly dominates.
+        dominant = GameSpec(domains, tuple(tuple(-p[i] for p in profiles)
+                                           for i in range(3)))
+        start = time.perf_counter()
+        profile = SupportProfile.from_labels(dominant, [("a",)] * 3)
+        cert = check_support_profile(dominant, profile)
+        assert all(isinstance(b, LazyTensorCapacity) for b in cert.beliefs.beliefs)
+        assert cert.holds
+        assert time.perf_counter() - start < 5
+
     @given(seed=st.integers(0, 2**32))
     def test_measure_and_set_conditions_agree(self, seed):
         rng = SplitMix64(seed)
@@ -324,6 +339,18 @@ class TestFindEquilibriaSupports:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             find_equilibria_supports(coordination_game(), budget=2)
+
+    def test_colliding_opponent_labels_name_the_points(self):
+        # Player 2's opponent points ("a|b", "c") and ("a", "b|c") both
+        # join to "a|b|c". Equal payoffs make every profile a hit, so the
+        # scan builds every player's belief.
+        domains = (Domain(("a|b", "a")), Domain(("b|c", "c")), letters(2))
+        game = GameSpec(domains, ((F(0),) * 8,) * 3)
+        with pytest.raises(ValueError, match=r"factor points \('a\|b', 'c'\) and "
+                                             r"\('a', 'b\|c'\) join to the same "
+                                             r"product label 'a\|b\|c'"):
+            find_equilibria_supports(game)
+        assert pure_nash(game) == list(itertools.product(*(d.labels for d in domains)))
 
     @given(seed=st.integers(0, 2**32))
     def test_hits_verify_against_independently_built_beliefs(self, seed):
@@ -405,72 +432,6 @@ class TestFindEquilibriaSupports:
             for i in range(game.n_players):
                 _best_response_masks(game, i)
         assert compares == [0]
-
-
-class TestIterateBestResponse:
-    def test_coordination_stabilizes_at_full(self):
-        out = iterate_best_response_supports(coordination_game())
-        assert isinstance(out, SupportProfile)
-        assert out.masks == (0b11, 0b11)
-
-    def test_pennies_full_is_immediately_stable(self):
-        out = iterate_best_response_supports(matching_pennies())
-        assert isinstance(out, SupportProfile)
-        assert out.masks == (0b11, 0b11)
-
-    def test_dominant_game_contracts_to_the_dominant_point(self):
-        out = iterate_best_response_supports(dominant_game())
-        assert isinstance(out, SupportProfile)
-        assert out.labels == (("a",), ("a",))
-
-    def test_counterexample_cycles(self):
-        out = iterate_best_response_supports(no_support_equilibrium_game())
-        assert isinstance(out, CycleReport)
-        assert out.cycle_start == 2
-        assert [p.labels for p in out.trajectory] == [
-            (("a", "b"), ("a", "b")),
-            (("a", "b"), ("b",)),
-            (("a",), ("b",)),
-            (("a",), ("a",)),
-            (("b",), ("a",)),
-            (("b",), ("b",)),
-        ]
-        assert out.cycle == out.trajectory[2:]
-
-    def test_stable_result_is_an_equilibrium(self):
-        out = iterate_best_response_supports(dominant_game())
-        cert = check_support_profile(dominant_game(), out)
-        assert cert.holds
-
-    def test_max_iters_validation(self):
-        with pytest.raises(ValueError):
-            iterate_best_response_supports(coordination_game(), max_iters=0)
-
-    def test_truncation_reports_no_cycle(self):
-        out = iterate_best_response_supports(dominant_game(), max_iters=1)
-        assert isinstance(out, CycleReport)
-        assert out.cycle_start is None
-        assert out.cycle == ()
-        assert len(out.trajectory) == 2
-
-    def test_three_players_with_ten_strategies_finish_quickly(self):
-        # Each step is one check_support_profile. A best-response table
-        # over every box of opponent supports would hold 10.5 M entries
-        # a player here.
-        domains = (letters(10),) * 3
-        profiles = list(itertools.product(range(10), repeat=3))
-        # Every player's own strategy "a" strictly dominates.
-        dominant = GameSpec(domains, tuple(tuple(-p[i] for p in profiles)
-                                           for i in range(3)))
-        start = time.perf_counter()
-        out = iterate_best_response_supports(dominant)
-        assert out.labels == (("a",),) * 3
-        assert check_support_profile(dominant, out).holds
-        for seed in (1, 2):
-            out = iterate_best_response_supports(
-                random_game(SplitMix64(seed), [10, 10, 10]))
-            assert isinstance(out, (SupportProfile, CycleReport))
-        assert time.perf_counter() - start < 5
 
 
 class TestFindEquilibriaGrid:

@@ -32,6 +32,7 @@ from capgames import (
     sugeno_integral,
     tensor2,
     tensor_many,
+    top_capacity,
 )
 import capgames
 from capgames.cli import main
@@ -337,6 +338,17 @@ class TestCanonicalHash:
         assert canonical_game_hash(coordination_game()) != \
             canonical_game_hash(no_support_equilibrium_game())
 
+    @pytest.mark.parametrize("make, digest", [
+        (coordination_game,
+         "b71ea91cc68b44bdd35641ab2c9eebed04c8d29e4a3b0140ec93f21357909fab"),
+        (no_support_equilibrium_game,
+         "4377ed019766adb6aee97106d6d02911e58e6a27e2b8789f4a777c620925159f"),
+        (lambda: random_game(SplitMix64(6), (2, 3, 2)),
+         "8f0bde5147f5626a89834a4cdc0703e54770deee534b93a49126b7f2c6f2b31f"),
+    ], ids=["coordination", "no-support-equilibrium", "random-2x3x2"])
+    def test_pinned_digests(self, make, digest):
+        assert canonical_game_hash(make()) == digest
+
 
 def _write(tmp_path: Path, name: str, text: str) -> str:
     path = tmp_path / name
@@ -449,6 +461,15 @@ class TestCli:
         prod = tmp_path / "prod.json"
         assert main(["tensor", f1, f2, "--out", str(prod)]) == 0
         assert parse_capacity(prod) == tensor_many([left, right])
+
+    def test_tensor_names_colliding_product_labels(self, tmp_path, capsys):
+        f1 = _write(tmp_path, "left.json",
+                    serialize_capacity(top_capacity(Domain(("a|b", "a")))))
+        f2 = _write(tmp_path, "right.json",
+                    serialize_capacity(top_capacity(Domain(("b|c", "c")))))
+        assert main(["tensor", f1, f2]) == 2
+        assert ("error: factor points ('a|b', 'c') and ('a', 'b|c') join to the "
+                "same product label 'a|b|c'") in capsys.readouterr().err
 
     def test_tensor_needs_two_files(self, tmp_path, capsys):
         f1 = _write(tmp_path, "one.json", serialize_capacity(seeded_capacity(14, 2)))

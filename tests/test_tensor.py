@@ -90,6 +90,14 @@ class TestProductDomain:
             pd.mask_of_box([0b11])
 
 
+    def test_colliding_labels_name_the_points(self):
+        # ("a|b", "c") and ("a", "b|c") both join to "a|b|c".
+        with pytest.raises(ValueError, match=r"factor points \('a\|b', 'c'\) and "
+                                             r"\('a', 'b\|c'\) join to the same "
+                                             r"product label 'a\|b\|c'"):
+            product_domain([Domain(("a|b", "a")), Domain(("b|c", "c"))])
+
+
 class TestTensorExamples:
     def test_dirac_tensor_dirac_is_dirac_on_the_pair(self):
         out = tensor2(dirac_capacity(AB, "b"), dirac_capacity(XY, "x"))
@@ -302,6 +310,17 @@ class TestLazyTensor:
         mask = 0b1010
         first = lazy.value_mask(mask)
         assert lazy.value_mask(mask) == first
+
+    def test_value_mask_is_range_checked(self):
+        caps = [seeded_capacity(63, 2), seeded_capacity(64, 2)]
+        lazy = lazy_tensor(caps)
+        dense = tensor_many(caps)
+        assert ([lazy.value_mask(m) for m in range(16)]
+                == [dense.value_mask(m) for m in range(16)])
+        for mask in (1 << 20, -1, 16, 19):
+            with pytest.raises(ValueError, match=f"mask {mask} out of range "
+                                                 "for 4-point domain"):
+                lazy.value_mask(mask)
 
     def test_single_factor_short_circuits(self):
         cap = seeded_capacity(71, 3)
