@@ -16,6 +16,7 @@ import datetime
 import json
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 # The modules every command loads (io needs the other three). The rest
 # are imported inside the commands that run them, so that a cold process
@@ -60,9 +61,46 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [parse_rational(part) for part in text.split(",")]
 
 
-def _parse_supports(text: str) -> list[list[str]]:
-    groups = text.split(";")
-    return [[lab for lab in group.split(",") if lab] for group in groups]
+def _parse_supports(text: str, domains: Sequence[Domain]) -> list[list[str]]:
+    """Per-player strategy groups: players split by ";", strategies by ","
+    (empty items skipped). A label may hold ";", so the text is read
+    against the players' own labels; exactly one reading with one
+    nonempty group per player is used, several are an error. With none,
+    the plain split is returned, for the profile check to name what is
+    wrong."""
+    readings = _support_readings(text, domains)
+    if len(readings) > 1:
+        raise ValueError(f"supports {text!r} can be read {len(readings)} ways: "
+                         + " or ".join(map(str, readings)))
+    if readings:
+        return readings[0]
+    return [[lab for lab in group.split(",") if lab] for group in text.split(";")]
+
+
+def _support_readings(text: str, domains: Sequence[Domain]) -> list[list[list[str]]]:
+    """Every way to read `text` as one nonempty ","-joined group of labels
+    per domain, the groups joined by ";"; empty items are skipped. Sorted."""
+    last = len(domains) - 1
+    readings: list[list[list[str]]] = []
+    # (pos, groups, group): text[pos:] starts an item of player
+    # len(groups)'s group, which holds `group` so far; the item is empty
+    # or one of the player's labels.
+    stack: list[tuple[int, list[list[str]], list[str]]] = [(0, [], [])]
+    while stack:
+        pos, groups, group = stack.pop()
+        j = len(groups)
+        for item in ["", *(lab for lab in domains[j].labels
+                           if text.startswith(lab, pos))]:
+            end = pos + len(item)
+            items = group + [item] if item else group
+            if end == len(text):
+                if items and j == last:
+                    readings.append(groups + [items])
+            elif text[end] == ",":
+                stack.append((end + 1, groups, items))
+            elif text[end] == ";" and items and j < last:
+                stack.append((end + 1, groups + [items], []))
+    return sorted(readings)
 
 
 def cmd_integrate(args) -> tuple[int, dict | str]:
@@ -111,7 +149,8 @@ def cmd_check_eq(args) -> tuple[int, dict | str]:
 
     corr = _parse_psi(args.psi)
     game = parse_game(args.game, args.allow_decimal)
-    profile = SupportProfile.from_labels(game, _parse_supports(args.supports))
+    profile = SupportProfile.from_labels(
+        game, _parse_supports(args.supports, game.strategy_domains))
     cert = check_support_profile(game, profile, corr)
     report = {
         "config": {"game": args.game, "supports": args.supports,

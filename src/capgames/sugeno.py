@@ -200,11 +200,11 @@ def _level_set_max(level_sets: Iterable[tuple[Fraction, int]],
     each with the mask of the points at or above it.
 
     The one level-set loop behind the corrected integral (lift = the
-    correction map), the classical integral and the tensor product
+    correction map), the classical integral and the lazy tensor product
     (lift = identity). `level_of` maps a point mask to its level, a
     capacity's `value_mask`. Two callers run it on ranks, where values,
     levels and the result are ints, 0 is the rank of level 0 and `top`
-    the rank of level 1: the tensor kernel, whose values and levels are
+    the rank of level 1: the lazy tensor, whose values and levels are
     ranks in one sorted list, and the grid equilibrium search, whose
     level sets are computed once per payoff slice, whose levels are
     ranks in the grid and whose lift maps a grid rank to the rank of

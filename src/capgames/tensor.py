@@ -7,15 +7,19 @@ classical Sugeno integral of the section map x -> mu2(B_x) against mu1:
 
 The sup is attained at a section value, which is what the classical
 integral's level-set form computes; a brute-force t-scan over candidate
-levels re-validates this in the test suite. The formula uses only min,
-max and order, so the dense product runs on ranks: each value is
-replaced by its position in one sorted list of both factors' values,
-the level-set loop and the capacity validation of the output compare
-ints, and the ranks become Fractions only in the returned table. The
-lazy evaluator runs on ranks the same way and maps each rank it returns
-back to its value. Products of three or more factors are the left-associated fold of the
-two-factor product; associativity is never assumed (a probe reports
-bracketing differences).
+levels re-validates this in the test suite. Equivalently, the value is
+the max over sets A of first-factor points of min(mu1(A), min over x in
+A of mu2(B_x)). Splitting that max on whether A holds the first point
+builds the dense table from two tables on one first-factor point fewer
+(see `tensor2`). The formula uses only min, max and order, so
+the dense product runs on ranks: each value is replaced by its position
+in one sorted list of both factors' values, the table and its capacity
+validation compare ints, and the ranks become Fractions only in the
+returned table. The lazy evaluator runs the level-set loop on ranks the
+same way and maps each rank it returns back to its value. Products of
+three or more factors are the left-associated fold of the two-factor
+product; associativity is never assumed (a probe reports bracketing
+differences).
 
 Flat product domains index tuples row-major in ascending factor order
 and label them by joining the factor labels with "|". The structure
@@ -165,10 +169,16 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     product uses only min, max and order, so it runs on ranks: the
     values of both factors, with 0 and 1, form one sorted list `levels`,
     and each factor's table becomes a table of positions in it
-    (`_ranked`). Masks come in row-major order from `itertools.product`
-    over the right factor's ranks (one tuple of section ranks per mask,
-    last row first), and each distinct tuple goes through the level-set
-    loop once. The output is validated as a capacity on the ranks and only
+    (`_ranked`). The value at B is max over sets A of left points of
+    min(left(A), min over x in A of right(B_x)); splitting on whether A
+    holds the first left point gives
+
+        rank(B) = max(P0[B >> k], min(R[B & (2^k - 1)], P1[B >> k]))
+
+    with R the right factor's ranks and P0, P1 the same table on the
+    other m - 1 rows, against the left ranks of the sets without and
+    with the first point (`_peel_rows`). No mask runs the level-set
+    loop. The table is validated as a capacity on the ranks and only
     then mapped back to the levels.
     """
     m, k = left.domain.size, right.domain.size
@@ -179,18 +189,36 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
         )
     pd = product_domain([left.domain, right.domain])
     levels, (_, left_ranks, right_ranks) = _ranked(_ZERO_ONE, _table(left), _table(right))
-    top = len(levels) - 1
-    memo: dict[tuple[int, ...], int] = {}
-    ranks = []
-    # product varies its last slot fastest, as masks vary their lowest
-    # row: each tuple holds the section ranks of the rows, last row first.
-    for sections in itertools.product(right_ranks, repeat=m):
-        r = memo.get(sections)
-        if r is None:
-            r = memo[sections] = _level_set_max(
-                _level_sets(sections[::-1]), left_ranks.__getitem__, top=top)
-        ranks.append(r)
-    return FiniteCapacity._from_ranks(pd.flat, levels, ranks)
+    return FiniteCapacity._from_ranks(pd.flat, levels,
+                                      _peel_rows(left_ranks, right_ranks, {}))
+
+
+def _peel_rows(left: Sequence[int], right: Sequence[int],
+               rows: dict[tuple[int, int], list[int]]) -> list[int]:
+    """Ranks, by product mask B, of max over row sets A of min(left[A],
+    min over x in A of right[B_x]), for a table `left` on m rows (2^m
+    entries, not necessarily 0 at the empty set) and `right` on k points.
+
+    The A without row 0 give P0 = the same on rows 1..m-1 against
+    left[0::2]; the A with it give min(right[r0], P1), with P1 against
+    left[1::2]. So B = h << k | r0 has max(P0[h], min(right[r0], P1[h])).
+    On 0 rows only A = {} is left: the one-entry table is its own answer.
+    `rows` holds the 2^k ranks built for each (P0[h], P1[h]) pair.
+    """
+    if len(left) == 1:
+        return left
+    out: list[int] = []
+    for p0, p1 in zip(_peel_rows(left[0::2], right, rows),
+                      _peel_rows(left[1::2], right, rows)):
+        row = rows.get((p0, p1))
+        if row is None:
+            # max(p0, min(r, p1)) as a clamp: p0 <= p1, since left[1::2]
+            # bounds left[0::2] (a capacity is monotone), and the table
+            # grows with `left`.
+            row = rows[p0, p1] = [p0 if r <= p0 else r if r < p1 else p1
+                                  for r in right]
+        out += row
+    return out
 
 
 def tensor_many(caps: Sequence[CapacityBase]) -> CapacityBase:
@@ -216,11 +244,13 @@ def marginal(cap: CapacityBase, product: ProductDomain, axis: int) -> FiniteCapa
         raise DomainMismatch("capacity does not live on the given product domain")
     if not isinstance(cap, FiniteCapacity):
         cap = materialize(cap)
+    target = product.factors[axis]
+    stride, size = product._strides[axis], target.size
     mapping = {
-        product.flat.labels[idx]: product.point_at(idx)[axis]
-        for idx in range(product.size)
+        label: target.labels[(idx // stride) % size]
+        for idx, label in enumerate(product.flat.labels)
     }
-    return pushforward(cap, mapping, product.factors[axis])
+    return pushforward(cap, mapping, target)
 
 
 class LazyTensorCapacity(CapacityBase):

@@ -43,7 +43,7 @@ from capgames import (
     random_capacity,
     separating_halves,
 )
-from capgames import convexity, io, sugeno
+from capgames import capacity, convexity, io, sugeno, tensor
 from capgames.convexity import BinarityReport, FULL_FAMILY_CAP, SeparationReport
 
 FRACTION_COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
@@ -245,6 +245,27 @@ def fraction_tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
                          for x in range(m))
         values.append(classical_sugeno(PayoffFunction(left.domain, sections), left))
     return FiniteCapacity(flat, values)
+
+
+def level_set_tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
+    """Reference dense tensor product on ranks: every product mask's
+    section ranks go through the classical integral's level-set loop
+    against the left factor's ranks, one distinct section tuple once."""
+    m = left.domain.size
+    levels, (_, left_ranks, right_ranks) = capacity._ranked(
+        capacity._ZERO_ONE, tensor._table(left), tensor._table(right))
+    memo = {}
+    ranks = []
+    # product varies its last slot fastest, as masks vary their lowest
+    # row: each tuple holds the section ranks of the rows, last row first.
+    for sections in itertools.product(right_ranks, repeat=m):
+        if sections not in memo:
+            memo[sections] = sugeno._level_set_max(
+                sugeno._level_sets(sections[::-1]), left_ranks.__getitem__,
+                top=len(levels) - 1)
+        ranks.append(memo[sections])
+    flat = product_domain([left.domain, right.domain]).flat
+    return FiniteCapacity._from_ranks(flat, levels, ranks)
 
 
 def fraction_tensor_many(caps) -> CapacityBase:

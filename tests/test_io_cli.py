@@ -499,6 +499,36 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["equilibrium"] is False
 
+    def test_check_eq_reads_supports_against_the_labels(self, tmp_path, capsys):
+        # Player 0's first strategy is labelled "x;y": the text has one
+        # reading with a nonempty support per player.
+        body = {"players": 2, "strategies": [["x;y", "z"], ["a", "b"]],
+                "payoffs": {"0": [["1", "0"], ["0", "1"]],
+                            "1": [["1", "0"], ["0", "1"]]}}
+        game_file = _write(tmp_path, "semi.json", json.dumps(body))
+        assert main(["check-eq", game_file, "--supports", "x;y;a"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["supports"] == [["x;y"], ["a"]]
+        assert report["config"]["supports"] == "x;y;a"
+        assert main(["check-eq", game_file, "--supports", "z,x;y;a,b"]) == 0
+        assert json.loads(capsys.readouterr().out)["supports"] == [
+            ["x;y", "z"], ["a", "b"]]
+        # Text with no reading keeps the plain split's errors.
+        assert main(["check-eq", game_file, "--supports", "z"]) == 2
+        assert capsys.readouterr().err == "error: one support per player required\n"
+        assert main(["check-eq", game_file, "--supports", "q;a"]) == 2
+        assert "'q'" in capsys.readouterr().err
+
+        # With "x" and "x;y" for player 0 and "y;a" and "a" for player 1,
+        # "x;y;a" reads two ways; both are named.
+        body["strategies"] = [["x", "x;y"], ["y;a", "a"]]
+        game_file = _write(tmp_path, "ambiguous.json", json.dumps(body))
+        assert main(["check-eq", game_file, "--supports", "x;y;a"]) == 2
+        assert capsys.readouterr().err == (
+            "error: supports 'x;y;a' can be read 2 ways: "
+            "[['x'], ['y;a']] or [['x;y'], ['a']]\n")
+        assert main(["check-eq", game_file, "--supports", "x;a"]) == 1
+
     def test_solve_coordination(self, coord_game_file, capsys):
         assert main(["solve", coord_game_file]) == 0
         report = json.loads(capsys.readouterr().out)

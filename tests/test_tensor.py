@@ -36,6 +36,7 @@ from helpers import (
     dumb_tensor_value,
     fraction_tensor_many,
     letters,
+    level_set_tensor2,
     seeded_capacity,
 )
 
@@ -165,9 +166,10 @@ class TestTensorAgainstReference:
             assert out.value_mask(mask) == dumb_tensor_value(left, right, mask)
 
 
-# Factor sizes (left, right) of the rank-kernel tests, up to 3x4, 4x3, 5x2.
+# Factor sizes (left, right) of the rank-kernel tests, up to 3x4, 4x3,
+# 5x2 and 6x1.
 KERNEL_SIZES = ((1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4),
-                (4, 2), (2, 5), (5, 2), (3, 4), (4, 3))
+                (4, 2), (2, 5), (5, 2), (3, 4), (4, 3), (4, 1), (6, 1))
 # Grid denominators: 6 and 8 put values of the two factors between each
 # other in the sorted level list.
 DENOMINATORS = (2, 3, 6, 8)
@@ -175,6 +177,36 @@ DENOMINATORS = (2, 3, 6, 8)
 
 def right_letters(count: int) -> Domain:
     return Domain(tuple(f"p{k}" for k in range(count)))
+
+
+@st.composite
+def kernel_factors(draw, domain: Domain):
+    """A capacity on `domain`: vacuous, top, a dirac, a possibility, a
+    grid capacity whose values the other factor may share, or a lazy
+    tensor of two such grid capacities."""
+    kind = draw(st.sampled_from(
+        ("vacuous", "top", "dirac", "possibility", "grid", "lazy")))
+    labels = domain.labels
+    if kind == "vacuous":
+        return bottom_capacity(domain)
+    if kind == "top":
+        return top_capacity(domain)
+    if kind == "dirac":
+        return dirac_capacity(domain, draw(st.sampled_from(labels)))
+    if kind == "possibility":
+        return possibility_capacity(
+            domain, draw(st.sets(st.sampled_from(labels), min_size=1)))
+    # Small shared denominators tie values across the two factors.
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    denominator = draw(st.sampled_from((2, 3, 4)))
+    if kind == "grid":
+        return random_capacity(domain, rng, denominator)
+    # A lazy factor of the same size, 1 x n or 2 x n/2 points.
+    first = 2 if domain.size % 2 == 0 else 1
+    return lazy_tensor([random_capacity(letters(first), rng, denominator),
+                        random_capacity(Domain(tuple(f"{lab}'" for lab in
+                                                     labels[:domain.size // first])),
+                                        rng, denominator)])
 
 
 class TestRankKernel:
@@ -215,6 +247,25 @@ class TestRankKernel:
         for mask in range(out.domain.subset_count):
             assert out.value_mask(mask) == dumb_tensor_value(left, lazy, mask)
         assert tensor2(lazy, left) == tensor2(materialize(lazy), left)
+
+    @given(sizes=st.sampled_from(KERNEL_SIZES), data=st.data())
+    def test_matches_the_level_set_loop(self, sizes, data):
+        left = data.draw(kernel_factors(letters(sizes[0])), label="left")
+        right = data.draw(kernel_factors(right_letters(sizes[1])), label="right")
+        out = tensor2(left, right)
+        assert out == level_set_tensor2(left, right)
+
+    @pytest.mark.parametrize("sizes", [(8, 2), (4, 4), (2, 8)])
+    def test_sixteen_points_match_the_level_set_loop(self, sizes):
+        rng = SplitMix64(sizes[0])
+        left = random_capacity(letters(sizes[0]), rng, 6)
+        right = random_capacity(right_letters(sizes[1]), rng, 4)
+        out = tensor2(left, right)
+        assert out.domain.size == 16
+        assert out == level_set_tensor2(left, right)
+        for _ in range(20):
+            mask = rng.below(out.domain.subset_count)
+            assert out.value_mask(mask) == dumb_tensor_value(left, right, mask)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_three_factors_match_the_fraction_loop(self, seed):
