@@ -20,10 +20,12 @@ capacities:
 
 Both checks read values only through order, so a space ranks each
 member into its sorted distinct grid once (`capacity._ranked`), and the
-scans compare those ints in numpy batches; a half's corners, midpoints
-included, become rank bounds by bisection. The binarity scan keeps its
-interval links as packed uint64 rows and checks triples by row ANDs and
-popcounts.
+scans compare those ints in numpy batches; a half's corners take the
+levels 0, a and 1, each bisected once into a rank bound. The binarity
+scan finds joins and meets by exact int64 keys of the member rows, with
+no row sort, keeps its interval links as packed uint64 rows, and counts
+each linked triple i < j < k once, by an AND of the rows of the links
+above i and above j, read from j's word on, and a popcount.
 """
 
 from __future__ import annotations
@@ -165,19 +167,40 @@ def interval_membership(iv: CapacityInterval, cap: FiniteCapacity) -> bool:
 def _member_table(mat: np.ndarray, op) -> np.ndarray:
     """table[a, b] = index of the row op(mat[a], mat[b]) in mat.
 
-    `mat` holds distinct rows in lexicographic order, as np.unique
-    returns them. Raises AssertionError if some op(mat[a], mat[b]) is
-    not a row of mat, i.e. if the space is not closed under op.
+    `mat` holds distinct integer rows in lexicographic order, as
+    np.unique returns them. Each row gets an exact int64 key, a mixed
+    radix over the distinct values of each column of mat, the first
+    column most significant; before the radices' product would leave
+    int64, the partial keys are renumbered by rank among mat's. So
+    mat's keys ascend, np.searchsorted finds each op row's key, and the
+    rows found are compared with the op rows. Raises AssertionError if
+    some op(mat[a], mat[b]) is not a row of mat, i.e. if the space is
+    not closed under op.
     """
     import numpy as np
 
-    n = len(mat)
-    pairs = op(mat[:, None], mat[None]).reshape(n * n, -1)
-    found, index = np.unique(np.concatenate((mat, pairs)), axis=0, return_inverse=True)
-    if len(found) != n:
+    def distinct(ascending):
+        return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
+
+    def rank_in(ascending, x):
+        return np.minimum(np.searchsorted(ascending, x), len(ascending) - 1)
+
+    n, width = mat.shape
+    rows = np.concatenate((mat, op(mat[:, None], mat[None]).reshape(n * n, width)))
+    keys = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for col in rows.T:
+        digits = distinct(np.sort(col[:n]))
+        if span > np.iinfo(np.int64).max // len(digits):
+            prefixes = distinct(keys[:n])
+            keys, span = rank_in(prefixes, keys), len(prefixes)
+        keys = keys * len(digits) + rank_in(digits, col)
+        span *= len(digits)
+    index = rank_in(keys[:n], keys[n:])
+    if not (mat[index] == rows[n:]).all():
         raise AssertionError(
             f"pointwise {op.__name__} of two members left the space; closure broken")
-    return index.reshape(-1)[n:].reshape(n, n)
+    return index.reshape(n, n)
 
 
 class BinarityReport(_Record):
@@ -223,16 +246,22 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
     ordered, and it is then again an interval, i ∩ j. So a pairwise
     linked triple {i, j, k} with i < j < k has a common member iff k is
-    linked to i ∩ j. Building the join and meet tables checks closure
-    for every pair of members and raises AssertionError on a space that
-    is not a lattice.
+    linked to i ∩ j. Building the join and meet tables, by exact int64
+    keys of the member rows (`_member_table`), checks closure for every
+    pair of members and raises AssertionError on a space that is not a
+    lattice.
 
     Each interval's links are one row of packed uint64 words, built in
-    bounded blocks of rows. The linked pairs are then walked in blocks
-    of about _BLOCK_WORDS words: per pair (i, j), one row AND gives the
-    k linked to both, one popcount counts them, and a second AND with
-    the row of i ∩ j leaves the failures, unpacked only when some word
-    is nonzero. Failures come in (i, j, k) order, and the scan stops
+    bounded blocks of rows, one entry per lookup of the order table at
+    (join_of[L_a, L_b], meet_of[H_a, H_b]); later[i] keeps the links of
+    i above i. For a linked pair i < j, later[i] & later[j] holds the
+    k > j linked to both, once per triple i < j < k, and no bit below
+    j. So each row block's pairs are sorted by the word of j and walked
+    in runs of about _BLOCK_WORDS words, each run reading only the words
+    from its first j's on: one popcount counts a run's triples, and an
+    AND with the rows of the i ∩ j leaves its failures. The failing
+    pairs of a row block are put in (i, j) order and only the first few
+    unpacked, so failures come in (i, j, k) order, and the scan stops
     recording them once FAILURE_CAP are listed, full family included.
     The full-family scan runs on the same rows as Python integers. A
     space with no members has no intervals and passes.
@@ -265,54 +294,81 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
             f"intervals, have {m}"
         )
 
-    join_of = _member_table(mat, np.maximum)
-    meet_of = _member_table(mat, np.minimum)
-    interval_of = np.full((n, n), -1, dtype=np.intp)
+    # Flat indices a * n + b into the n x n tables fit int32 up to 2^31
+    # entries, and int32 tables halve what the gathers move.
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+    join_of = _member_table(mat, np.maximum).astype(index)
+    meet_of = _member_table(mat, np.minimum).astype(index)
+    interval_of = np.full((n, n), -1, dtype=index)
     interval_of[lows, highs] = np.arange(m)
+    ordered, join_rows = below.ravel(), join_of * n
 
     # link[i] packs the intervals linked to i, later[i] those of them
     # above i; bit k of a row is bit k % 64 of its word k // 64.
     words, row_bytes = -(-m // 64), -(-m // 8)
     link = np.zeros((m, words), dtype=np.uint64)
-    later = np.zeros((m, words), dtype=np.uint64)
     block_rows = max(1, _BLOCK_ENTRIES // m)
     for a in range(0, m, block_rows):
         block = slice(a, a + block_rows)
-        linked = interval_of[join_of[lows[block, None], lows],
-                             meet_of[highs[block, None], highs]] >= 0
+        linked = ordered[np.take(join_rows[lows[block]], lows, axis=1)
+                         + np.take(meet_of[highs[block]], highs, axis=1)]
         link.view(np.uint8)[block, :row_bytes] = np.packbits(
             linked, axis=1, bitorder="little")
-        later.view(np.uint8)[block, :row_bytes] = np.packbits(
-            np.triu(linked, a + 1), axis=1, bitorder="little")
+    # later[r] keeps the bits of link[r] above r: the words past r // 64,
+    # and in word r // 64 the bits above r % 64.
+    r = np.arange(m)
+    later = np.where(np.arange(words) > r[:, None] // 64, link, np.uint64(0))
+    later[r, r // 64] = link[r, r // 64] & (np.uint64(2**64 - 2) << (r % 64).astype(np.uint64))
 
-    # Over the linked pairs i < j, later[i] & link[j] holds every k > i
-    # linked to both: j itself once per pair, and each triple i < j < k
-    # twice, at (i, j) and at (i, k). Its failures are the k > j of
-    # that set that are not linked to i ∩ j.
+    # Over the linked pairs i < j, later[i] & later[j] holds the k > j
+    # linked to both, once per triple i < j < k, and no bit below j. The
+    # failures of (i, j) are the k of that set not linked to i ∩ j.
+    def unlinked(i, j, common, w):
+        # The bits of `common`, words w on, not linked to each i ∩ j.
+        inside = interval_of.ravel()[join_rows[lows[i], lows[j]] + meet_of[highs[i], highs[j]]]
+        return common & ~link[inside, w:]
+
     linked_pairs = int(np.bitwise_count(later).sum())
-    counted = 0
+    triples_checked = 0
     failures: list[tuple[int, int, int]] = []
-    pair_block = max(1, _BLOCK_WORDS // words)
     for a in range(0, m, block_rows):
-        firsts, seconds = np.nonzero(np.unpackbits(
-            later[a:a + block_rows].view(np.uint8), axis=1, count=m, bitorder="little"))
-        firsts += a
-        for b in range(0, len(firsts), pair_block):
-            i, j = firsts[b:b + pair_block], seconds[b:b + pair_block]
-            common = later[i] & link[j]
-            counted += int(np.bitwise_count(common).sum())
-            if len(failures) == FAILURE_CAP:
-                continue
-            inside = interval_of[join_of[lows[i], lows[j]], meet_of[highs[i], highs[j]]]
-            bad = common & ~link[inside]
-            for p in np.flatnonzero(bad.any(axis=1)).tolist():
-                ks = np.flatnonzero(np.unpackbits(
-                    bad[p].view(np.uint8), count=m, bitorder="little"))
-                ks = ks[ks > j[p]][:FAILURE_CAP - len(failures)]
-                failures.extend((int(i[p]), int(j[p]), k) for k in ks.tolist())
-                if len(failures) == FAILURE_CAP:
-                    break
-    triples_checked = (counted - linked_pairs) // 2
+        # The block's pairs, sorted by j's word w and then in (i, j) order:
+        # in the bits of the block's word columns, bit r * 64 + t of
+        # column w is bit t of row a + r's word w. A run of pairs from
+        # word w on reads only the words from w on.
+        bits = np.unpackbits(np.ascontiguousarray(later[a:a + block_rows].T).view(np.uint8),
+                             axis=1, bitorder="little")
+        word_of, spots = np.divmod(np.flatnonzero(bits), bits.shape[1])
+
+        def pairs(p):
+            return a + (spots[p] >> 6), word_of[p] * 64 + (spots[p] & 63)
+
+        suspects = []
+        b = 0
+        while b < len(spots):
+            w = int(word_of[b])
+            run = slice(b, b + max(1, _BLOCK_WORDS // (words - w)))
+            i, j = pairs(run)
+            common = later[i, w:]
+            common &= later[j, w:]
+            triples_checked += int(np.bitwise_count(common).sum())
+            if len(failures) < FAILURE_CAP:
+                bad = unlinked(i, j, common, w)
+                if np.count_nonzero(bad):
+                    suspects.append(b + np.flatnonzero(bad.any(axis=1)))
+            b = run.stop
+        if suspects:
+            # Each failing pair fails at least once, so the first failures
+            # of the block, in (i, j, k) order, lie in its first failing
+            # pairs in (i, j) order.
+            room = FAILURE_CAP - len(failures)
+            i, j = pairs(np.concatenate(suspects))
+            p = np.lexsort((j, i))[:room]
+            i, j = i[p], j[p]
+            for q, row in enumerate(unlinked(i, j, later[i] & later[j], 0)):
+                ks = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
+                failures.extend((int(i[q]), int(j[q]), k) for k in ks[:room].tolist())
+                room = FAILURE_CAP - len(failures)
 
     full_family_sets = None
     if full_family:
@@ -481,12 +537,16 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
                     keys[key] = len(keys)
                     # A value is >= a corner value c iff its rank is >= the
                     # least rank whose level is >= c, and <= c iff its rank
-                    # is below the least rank whose level is > c.
-                    for half, inside in zip(_halves(caps[0].domain, w, key[1]),
-                                            (in_hi, in_lo)):
-                        low = [bisect_left(levels, c) for c in half.lower.values]
-                        high = [bisect_right(levels, c) for c in half.upper.values]
-                        inside.append((ranks >= low).all(axis=1) & (ranks < high).all(axis=1))
+                    # is below the least rank whose level is > c. The
+                    # corners take few values (0, a and 1), each bisected
+                    # once; the corner tables map their ranks to those.
+                    halves = _halves(caps[0].domain, w, key[1])
+                    values, corners = _ranked(*(c.values for half in halves
+                                                for c in (half.lower, half.upper)))
+                    low = np.array([bisect_left(levels, v) for v in values])[corners[0::2]]
+                    high = np.array([bisect_right(levels, v) for v in values])[corners[1::2]]
+                    for inside, lo, hi in zip((in_hi, in_lo), low, high):
+                        inside.append((ranks >= lo).all(axis=1) & (ranks < hi).all(axis=1))
                 key_of[code] = keys[key]
             if known < len(keys):
                 hi_table, lo_table = np.array(in_hi), np.array(in_lo)

@@ -31,7 +31,8 @@ from capgames import (
 )
 from capgames import convexity
 
-from helpers import _scale_of, bigint_binarity_scan, letters, pairwise_t2_scan
+from helpers import (_scale_of, _scaled_matrix, bigint_binarity_scan, letters,
+                     pairwise_t2_scan)
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -188,6 +189,21 @@ class TestIntervals:
             interval(top_capacity(AB), top_capacity(ABC))
 
 
+def break_member_table(monkeypatch, table, mutation):
+    """Patch convexity._member_table so that its join or meet table is
+    shifted by one member or reversed; both binarity scans read it."""
+    member_table = convexity._member_table
+    op = np.minimum if table == "meet" else np.maximum
+
+    def broken(mat, fn):
+        found = member_table(mat, fn)
+        if fn is not op:
+            return found
+        return (found + 1) % len(mat) if mutation == "shifted" else len(mat) - 1 - found
+
+    monkeypatch.setattr(convexity, "_member_table", broken)
+
+
 def brute_force_binarity(space):
     """Reference triple scan over the distinct corner boxes."""
     boxes = set()
@@ -327,22 +343,39 @@ class TestBinarity:
         # A broken join or meet table links the wrong intervals; both scans
         # read the same table, so they must report the same failures.
         space = enumerate_capacities(AB, GRID3)
-        member_table = convexity._member_table
-        op = np.minimum if table == "meet" else np.maximum
-
-        def broken(mat, fn):
-            found = member_table(mat, fn)
-            if fn is not op:
-                return found
-            return (found + 1) % len(mat) if mutation == "shifted" else len(mat) - 1 - found
-
-        monkeypatch.setattr(convexity, "_member_table", broken)
+        break_member_table(monkeypatch, table, mutation)
         fast, slow = check_binarity(space), bigint_binarity_scan(space)
         assert fast.failures == slow.failures
         # Each broken table fails more triples than the cap: the scan lists
         # the first FAILURE_CAP of them, in (i, j, k) order, and no more.
         assert len(fast.failures) == convexity.FAILURE_CAP == 16
         assert list(fast.failures) == sorted(fast.failures)
+
+    @pytest.mark.parametrize("blocks", [None, (1, 1), (600, 7)])
+    @pytest.mark.parametrize("table, mutation", [
+        ("meet", "shifted"), ("meet", "reversed"), ("join", "shifted"), ("join", "reversed")])
+    def test_broken_member_table_fails_alike_across_words(self, monkeypatch, table,
+                                                         mutation, blocks):
+        # The 3-point {0, 1} space has 18 members and 129 intervals, so
+        # each link row spans 3 words. With the join table reversed, the
+        # first failures come from pairs whose j lie in different words,
+        # (7, 105, k) before (13, 57, k). The blocks (entries per row block,
+        # words per run of pairs) also cut the scan into one row a block
+        # and one pair a run, or into blocks of 4 rows and short runs.
+        space = enumerate_capacities(ABC, (0, 1))
+        assert (len(space), check_binarity(space).interval_count) == (18, 129)
+        if blocks:
+            monkeypatch.setattr(convexity, "_BLOCK_ENTRIES", blocks[0])
+            monkeypatch.setattr(convexity, "_BLOCK_WORDS", blocks[1])
+        break_member_table(monkeypatch, table, mutation)
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert fast.failures == slow.failures
+        assert (fast.linked_pairs, fast.triples_checked) == (slow.linked_pairs,
+                                                             slow.triples_checked)
+        assert len(fast.failures) == convexity.FAILURE_CAP == 16
+        assert list(fast.failures) == sorted(fast.failures)
+        if (table, mutation) == ("join", "reversed"):
+            assert fast.failures[0][:2] == (7, 105) and fast.failures[-1][:2] == (13, 57)
 
     @pytest.mark.parametrize("cap", [16, 7])
     def test_failure_cap_covers_the_full_family(self, monkeypatch, cap):
@@ -372,6 +405,72 @@ class TestBinarity:
                     report.triples_checked, report.failures,
                     report.full_family_sets) == (0, 0, 0, 0, (), sets)
         assert check_t2(space).passed
+
+
+def closure(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The rows closed under pointwise max and min, sorted."""
+    found = set(rows)
+    while True:
+        more = {tuple(op(x, y)) for x in found for y in found for op in (
+            lambda x, y: map(max, x, y), lambda x, y: map(min, x, y))} - found
+        if not more:
+            return sorted(found)
+        found |= more
+
+
+class TestMemberTable:
+    """convexity._member_table against a dict from row tuples to indices."""
+
+    @staticmethod
+    def assert_matches_a_dict(mat: np.ndarray) -> None:
+        index = {row: k for k, row in enumerate(map(tuple, mat.tolist()))}
+        for op in (np.maximum, np.minimum):
+            want = [[index.get(tuple(op(x, y).tolist())) for y in mat] for x in mat]
+            if any(None in row for row in want):
+                with pytest.raises(AssertionError, match="closure broken"):
+                    convexity._member_table(mat, op)
+            else:
+                assert convexity._member_table(mat, op).tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_sublattices_as_ranks_and_as_scaled_values(self, data):
+        # check_binarity passes grid ranks, bigint_binarity_scan values
+        # scaled by twice the lcm of the grid denominators.
+        domain, grid = data.draw(st.sampled_from([(AB, GRID3), (ABC, GRID3), (ABC, (0, 1))]))
+        full = enumerate_capacities(domain, grid)
+        x, y = data.draw(st.lists(st.sampled_from(full.capacities), min_size=2, max_size=2))
+        lo, hi = meet(x, y), join(x, y)
+        space = GridCapacitySpace(full.domain, full.grid, tuple(
+            c for c in full.capacities if lo <= c and c <= hi))
+        self.assert_matches_a_dict(np.unique(np.array(space._ranks), axis=0))
+        self.assert_matches_a_dict(np.unique(
+            _scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_rows_of_large_values(self, data):
+        # Up to 3 rows span a sublattice of at most 18; with up to 80
+        # columns the keys pass int64 and are renumbered on the way.
+        # Dropping a row mostly breaks the closure.
+        width = data.draw(st.integers(1, 80))
+        values = data.draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=4))
+        rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=width,
+                                           max_size=width).map(tuple),
+                                  min_size=1, max_size=3))
+        members = closure(rows)
+        if len(members) > 1 and data.draw(st.booleans()):
+            del members[data.draw(st.integers(0, len(members) - 1))]
+        self.assert_matches_a_dict(np.array(members, dtype=np.int64))
+
+    def test_keys_renumbered_on_a_long_chain(self):
+        # 300 rows, each column taking 300 values: the radices' product
+        # leaves int64 at the eighth column, and again at the fifteenth.
+        mat = np.arange(300)[:, None] * np.arange(1, 21)
+        self.assert_matches_a_dict(mat)
+        # Rows 149 and 150, made incomparable, join outside the rows.
+        mat[150, -1] = mat[149, -1] - 1
+        self.assert_matches_a_dict(mat)
 
 
 class TestSeparatingHalves:
