@@ -168,14 +168,15 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
     """table[a, b] = index of the row op(mat[a], mat[b]) in mat.
 
     `mat` holds distinct integer rows in lexicographic order, as
-    np.unique returns them. Each row gets an exact int64 key, a mixed
-    radix over the distinct values of each column of mat, the first
-    column most significant; before the radices' product would leave
-    int64, the partial keys are renumbered by rank among mat's. So
-    mat's keys ascend, np.searchsorted finds each op row's key, and the
-    rows found are compared with the op rows. Raises AssertionError if
-    some op(mat[a], mat[b]) is not a row of mat, i.e. if the space is
-    not closed under op.
+    np.unique returns them. Each row gets an exact int64 key, built
+    column by column: the key so far times the column's count of
+    distinct values in mat, plus the rank of the row's value among
+    them, then renumbered by rank among mat's keys (np.searchsorted),
+    so no key reaches n times a column's count. mat's keys ascend and
+    end as 0..n-1, an op row's last key is the row of mat it was placed
+    at, and the rows found are compared with the op rows. Raises
+    AssertionError if some op(mat[a], mat[b]) is not a row of mat,
+    i.e. if the space is not closed under op.
     """
     import numpy as np
 
@@ -188,15 +189,11 @@ def _member_table(mat: np.ndarray, op) -> np.ndarray:
     n, width = mat.shape
     rows = np.concatenate((mat, op(mat[:, None], mat[None]).reshape(n * n, width)))
     keys = np.zeros(len(rows), dtype=np.int64)
-    span = 1
     for col in rows.T:
         digits = distinct(np.sort(col[:n]))
-        if span > np.iinfo(np.int64).max // len(digits):
-            prefixes = distinct(keys[:n])
-            keys, span = rank_in(prefixes, keys), len(prefixes)
         keys = keys * len(digits) + rank_in(digits, col)
-        span *= len(digits)
-    index = rank_in(keys[:n], keys[n:])
+        keys = rank_in(distinct(keys[:n]), keys)
+    index = keys[n:]
     if not (mat[index] == rows[n:]).all():
         raise AssertionError(
             f"pointwise {op.__name__} of two members left the space; closure broken")
@@ -294,12 +291,13 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
             f"intervals, have {m}"
         )
 
-    # Flat indices a * n + b into the n x n tables fit int32 up to 2^31
-    # entries, and int32 tables halve what the gathers move.
-    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
-    join_of = _member_table(mat, np.maximum).astype(index)
-    meet_of = _member_table(mat, np.minimum).astype(index)
-    interval_of = np.full((n, n), -1, dtype=index)
+    # Past the tables, the space is a lattice with a bottom and a top,
+    # so m >= 3n - 3: (x, x), (bottom, x) and (x, top) for every x. The
+    # budget then caps n at 20001, and the flat indices a * n + b into
+    # the n x n tables stay below 4.1e8, inside int32.
+    join_of = _member_table(mat, np.maximum).astype(np.int32)
+    meet_of = _member_table(mat, np.minimum).astype(np.int32)
+    interval_of = np.full((n, n), -1, dtype=np.int32)
     interval_of[lows, highs] = np.arange(m)
     ordered, join_rows = below.ravel(), join_of * n
 

@@ -451,7 +451,7 @@ class TestMemberTable:
     @given(st.data())
     def test_wide_rows_of_large_values(self, data):
         # Up to 3 rows span a sublattice of at most 18; with up to 80
-        # columns the keys pass int64 and are renumbered on the way.
+        # columns a plain mixed radix over the columns would pass int64.
         # Dropping a row mostly breaks the closure.
         width = data.draw(st.integers(1, 80))
         values = data.draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=4))
@@ -464,8 +464,8 @@ class TestMemberTable:
         self.assert_matches_a_dict(np.array(members, dtype=np.int64))
 
     def test_keys_renumbered_on_a_long_chain(self):
-        # 300 rows, each column taking 300 values: the radices' product
-        # leaves int64 at the eighth column, and again at the fifteenth.
+        # 300 rows, each column taking 300 values: a plain mixed radix
+        # over the columns would leave int64 at the eighth column.
         mat = np.arange(300)[:, None] * np.arange(1, 21)
         self.assert_matches_a_dict(mat)
         # Rows 149 and 150, made incomparable, join outside the rows.
