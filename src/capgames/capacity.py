@@ -15,12 +15,13 @@ exhaustive budget.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "CapacityError",
@@ -305,37 +306,42 @@ def _grid_values(domain: Domain, grid: Iterable[RationalLike]) -> list[Fraction]
 
 
 def _grid_tables(domain: Domain,
-                 values: Sequence[Fraction]) -> Iterator[list[int]]:
+                 values: Sequence[Fraction]) -> list[list[int]]:
     """Dense rank table of every grid-valued capacity on the domain: the
     entry at each mask is a position in `values`, which is sorted and
-    runs from 0 to 1 (build a member with `FiniteCapacity._from_ranks`).
+    runs from 0 to 1 (build members with `FiniteCapacity._many_from_ranks`).
 
-    Subsets are filled in ascending cardinality order, so the only
-    constraint live at each step is the maximum over the one-point-
-    smaller subsets; every completion reaching the full set (forced to
-    1) is monotone. Stops with BudgetExceeded before it would yield
-    table MAX_SPACE_MEMBERS + 1.
+    The fill is breadth-first: every partial table grows by one subset
+    at a time, in `_monotone_fill_order`, once for each rank from the
+    subset's floor (the max over its lower covers, the only constraint
+    live at that step) to the top; the full set is forced to 1. So the
+    tables come in the lexicographic order of their ranks along the fill
+    order, as a depth-first search would yield them. Each step counts
+    its extensions before it builds them; the counts never fall from one
+    step to the next, so BudgetExceeded is raised, before more than
+    MAX_SPACE_MEMBERS partial tables are held, exactly when the space
+    has more than MAX_SPACE_MEMBERS members.
     """
     full = domain.full_mask
     order = _monotone_fill_order(domain)
-    table = {0: 0, full: len(values) - 1}
-
-    def fill(pos: int) -> Iterator[list[int]]:
-        if pos == len(order):
-            yield [table[m] for m in range(full + 1)]
-            return
-        mask, covers = order[pos]
-        for rank in range(max(table[c] for c in covers), len(values)):
-            table[mask] = rank
-            yield from fill(pos + 1)
-        del table[mask]
-
-    for count, dense in enumerate(fill(0)):
-        if count == MAX_SPACE_MEMBERS:
+    # A partial table holds the ranks of the empty set, then of the
+    # subsets filled so far, in fill order; the full set comes last.
+    position = {0: 0, full: len(order) + 1}
+    position.update((mask, p) for p, (mask, _) in enumerate(order, 1))
+    ranks = [(r,) for r in range(len(values))]
+    partial = [(0,)]
+    for mask, covers in order:
+        # The empty set's rank 0 joins every floor: it lowers no max, and
+        # the getter returns a tuple even for a singleton's one cover.
+        cover_ranks = operator.itemgetter(0, *map(position.__getitem__, covers))
+        floors = [max(cover_ranks(t)) for t in partial]
+        if len(values) * len(floors) - sum(floors) > MAX_SPACE_MEMBERS:
             raise BudgetExceeded(
                 f"{domain.size} points with {len(values)} grid values give "
                 f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
-        yield dense
+        partial = [t + r for t, floor in zip(partial, floors) for r in ranks[floor:]]
+    by_mask = operator.itemgetter(*map(position.__getitem__, range(full + 1)))
+    return [list(by_mask(t + ranks[-1])) for t in partial]
 
 
 def _check_domain_size(domain: Domain) -> None:
@@ -352,69 +358,103 @@ def _unit_ranks(levels: Sequence[Fraction]) -> range:
 
 
 def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
-                 ranks: Sequence[int]) -> None:
-    """Validate the table values[mask] = levels[ranks[mask]] of strictly
-    increasing levels, with `unit` = `_unit_ranks(levels)`, in this
-    order: its length and rank bounds (ValueError), its range at the
-    first mask outside [0, 1] (RangeError), 0 on the empty set and 1 on
-    the full set (NormalizationError), then its cover pairs
-    (MonotonicityError). Rank order is level order, so they compare ints."""
-    if len(ranks) != domain.subset_count:
-        raise ValueError(
-            f"need {domain.subset_count} values for a {domain.size}-point domain, "
-            f"got {len(ranks)}"
-        )
-    low, high = min(ranks), max(ranks)
-    if low < 0 or high >= len(levels):
-        raise ValueError(f"ranks must lie in range({len(levels)})")
-    if low < unit.start or high >= unit.stop:
-        mask = next(m for m, r in enumerate(ranks) if r not in unit)
-        raise RangeError(f"value {levels[ranks[mask]]} on "
-                         f"{_subset_text(domain.labels_of(mask))} outside [0, 1]")
-    empty, full = levels[ranks[0]], levels[ranks[domain.full_mask]]
-    if empty != 0:
-        raise NormalizationError(f"empty set must get 0, got {empty}")
-    if full != 1:
-        raise NormalizationError(f"full set must get 1, got {full}")
-    _check_cover_pairs(domain, ranks, levels)
+                 tables: Sequence[Sequence[int]]) -> None:
+    """Validate a batch of tables values[mask] = levels[ranks[mask]] of
+    strictly increasing levels, with `unit` = `_unit_ranks(levels)`.
+
+    The batch is checked whole first: every table's length; the least
+    and greatest rank, against `unit` (which lies inside the rank
+    bounds); the ranks at the empty and the full set, which must be the
+    ranks of 0 and 1 (one Fraction compare per end for the batch); and
+    the cover pairs of all tables at once (`_cover_pairs_hold`). Only if
+    that fails are the tables checked one by one, in order, so the first
+    bad table raises, in this order: its length and rank bounds
+    (ValueError), its range at the first mask outside [0, 1]
+    (RangeError), 0 on the empty set and 1 on the full set
+    (NormalizationError), then its first violating cover pair
+    (MonotonicityError). Rank order is level order, so they compare ints.
+    """
+    count, full = domain.subset_count, domain.full_mask
+    if tables and all(map(count.__eq__, map(len, tables))):
+        # The tables one after another; a single table needs no copy.
+        flat = (tables[0] if len(tables) == 1
+                else list(itertools.chain.from_iterable(tables)))
+        distinct = set(flat)
+        if (unit.start <= min(distinct) and max(distinct) < unit.stop
+                and flat[::count].count(unit.start) == len(tables)
+                and flat[full::count].count(unit.stop - 1) == len(tables)
+                and levels[unit.start] == 0 and levels[unit.stop - 1] == 1
+                and _cover_pairs_hold(domain.size, flat, len(levels))):
+            return
+    for ranks in tables:
+        if len(ranks) != count:
+            raise ValueError(
+                f"need {count} values for a {domain.size}-point domain, "
+                f"got {len(ranks)}"
+            )
+        low, high = min(ranks), max(ranks)
+        if low < 0 or high >= len(levels):
+            raise ValueError(f"ranks must lie in range({len(levels)})")
+        if low < unit.start or high >= unit.stop:
+            mask = next(m for m, r in enumerate(ranks) if r not in unit)
+            raise RangeError(f"value {levels[ranks[mask]]} on "
+                             f"{_subset_text(domain.labels_of(mask))} outside [0, 1]")
+        empty, whole = levels[ranks[0]], levels[ranks[full]]
+        if empty != 0:
+            raise NormalizationError(f"empty set must get 0, got {empty}")
+        if whole != 1:
+            raise NormalizationError(f"full set must get 1, got {whole}")
+        _check_cover_pairs(domain, ranks, levels)
 
 
 @functools.cache
-def _cover_masks(size: int, code: str) -> tuple[int, int, tuple[int, ...]]:
-    """Field width in bits, and guard masks, of a rank table on `size`
-    points packed into fields of the array typecode `code`: the guard
-    (top) bit of every field, and for each point k the guard bits of the
-    fields whose mask lacks k. One entry per (domain size, field width)
-    pair, so at most 40; the largest, 20 points in 32-bit fields, holds
-    21 ints of 4 MiB."""
+def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int, ...]]:
+    """Field width in bits, and guard masks, of `count` rank tables on
+    `size` points packed one after another into fields of the array
+    typecode `code`: the guard (top) bit of every field, and for each
+    point k the guard bits of the fields whose mask lacks k, repeated
+    once per table. Single tables give at most 60 entries (20 sizes, 3
+    widths), the largest, 20 points in 32-bit fields, holding 21 ints of
+    4 MiB; grid spaces give one more per domain size and grid length, at
+    most 16, since a space's size depends on nothing else (the 4-point
+    {0, 1/2, 1} space's entry holds 5 ints of 113 KiB)."""
     width = array(code).itemsize
     on = (1 << (8 * width - 1)).to_bytes(width, sys.byteorder)
     off = bytes(width)
-    guard = int.from_bytes(on * (1 << size), sys.byteorder)
-    # Point k's fields alternate in runs of 2^k: lacking k, then holding it.
+    fields = count << size
+    guard = int.from_bytes(on * fields, sys.byteorder)
+    # Point k's fields alternate in runs of 2^k: lacking k, then holding
+    # it. The runs divide a table's 2^size fields, so they restart at
+    # every table.
     lacking = tuple(
-        int.from_bytes((on * (1 << k) + off * (1 << k)) * (1 << (size - k - 1)),
+        int.from_bytes((on * (1 << k) + off * (1 << k)) * (fields >> (k + 1)),
                        sys.byteorder)
         for k in range(size))
     return 8 * width, guard, lacking
 
 
 def _cover_pairs_hold(size: int, ranks: Sequence[int], level_count: int) -> bool:
-    """Whether ranks[A] <= ranks[A + {x}] for every cover pair, decided
-    on packed ints.
+    """Whether ranks[A] <= ranks[A + {x}] for every cover pair of every
+    table in `ranks`, a batch of rank tables on `size` points laid one
+    after another (one table is a batch of one), decided on packed ints.
 
-    Each rank fills one fixed-width field of a packed int, field A at
-    mask A, and stays below the field's top (guard) bit: 16-bit fields
-    while there are fewer than 2^15 levels, else 32-bit ones. For a
-    point k, shifting right by 2^k fields puts ranks[A + 2^k] in field
-    A; with the guard bits set, subtracting the packed ranks leaves each
-    field's guard bit set iff its larger-set rank is at least its own,
-    and no field borrows from the next. One AND with the mask of the
-    fields lacking k then checks every cover pair along k at once.
+    Each rank fills one fixed-width field of a packed int, field A of a
+    table at its mask A, and stays below the field's top (guard) bit:
+    8-bit fields while there are at most 2^7 levels, 16-bit ones up to
+    2^15, else 32-bit ones. For a point k, shifting right by 2^k fields
+    puts ranks[A + 2^k] in field A; for a mask A lacking k that field
+    lies in A's own table, and the others are masked off, so no compare
+    crosses a table. With the guard bits set, subtracting the packed
+    ranks leaves each field's guard bit set iff its larger-set rank is
+    at least its own, and no field borrows from the next. One AND with
+    the mask of the fields lacking k then checks every cover pair along
+    k at once.
     """
-    code = "H" if level_count < 2**15 else "I"
-    bits, guard, lacking = _cover_masks(size, code)
-    packed = int.from_bytes(array(code, ranks).tobytes(), sys.byteorder)
+    code = "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
+    bits, guard, lacking = _cover_masks(size, code, len(ranks) >> size)
+    # bytes() converts a list of small ints about three times as fast.
+    fields = bytes(ranks) if code == "B" else array(code, ranks).tobytes()
+    packed = int.from_bytes(fields, sys.byteorder)
     for k, mask in enumerate(lacking):
         if (((packed >> (bits << k)) | guard) - packed) & mask != mask:
             return False
@@ -428,13 +468,9 @@ def _check_cover_pairs(domain: Domain, ranks: Sequence[int],
     error reports the two levels.
 
     Cover pairs suffice: A <= A + {x} for every x outside A implies
-    monotonicity for all nested pairs by transitivity. The table is
-    first checked whole on packed ints (`_cover_pairs_hold`); the loop
-    below runs only when that check fails, to name the first violating
-    pair.
+    monotonicity for all nested pairs by transitivity. This loop names
+    the failure of a table that `_check_ranks` found bad in its batch.
     """
-    if _cover_pairs_hold(domain.size, ranks, len(levels)):
-        return
     full = domain.full_mask
     for mask, r in enumerate(ranks):
         rest = full & ~mask
@@ -460,7 +496,7 @@ class FiniteCapacity(CapacityBase):
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
         table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        levels, (ranks,) = _ranked(table)
+        levels, ranks = _ranked(table)
         _check_ranks(domain, levels, _unit_ranks(levels), ranks)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", table)
@@ -475,24 +511,24 @@ class FiniteCapacity(CapacityBase):
 
     @classmethod
     def _many_from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
-                         tables: Iterable[Sequence[int]]) -> list["FiniteCapacity"]:
+                         tables: Sequence[Sequence[int]]) -> list["FiniteCapacity"]:
         """Build one capacity per rank table into `levels`, a strictly
         increasing list; the domain and the levels are checked once.
 
-        Each table is values[mask] = levels[ranks[mask]], validated by
-        `_check_ranks` as in `__init__`, with the same exceptions and
-        messages; only then is the Fraction table built. Levels that do
-        not strictly increase, or ranks outside range(len(levels)),
-        raise ValueError.
+        Each table is values[mask] = levels[ranks[mask]]. The batch is
+        validated at once by `_check_ranks`, and a bad table raises the
+        exception and message `__init__` gives on its values, the first
+        bad table in order winning; only then are the Fraction tables
+        built. Levels that do not strictly increase, or ranks outside
+        range(len(levels)), raise ValueError.
         """
         _check_domain_size(domain)
         levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        unit = _unit_ranks(levels)
+        _check_ranks(domain, levels, _unit_ranks(levels), tables)
         caps = []
         for ranks in tables:
-            _check_ranks(domain, levels, unit, ranks)
             cap = cls.__new__(cls)
             object.__setattr__(cap, "domain", domain)
             object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))

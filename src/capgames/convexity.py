@@ -130,9 +130,11 @@ def enumerate_capacities(domain: Domain,
     """Exhaustively enumerate the grid-valued capacities on the domain.
 
     Members come in the fill order of `_grid_tables` (ascending
-    cardinality, each subset's grid values ascending); construction
-    validates each one on its rank table. The enumeration stops with
-    BudgetExceeded before it would build member MAX_SPACE_MEMBERS + 1.
+    cardinality, each subset's grid values ascending). The whole space
+    is filled as rank tables and validated as one batch
+    (`FiniteCapacity._many_from_ranks`) before any member is built. The
+    fill stops with BudgetExceeded before it would hold more than
+    MAX_SPACE_MEMBERS tables.
     """
     values = _grid_values(domain, grid)
     caps = tuple(FiniteCapacity._many_from_ranks(

@@ -451,7 +451,7 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     for d in domains:
         if d not in tables:
             levels = _grid_values(d, grid)  # the sorted grid, for every d
-            tables[d] = list(_grid_tables(d, levels))
+            tables[d] = _grid_tables(d, levels)
     total = math.prod(len(tables[d]) for d in domains)
     if total > budget:
         raise BudgetExceeded(

@@ -419,6 +419,58 @@ def fraction_capacity_table(domain: Domain, values) -> tuple[Fraction, ...]:
     return table
 
 
+def one_by_one_from_ranks(domain: Domain, levels, tables) -> list[tuple[Fraction, ...]]:
+    """Reference for FiniteCapacity._many_from_ranks: the levels checked
+    once, then every table on its own, in order, with no packed ints:
+    its length and rank bounds, then `fraction_capacity_table` on its
+    values. Returns the value tables, or raises the first bad table's
+    error with the library's message."""
+    if domain.size > DENSE_DOMAIN_CAP:
+        raise DomainTooLarge(f"domain has {domain.size} points; dense tables "
+                             f"stop at {DENSE_DOMAIN_CAP}")
+    levels = tuple(Fraction(v) for v in levels)
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
+    built = []
+    for ranks in tables:
+        if len(ranks) != domain.subset_count:
+            raise ValueError(f"need {domain.subset_count} values for a "
+                             f"{domain.size}-point domain, got {len(ranks)}")
+        if any(not 0 <= r < len(levels) for r in ranks):
+            raise ValueError(f"ranks must lie in range({len(levels)})")
+        built.append(fraction_capacity_table(domain, [levels[r] for r in ranks]))
+    return built
+
+
+def depth_first_grid_tables(domain: Domain, values):
+    """Reference for capacity._grid_tables: the recursive fill, yielding
+    each rank table as it completes. Subsets are filled in
+    `_monotone_fill_order`, each from its floor (the max over its lower
+    covers) up to the top rank; the full set is forced to the top.
+    Raises BudgetExceeded when table MAX_SPACE_MEMBERS + 1 would be
+    yielded."""
+    full = domain.full_mask
+    order = capacity._monotone_fill_order(domain)
+    table = {0: 0, full: len(values) - 1}
+
+    def fill(pos):
+        if pos == len(order):
+            yield [table[m] for m in range(full + 1)]
+            return
+        mask, covers = order[pos]
+        for rank in range(max(table[c] for c in covers), len(values)):
+            table[mask] = rank
+            yield from fill(pos + 1)
+        del table[mask]
+
+    for count, dense in enumerate(fill(0)):
+        if count == capacity.MAX_SPACE_MEMBERS:
+            raise BudgetExceeded(
+                f"{domain.size} points with {len(values)} grid values give "
+                f"more than {capacity.MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
+        yield dense
+
+
 def seeded_capacity(seed: int, size: int, denominator: int = 8) -> FiniteCapacity:
     return random_capacity(letters(size), SplitMix64(seed), denominator)
 

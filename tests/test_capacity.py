@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,23 @@ from capgames import (
     top_capacity,
     vanishes_outside,
 )
-from capgames.capacity import _check_cover_pairs, _cover_pairs_hold, _ranked
+from capgames.capacity import (
+    MAX_SPACE_MEMBERS,
+    BudgetExceeded,
+    _check_cover_pairs,
+    _cover_pairs_hold,
+    _grid_tables,
+    _ranked,
+)
 from capgames.generate import SplitMix64, random_capacity
 
-from helpers import fraction_capacity_table, letters, ranked_reference
+from helpers import (
+    depth_first_grid_tables,
+    fraction_capacity_table,
+    letters,
+    one_by_one_from_ranks,
+    ranked_reference,
+)
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -519,22 +533,169 @@ class TestPackedCoverPairs:
             fraction_capacity_table(ABC, values)
         assert cover_pair_outcome(ABC, levels, ranks) == (False, str(loop.value))
 
-    def test_thirty_two_bit_fields(self):
-        # A mask read with its bits reversed is a monotone rank: 65,536
-        # levels on 16 points, beyond the 2^15 that 16-bit fields hold.
-        # Unlike the mask itself, it falls from {a} to {b}, so a shift
-        # by the wrong number of fields fails it.
-        domain = letters(16)
-        count = domain.subset_count
+    @staticmethod
+    def assert_reversed_mask_ranks(size):
+        # A mask read with its bits reversed is a monotone rank: 2^size
+        # levels. Unlike the mask itself, it falls from {a} to {b}, so a
+        # shift by the wrong number of fields fails it.
+        domain = letters(size)
+        count, full = domain.subset_count, domain.full_mask
         levels = [F(r, count - 1) for r in range(count)]
-        base = [int(f"{m:016b}"[::-1], 2) for m in range(count)]
+        base = [int(f"{m:0{size}b}"[::-1], 2) for m in range(count)]
         assert cover_pair_outcome(domain, levels, base) == (True, None)
         cap = FiniteCapacity._from_ranks(domain, levels, base)
-        assert cap.values[1] == F(1 << 15, count - 1)
-        for mask, rank in ((0x0003, 0), (0x8001, 0), (0xFFFE, 0),
-                           (0x0001, 0xFFFF), (0x4000, 0xFFFE)):
+        assert cap.values[1] == F(1 << (size - 1), count - 1)
+        for mask, rank in ((3, 0), (1 | 1 << (size - 1), 0), (full - 1, 0),
+                           (1, full), (1 << (size - 2), full - 1)):
             ranks = list(base)
             ranks[mask] = rank
             got = cover_pair_outcome(domain, levels, ranks)
             assert got == loop_outcome(domain, levels, ranks)
             assert got[0] is False
+
+    def test_thirty_two_bit_fields(self):
+        # 65,536 levels on 16 points, beyond the 2^15 that 16-bit fields hold.
+        self.assert_reversed_mask_ranks(16)
+
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_eight_and_sixteen_bit_fields(self, size):
+        # 128 levels, the most that 8-bit fields hold, and 256 in 16-bit ones.
+        self.assert_reversed_mask_ranks(size)
+
+
+def batch_outcome(build):
+    """The value tables built from a batch, as tuples, or the error's
+    type and message."""
+    try:
+        return [tuple(getattr(t, "values", t)) for t in build()]
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_batch_matches(domain: Domain, levels, tables):
+    """The batch constructor gives the values or the error of the
+    table-by-table reference; and, where every rank lies in
+    range(len(levels)), the packed cover check on the whole batch gives
+    the per-mask loop's verdict on all its tables."""
+    got = batch_outcome(lambda: FiniteCapacity._many_from_ranks(domain, levels, tables))
+    assert got == batch_outcome(lambda: one_by_one_from_ranks(domain, levels, tables))
+    flat = list(itertools.chain.from_iterable(tables))
+    if (all(len(t) == domain.subset_count for t in tables)
+            and all(0 <= r < len(levels) for r in flat)):
+        assert _cover_pairs_hold(domain.size, flat, len(levels)) == all(
+            first_cover_violation(domain, t) is None for t in tables)
+    return got
+
+
+# Quarter levels in [0, 1] with one level on each side.
+QUARTERS = [F(-1, 2), F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2)]
+
+
+def quarter_batch(size: int, count: int) -> list[list[int]]:
+    """`count` valid rank tables into QUARTERS on `size` points: drawn
+    capacities, with the top capacity second and the bottom one third,
+    where an empty or full entry moved inside [0, 1] breaks no cover
+    pair."""
+    domain = letters(size)
+    rng = SplitMix64(10 * size + count)
+    caps = [random_capacity(domain, rng, 4) for _ in range(count)]
+    caps[1:3] = [top_capacity(domain), bottom_capacity(domain)][:count - 1]
+    rank = {v: r for r, v in enumerate(QUARTERS)}
+    return [[rank[v] for v in cap.values] for cap in caps]
+
+
+def corrupted(tables, position: int, changes) -> list[list[int]]:
+    """A copy of the tables with the (mask, rank) changes made to one."""
+    tables = [list(t) for t in tables]
+    for mask, rank in changes:
+        tables[position][mask] = rank
+    return tables
+
+
+class TestBatchValidation:
+    """`_many_from_ranks` on batches against the table-by-table
+    reference: the same values, or the same exception and message."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_every_single_entry_corruption(self, size, count):
+        domain = letters(size)
+        base = quarter_batch(size, count)
+        assert assert_batch_matches(domain, QUARTERS, base) == [
+            tuple(QUARTERS[r] for r in t) for t in base]
+        kinds = set()
+        for position, mask, rank in itertools.product(
+                range(count), range(domain.subset_count), range(-1, len(QUARTERS) + 1)):
+            got = assert_batch_matches(domain, QUARTERS, corrupted(base, position, [(mask, rank)]))
+            kinds.add(got[0] if isinstance(got, tuple) else None)
+        for position in range(count):
+            for change in (list.pop, lambda t: t.append(0)):
+                tables = [list(t) for t in base]
+                change(tables[position])
+                assert assert_batch_matches(domain, QUARTERS, tables)[0] is ValueError
+        expected = {None, ValueError, RangeError, NormalizationError, MonotonicityError}
+        # Up to two points, a proper entry's only covers are the empty and
+        # the full set, so a single entry breaks normalisation first.
+        assert kinds == (expected - {MonotonicityError} if size <= 2 else expected)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_the_first_bad_table_wins(self, size):
+        domain = letters(size)
+        base = quarter_batch(size, 5)
+        full = domain.full_mask
+        # Corruptions as (mask, rank) changes: a rank past the levels, a
+        # value below 0, the empty set off 0, the full set off 1, and {a}
+        # above {a, b} (a cover pair from 3 points on; on 2, {a, b} is the
+        # full set, so the full set off 1 again).
+        kinds = [[(full, len(QUARTERS))], [(full, 0)], [(0, 2)], [(full, 4)]]
+        if size > 1:
+            kinds.append([(1, 4), (3, 2)])
+        for first, second in itertools.combinations(range(5), 2):
+            for one, other in itertools.product(kinds, repeat=2):
+                alone = corrupted(base, first, one)
+                tables = corrupted(alone, second, other)
+                expected = batch_outcome(lambda: one_by_one_from_ranks(domain, QUARTERS, alone))
+                assert isinstance(expected, tuple)
+                assert assert_batch_matches(domain, QUARTERS, tables) == expected
+
+
+class TestGridTables:
+    """The breadth-first fill against the recursive reference."""
+
+    @pytest.mark.parametrize("grid", [(0, 1), (0, F(1, 2), 1), (0, F(1, 3), F(2, 3), 1),
+                                      (0, F(1, 4), F(1, 2), F(3, 4), 1)])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_the_depth_first_fill(self, size, grid):
+        domain = letters(size)
+        values = [F(g) for g in grid]
+        try:
+            expected = list(depth_first_grid_tables(domain, values))
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as got:
+                _grid_tables(domain, values)
+            assert str(got.value) == str(exc)
+        else:
+            assert _grid_tables(domain, values) == expected
+
+    def test_holds_no_more_partial_tables_than_the_budget(self):
+        # The 4-point space on 5 grid values has 1,753,909 members; the
+        # fill must stop before any list it holds passes the budget.
+        held = []
+
+        def lists_held(frame, event, arg):
+            held.append(max(len(v) for v in frame.f_locals.values()
+                            if isinstance(v, list)))
+            return lists_held
+
+        def trace(frame, event, arg):
+            return lists_held if frame.f_code is _grid_tables.__code__ else None
+
+        values = [F(k, 4) for k in range(5)]
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            with pytest.raises(BudgetExceeded, match="more than 10000 capacities"):
+                _grid_tables(letters(4), values)
+        finally:
+            sys.settrace(previous)
+        assert 1000 < max(held) <= MAX_SPACE_MEMBERS

@@ -10,7 +10,6 @@ from hypothesis import given, reject, strategies as st
 
 from capgames import (
     BeliefSystem,
-    FiniteCapacity,
     BudgetExceeded,
     Domain,
     DomainMismatch,
@@ -35,6 +34,7 @@ from capgames import (
     tensor_many,
     top_capacity,
 )
+from capgames import capacity
 from capgames.capacity import _grid_tables, _grid_values
 from capgames.equilibrium import (
     _best_response_masks,
@@ -550,18 +550,22 @@ class TestFindEquilibriaGrid:
             assert is_equilibrium(game, system).holds
 
     def test_budget_is_checked_before_any_member_is_built(self, monkeypatch):
-        builds = []
-        init = FiniteCapacity.__init__
+        # Members are built by _many_from_ranks, which validates every
+        # table first; count the tables that reach the validator.
+        validated = []
+        check = capacity._check_ranks
 
-        def counting_init(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
+        def counting_check(domain, levels, unit, tables):
+            validated.extend(tables)
+            check(domain, levels, unit, tables)
 
-        monkeypatch.setattr(FiniteCapacity, "__init__", counting_init)
+        monkeypatch.setattr(capacity, "_check_ranks", counting_check)
+        assert len(enumerate_capacities(letters(2), GRID3)) == len(validated) == 9
+        validated.clear()
         game = random_game(SplitMix64(1), [2, 2, 2])
         with pytest.raises(BudgetExceeded, match="^380447722936 candidate"):
             find_equilibria_grid(game, GRID3)
-        assert builds == []
+        assert validated == []
 
 
 class TestPureNash:
