@@ -617,9 +617,14 @@ def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapaci
     smask = domain.mask_of(support)
     if smask == 0:
         raise EmptySupport("possibility capacity needs a nonempty support")
+    return _possibility(domain, smask)
+
+
+def _possibility(domain: Domain, support: int) -> FiniteCapacity:
+    """`possibility_capacity` on a nonempty support mask."""
     return FiniteCapacity._from_ranks(
         domain, _ZERO_ONE,
-        [1 if mask & smask else 0 for mask in range(domain.subset_count)])
+        [1 if mask & support else 0 for mask in range(domain.subset_count)])
 
 
 def probability_capacity(domain: Domain,

@@ -2,7 +2,10 @@
 
 A belief system gives every player a capacity over the joint choices of
 the others. It is an equilibrium when each player's belief puts exactly
-zero weight outside the box of everyone else's best responses. The
+zero weight outside the box of everyone else's best responses.
+`is_equilibrium` decides each best response as a mask with the rank
+kernel of `game._response_mask` and reads each belief outside the box
+of the others' masks. The
 search side restricts candidates to beliefs built from support profiles:
 each player's strategy set carries a possibility capacity on a nonempty
 support, and player i's belief is the tensor product of the others'
@@ -19,17 +22,21 @@ tables built once per player with the subset-max recurrence on payoff
 ranks; for each choice of the other players' supports it visits only
 the last player's supports inside their response. The measure path
 (`check_support_profile`) then certifies each hit, so every reported
-equilibrium carries a certificate computed from the beliefs themselves;
-within one scan, the hits share each possibility capacity and belief.
+equilibrium carries a certificate computed from the beliefs themselves.
+Within one scan the hits share their work (`_SupportMemo`): each
+possibility capacity, built from its support mask; each belief with its
+verdict (best-response labels and mask, and vacuity), decided once per
+player and choice of the others' supports; and each outside-box mask,
+once per player and choice of the others' responses.
 
 The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
 depends on player i's belief alone, so the members of a player's grid
-space are grouped by response. The corrected integral only compares
-payoff values with corrected levels, so every member's response is
-decided on its rank table, in one sorted chain of the player's payoff
-values and the corrections of the interior grid levels; `best_response`
-stays the reference the tests hold this to. A tuple of realised
+space are grouped by response. Every member's response is decided on
+its rank table by the same rank kernel, with the corrections of the
+interior grid levels lifted once for the whole space; the tests hold
+it to `best_response`, and that to the Fraction argmax of
+`expected_payoff`. A tuple of realised
 responses then fixes every player's box, and the hits for it are the
 product of each player's group members that vanish (rank 0) outside
 their box. The space sizes are counted, and the product checked against
@@ -52,13 +59,20 @@ from .capacity import (
     FiniteCapacity,
     _grid_tables,
     _grid_values,
-    _ranked,
+    _possibility,
     _Record,
-    possibility_capacity,
 )
-from .game import GameSpec, _payoff_ranks, best_response, opponent_domain, payoff_slice
+from .game import (
+    GameSpec,
+    _argmax_mask,
+    _lifted,
+    _payoff_ranks,
+    _response_mask,
+    _response_table,
+    opponent_domain,
+)
 from .rational import format_rational
-from .sugeno import CorrectionMap, _level_set_max, _level_sets, default_correction
+from .sugeno import CorrectionMap, default_correction
 from .tensor import LazyTensorCapacity, _row_major_strides
 
 __all__ = [
@@ -90,14 +104,9 @@ class SupportProfile(_Record):
     def from_masks(cls, game: GameSpec, masks: Sequence[int]) -> "SupportProfile":
         if len(masks) != game.n_players:
             raise ValueError("one support per player required")
-        labels = []
-        for j, mask in enumerate(masks):
-            dom = game.strategy_domains[j]
-            dom.check_mask(mask)
-            if mask == 0:
-                raise EmptySupport(f"player {j} support is empty")
-            labels.append(dom.labels_of(mask))
-        return cls(tuple(int(m) for m in masks), tuple(labels))
+        _check_supports(game, masks)
+        return cls(tuple(int(m) for m in masks),
+                   tuple(d.labels_of(m) for d, m in zip(game.strategy_domains, masks)))
 
     @classmethod
     def from_labels(cls, game: GameSpec,
@@ -194,20 +203,46 @@ def is_equilibrium(game: GameSpec,
     system = beliefs if isinstance(beliefs, BeliefSystem) else BeliefSystem(
         tuple(beliefs))
     _validate_system(game, system)
+    verdicts = [_verdict(game, i, belief, corr)
+                for i, belief in enumerate(system.beliefs)]
+    return _certificate(game, system, verdicts, corr, {})
 
-    responses = tuple(best_response(game, i, system.beliefs[i], corr)
-                      for i in range(game.n_players))
-    masks = [d.as_mask(r) for d, r in zip(game.strategy_domains, responses)]
-    residuals = [belief.value_mask(_outside_box(game, i, masks))
-                 for i, belief in enumerate(system.beliefs)]
-    degenerate = tuple(i for i in range(game.n_players)
-                       if system.beliefs[i].is_vacuous())
+
+def _verdict(game: GameSpec, player: int, belief: CapacityBase,
+             corr: CorrectionMap) -> tuple[tuple[str, ...], int, bool]:
+    """The player's best response to the belief, as labels and as a mask
+    (`_response_mask`), and whether the belief is vacuous."""
+    mask = _response_mask(game, player, belief, corr)
+    return game.strategy_domains[player].labels_of(mask), mask, belief.is_vacuous()
+
+
+def _certificate(game: GameSpec, system: BeliefSystem,
+                 verdicts: Sequence[tuple[tuple[str, ...], int, bool]],
+                 corr: CorrectionMap, outside: dict,
+                 profile: SupportProfile | None = None) -> EquilibriumCertificate:
+    """The certificate of a belief system from each player's verdict
+    (`_verdict`): each belief's value outside the box of the others'
+    responses. `outside` memoizes those masks by (player, the others'
+    response masks). With the support profile that induced the system,
+    it also records whether each support lies inside its response."""
+    masks = tuple(mask for _, mask, _ in verdicts)
+    residuals = []
+    for i, belief in enumerate(system.beliefs):
+        key = (i, masks[:i] + masks[i + 1:])
+        mask = outside.get(key)
+        if mask is None:
+            mask = outside[key] = _outside_box(game, i, masks)
+        residuals.append(belief.value_mask(mask))
     return EquilibriumCertificate(
         beliefs=system,
-        best_responses=responses,
+        best_responses=tuple(labels for labels, _, _ in verdicts),
         residuals=tuple(residuals),
         correction_name=corr.name,
-        degenerate_players=degenerate,
+        degenerate_players=tuple(i for i, (_, _, vacuous) in enumerate(verdicts)
+                                 if vacuous),
+        supports=profile,
+        supports_within_responses=None if profile is None else all(
+            mask & ~response == 0 for mask, (_, response, _) in zip(profile.masks, verdicts)),
     )
 
 
@@ -221,34 +256,51 @@ def _outside_box(game: GameSpec, player: int, responses: Sequence[int]) -> int:
     return opp.flat.full_mask & ~box
 
 
-def _profile_beliefs(game: GameSpec, profile: SupportProfile) -> BeliefSystem:
-    """Player i believes the tensor of the others' possibility capacities
-    on their supports; with one opponent, that opponent's capacity itself.
-    A lazy tensor is built on the game's opponent domain.
+def _check_supports(game: GameSpec, masks: Sequence[int]) -> None:
+    for j, mask in enumerate(masks):
+        game.strategy_domains[j].check_mask(mask)
+        if mask == 0:
+            raise EmptySupport(f"player {j} support is empty")
 
-    During a support scan the game holds a cache, so that the scan
-    builds each capacity, keyed (player, mask), and each belief, keyed
-    (player, the others' masks), once."""
-    cache = game._belief_cache
-    if cache is None:
-        cache = {}
-    masks = profile.masks
-    caps = []
-    for j, (domain, labels) in enumerate(zip(game.strategy_domains, profile.labels)):
-        cap = cache.get((j, masks[j]))
-        if cap is None:
-            cap = cache[j, masks[j]] = possibility_capacity(domain, labels)
-        caps.append(cap)
-    beliefs = []
-    for i in range(game.n_players):
-        key = (i, masks[:i] + masks[i + 1:])
-        belief = cache.get(key)
-        if belief is None:
-            factors = caps[:i] + caps[i + 1:]
-            belief = cache[key] = factors[0] if len(factors) == 1 else (
+
+class _SupportMemo:
+    """The work that the certificates of support profiles under one
+    correction share: the possibility capacity of each (player, support
+    mask); each player's belief and verdict (`_verdict`) by (player, the
+    others' masks); and the outside-box masks of `_certificate`. A
+    support scan holds one on the game for its duration; any other check
+    uses a fresh one."""
+
+    __slots__ = ("correction", "capacities", "players", "outside")
+
+    def __init__(self, correction: CorrectionMap):
+        self.correction = correction
+        self.capacities: dict[tuple[int, int], FiniteCapacity] = {}
+        self.players: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        self.outside: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def player(self, game: GameSpec, key: tuple[int, tuple[int, ...]],
+               ) -> tuple[CapacityBase, tuple[tuple[str, ...], int, bool]]:
+        """Player i's belief and verdict, for `key` = (i, the others'
+        masks). The belief is the tensor of the others' possibility
+        capacities on their supports; with one opponent, that opponent's
+        capacity itself. A lazy tensor is built on the game's opponent
+        domain."""
+        entry = self.players.get(key)
+        if entry is None:
+            i, others = key
+            factors = []
+            for j, mask in zip((j for j in range(game.n_players) if j != i), others):
+                cap = self.capacities.get((j, mask))
+                if cap is None:
+                    cap = self.capacities[j, mask] = _possibility(
+                        game.strategy_domains[j], mask)
+                factors.append(cap)
+            belief = factors[0] if len(factors) == 1 else (
                 LazyTensorCapacity(factors, _product=opponent_domain(game, i)))
-        beliefs.append(belief)
-    return BeliefSystem(tuple(beliefs))
+            entry = self.players[key] = (belief,
+                                         _verdict(game, i, belief, self.correction))
+        return entry
 
 
 def check_support_profile(game: GameSpec, profile: SupportProfile,
@@ -260,20 +312,16 @@ def check_support_profile(game: GameSpec, profile: SupportProfile,
     set, the combinatorial form of the same condition."""
     if len(profile.masks) != game.n_players:
         raise ValueError("profile does not match the player count")
-    for j, mask in enumerate(profile.masks):
-        game.strategy_domains[j].check_mask(mask)
-        if mask == 0:
-            raise EmptySupport(f"player {j} support is empty")
-
-    cert = is_equilibrium(game, _profile_beliefs(game, profile), correction)
-    within = all(
-        profile.masks[j] & ~game.strategy_domains[j].as_mask(cert.best_responses[j])
-        == 0
-        for j in range(game.n_players)
-    )
-    return EquilibriumCertificate(cert.beliefs, cert.best_responses, cert.residuals,
-                                  cert.correction_name, cert.degenerate_players,
-                                  supports=profile, supports_within_responses=within)
+    _check_supports(game, profile.masks)
+    corr = correction if correction is not None else default_correction()
+    memo = game._belief_cache
+    if memo is None or memo.correction is not corr:
+        memo = _SupportMemo(corr)
+    masks = profile.masks
+    beliefs, verdicts = zip(*(memo.player(game, (i, masks[:i] + masks[i + 1:]))
+                              for i in range(game.n_players)))
+    return _certificate(game, BeliefSystem(beliefs), verdicts, corr, memo.outside,
+                        profile)
 
 
 def support_profile_count(game: GameSpec) -> int:
@@ -360,10 +408,13 @@ def find_equilibria_supports(game: GameSpec,
         strides.insert(i, 0)
         weights.append(strides)
     last = n - 1
+    corr = correction if correction is not None else default_correction()
+    domains = game.strategy_domains
     hits: list[tuple[SupportProfile, EquilibriumCertificate]] = []
-    # The hits share their beliefs through a cache that the game holds
-    # for this scan only: kept past it, it would hold memory for nothing.
-    object.__setattr__(game, "_belief_cache", {})
+    # The hits share their beliefs and verdicts through a memo that the
+    # game holds for this scan only: kept past it, it would hold memory
+    # for nothing.
+    object.__setattr__(game, "_belief_cache", _SupportMemo(corr))
     try:
         for head in itertools.product(*(range(1, w + 1) for w in widths[:last])):
             coords = [m - 1 for m in head]
@@ -380,8 +431,10 @@ def find_equilibria_supports(game: GameSpec,
                 if any(mask & ~resp[base + sub - 1]
                        for mask, resp, base in zip(head, responses, bases)):
                     continue
-                profile = SupportProfile.from_masks(game, head + (sub,))
-                cert = check_support_profile(game, profile, correction)
+                masks = head + (sub,)
+                # check_support_profile validates the masks.
+                profile = SupportProfile(masks, tuple(map(Domain.labels_of, domains, masks)))
+                cert = check_support_profile(game, profile, corr)
                 if not (cert.holds and cert.supports_within_responses):
                     raise AssertionError(
                         f"support profile {profile.labels} passed the box-max "
@@ -399,29 +452,19 @@ def _grid_response_masks(game: GameSpec, player: int,
     """The player's best-response mask against each belief given as a
     rank table into `levels`, the sorted grid from 0 to 1.
 
-    The corrected integral compares payoff values with corrected levels
-    only, so it runs on ranks in one sorted chain of the player's payoff
-    values and the correction of every interior grid level. Each
-    strategy's level sets are computed once, as (chain rank, mask)
-    pairs, and each table goes through the level-set loop with its grid
-    ranks as levels: grid rank 0 is level 0, the last is level 1, and
-    the lift of any other is its correction's chain rank.
+    The same rank kernel as `best_response` (`game._response_mask`), with
+    the grid ranks as level indices: each table goes through the
+    level-set loop on the player's payoff level sets (`_response_table`),
+    grid rank 0 is level 0, the last is level 1, and the lift of any
+    other is the chain key of its correction (`_lifted`), evaluated once
+    for all tables.
     """
-    labels = game.strategy_domains[player].labels
-    slices = [payoff_slice(game, player, lab).values for lab in labels]
-    corrected = [correction.evaluate(g) for g in levels[1:-1]]
-    _, (lifted, *slice_ranks) = _ranked(corrected, *slices)
+    sets = _response_table(game, player)
+    sets, keys = _lifted(game, sets, [correction.evaluate(g) for g in levels[1:-1]])
     # Indexed by grid rank; the two ends are never lifted.
-    lift = [None, *lifted, None]
-    level_sets = [list(_level_sets(ranks)) for ranks in slice_ranks]
+    lift = [0, *keys, 0].__getitem__
     top = len(levels) - 1
-    masks = []
-    for ranks in tables:
-        scores = [_level_set_max(sets, ranks.__getitem__, lift.__getitem__, top)
-                  for sets in level_sets]
-        best = max(scores)
-        masks.append(sum(1 << s for s, v in enumerate(scores) if v == best))
-    return masks
+    return [_argmax_mask(sets, ranks.__getitem__, lift, top) for ranks in tables]
 
 
 def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],

@@ -205,10 +205,12 @@ def _level_set_max(level_sets: Iterable[tuple[Fraction, int]],
     capacity's `value_mask`. Two callers run it on ranks, where values,
     levels and the result are ints, 0 is the rank of level 0 and `top`
     the rank of level 1: the lazy tensor, whose values and levels are
-    ranks in one sorted list, and the grid equilibrium search, whose
-    level sets are computed once per payoff slice, whose levels are
-    ranks in the grid and whose lift maps a grid rank to the rank of
-    its correction in one sorted chain with the payoff values.
+    ranks in one sorted list, and the rank kernel of `game.best_response`,
+    which the grid equilibrium search and `is_equilibrium` share. Its
+    level sets are computed once per player from the payoff ranks, its
+    levels are indices (a grid rank in the grid search) and its lift
+    maps an interior level to the key of its correction in one sorted
+    chain with the payoff values (`game._lifted`).
     A level at `top` ends the scan, since later values are strictly
     smaller and cannot beat it; a level 0 lifts to the bottom of the
     range and never wins, so it is skipped.

@@ -136,19 +136,24 @@ class ProductDomain(_Record):
         )
 
     def mask_of_box(self, coordinate_masks: Sequence[int]) -> int:
-        """Flat mask of a product-of-subsets box, one mask per factor."""
+        """Flat mask of a product-of-subsets box, one mask per factor.
+
+        Row-major order puts the last factor's points in the low bits, so
+        the box is the last factor's mask, repeated for each earlier
+        factor at the stride of every point its mask holds."""
         if len(coordinate_masks) != len(self.factors):
             raise ValueError("one coordinate mask per factor required")
-        mask = 0
-        for idx in range(self.size):
-            keep = True
-            for d, stride, cmask in zip(self.factors, self._strides, coordinate_masks):
-                if not (cmask >> ((idx // stride) % d.size)) & 1:
-                    keep = False
-                    break
-            if keep:
-                mask |= 1 << idx
-        return mask
+        for d, cmask in zip(self.factors, coordinate_masks):
+            d.check_mask(cmask)
+        box = 1
+        for stride, cmask in zip(reversed(self._strides), reversed(coordinate_masks)):
+            row = 0
+            while cmask:
+                low = cmask & -cmask
+                row |= box << (stride * (low.bit_length() - 1))
+                cmask ^= low
+            box = row
+        return box
 
 
 def product_domain(factors: Sequence[Domain]) -> ProductDomain:

@@ -36,6 +36,7 @@ from capgames import (
     classical_sugeno,
     default_correction,
     enumerate_capacities,
+    expected_payoff,
     format_rational,
     is_equilibrium,
     opponent_domain,
@@ -306,6 +307,32 @@ class FractionLazyTensor(CapacityBase):
                     PayoffFunction(self._prefix.domain, sections), self._prefix)
             self._memo[mask] = value
         return self._memo[mask]
+
+
+def fraction_best_response(game: GameSpec, player: int, belief: CapacityBase,
+                           corr: CorrectionMap) -> tuple[str, ...]:
+    """Reference best response on Fractions: the own strategies whose
+    `expected_payoff` (the corrected Sugeno integral) is largest, in
+    strategy order."""
+    labels = game.strategy_domains[player].labels
+    scores = [expected_payoff(game, player, lab, belief, corr) for lab in labels]
+    top = max(scores)
+    return tuple(lab for lab, s in zip(labels, scores) if s == top)
+
+
+def loop_mask_of_box(product, coordinate_masks) -> int:
+    """Reference box mask of a ProductDomain: every flat point is kept
+    when each coordinate lies in its factor's mask."""
+    mask = 0
+    for idx in range(product.size):
+        keep = True
+        for d, stride, cmask in zip(product.factors, product._strides, coordinate_masks):
+            if not (cmask >> ((idx // stride) % d.size)) & 1:
+                keep = False
+                break
+        if keep:
+            mask |= 1 << idx
+    return mask
 
 
 def fraction_box_responses(game: GameSpec, masks) -> list[int]:

@@ -34,12 +34,11 @@ from capgames import (
     tensor_many,
     top_capacity,
 )
-from capgames import capacity
+from capgames import PayoffFunction, capacity, equilibrium, payoff_slice
 from capgames.capacity import _grid_tables, _grid_values
 from capgames.equilibrium import (
     _best_response_masks,
     _grid_response_masks,
-    _profile_beliefs,
     support_profile_count,
 )
 from capgames.game import _payoff_ranks
@@ -51,6 +50,7 @@ from helpers import (
     coordination_game,
     counted_fraction_compares,
     dominant_game,
+    fraction_best_response,
     fraction_pure_nash,
     full_product_support_scan,
     letters,
@@ -103,6 +103,15 @@ def assert_same_scan(fast, slow) -> None:
     assert [c.to_dict() for _, c in fast] == [c.to_dict() for _, c in slow]
     assert ([belief_tables(c.beliefs.beliefs) for _, c in fast]
             == [belief_tables(c.beliefs.beliefs) for _, c in slow])
+
+
+def certificate_record(cert) -> tuple:
+    """The certificate's fields, each belief as itself when dense (equal
+    by value) and as its factors when lazy (a lazy tensor is equal only
+    to itself)."""
+    return tuple((tuple(b.factors if isinstance(b, LazyTensorCapacity) else b
+                        for b in value.beliefs) if name == "beliefs" else value)
+                 for name, value in zip(cert._fields, cert._astuple()))
 
 
 # Criterion 07's recipe (see test_acceptance.scan200) and the indices of
@@ -401,6 +410,60 @@ class TestFindEquilibriaSupports:
         assert [p.masks for p, _ in fast] == sorted(p.masks for p, _ in fast)
         assert_same_scan(fast, full_product_support_scan(fresh_copy(game)))
 
+    @given(st.data())
+    def test_every_certificate_equals_an_independent_check(self, data):
+        game = draw_scan_game(data)
+        for corr in (default_correction(), logit_correction()):
+            for profile, cert in find_equilibria_supports(game, corr):
+                alone = check_support_profile(fresh_copy(game), profile, corr)
+                assert certificate_record(cert) == certificate_record(alone)
+                assert cert.to_dict() == alone.to_dict()
+                if game.n_players == 2:
+                    assert cert == alone
+
+    # Games whose hits share beliefs: 27 hits with 27 distinct beliefs
+    # among 81, 11 with 25 among 33, and 7 with 9 among 14.
+    @pytest.mark.parametrize("game", [
+        GameSpec((letters(2),) * 3, ((F(0),) * 8,) * 3),
+        random_game(SplitMix64(5), (3, 3, 2)),
+        random_game(SplitMix64(1), (3, 3)),
+    ], ids=["equal-payoffs", "3x3x2", "3x3"])
+    def test_scan_decides_each_belief_once(self, game, monkeypatch):
+        built = []
+        init = PayoffFunction.__init__
+
+        def counting_init(func, *args):
+            built.append(args)
+            init(func, *args)
+
+        monkeypatch.setattr(PayoffFunction, "__init__", counting_init)
+        payoff_slice(fresh_copy(game), 0, "a")
+        assert len(built) == 1  # the counter does count
+        built.clear()
+        decided, boxes = [], []
+        kernel, outside_box = equilibrium._response_mask, equilibrium._outside_box
+
+        def counting_kernel(game, player, belief, corr):
+            decided.append((player, id(belief)))
+            return kernel(game, player, belief, corr)
+
+        def counting_outside_box(game, player, responses):
+            boxes.append((player, tuple(responses[:player]) + tuple(responses[player + 1:])))
+            return outside_box(game, player, responses)
+
+        monkeypatch.setattr(equilibrium, "_response_mask", counting_kernel)
+        monkeypatch.setattr(equilibrium, "_outside_box", counting_outside_box)
+        hits = find_equilibria_supports(game)
+        assert hits and built == []
+        n = game.n_players
+        beliefs = {(i, p.masks[:i] + p.masks[i + 1:]) for p, _ in hits for i in range(n)}
+        assert len(decided) == len(set(decided)) == len(beliefs) < len(hits) * n
+        responses = [tuple(d.as_mask(r) for d, r in zip(game.strategy_domains,
+                                                          c.best_responses))
+                     for _, c in hits]
+        assert len(boxes) == len(set(boxes)) == len(
+            {(i, r[:i] + r[i + 1:]) for r in responses for i in range(n)}) < len(hits) * n
+
     def test_criterion_07_empty_games_stay_empty(self):
         games = criterion_07_games()
         for k in CRITERION_07_EMPTY:
@@ -509,8 +572,14 @@ class TestFindEquilibriaGrid:
             masks = _grid_response_masks(game, i, levels,
                                          _grid_tables(domain, levels), corr)
             own = game.strategy_domains[i]
+            space = enumerate_capacities(domain, grid).capacities
             assert masks == [own.mask_of(best_response(game, i, cap, corr))
-                             for cap in enumerate_capacities(domain, grid).capacities]
+                             for cap in space]
+            # best_response shares the rank kernel: check a sample of the
+            # members against the Fraction argmax too.
+            for k in range(0, len(space), 7):
+                assert masks[k] == own.mask_of(
+                    fraction_best_response(game, i, space[k], corr))
 
     @given(st.data())
     def test_rank_path_matches_the_best_response_search(self, data):
@@ -543,7 +612,7 @@ class TestFindEquilibriaGrid:
         assert hits
         for masks in itertools.product(range(1, 4), repeat=3):
             profile = SupportProfile.from_masks(game, masks)
-            beliefs = _profile_beliefs(game, profile).beliefs
+            beliefs = check_support_profile(game, profile).beliefs.beliefs
             key = tuple(id_of.get(materialize(b).values) for b in beliefs)
             assert (key in found) == (masks in hits)
         for system in systems[::997]:

@@ -1,15 +1,19 @@
 """Game model, payoff slices, Sugeno expected payoff, best responses."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from capgames import (
+    CorrectionMap,
     Domain,
     DomainMismatch,
+    FiniteCapacity,
     GameSpec,
+    LazyTensorCapacity,
     UnknownLabel,
     best_response,
     default_correction,
@@ -27,6 +31,8 @@ from capgames.generate import SplitMix64, random_capacity, random_game
 
 from helpers import (
     coordination_game,
+    fraction_best_response,
+    letters,
     matching_pennies,
     one_strategy_game,
 )
@@ -273,3 +279,109 @@ class TestBestResponse:
         nu = random_capacity(Domain(("x", "y")), rng)
         assert set(best_response(base, 0, nu, PSI)) == \
             set(best_response(swapped, 0, nu, PSI))
+
+
+CORRECTIONS = (default_correction(), logit_correction(), logit_correction(3))
+# Payoff palettes. The first makes ties, and holds values that
+# corrections of grid levels hit exactly: the default correction sends
+# 1/2 to 0 and 1/3, 2/3 to -3/2, 3/2. The others leave wide gaps, so
+# that distinct corrected levels fall between the same two payoffs.
+PALETTES = ((-2, F(-3, 2), -1, 0, 1, F(3, 2), 2), (-10, 0, 10), (-10, 10))
+
+
+class TestRankKernel:
+    """best_response decides on ranks; the Fraction argmax of
+    expected_payoff (`fraction_best_response`) is its reference."""
+
+    @given(st.data())
+    def test_matches_the_fraction_argmax(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        count = math.prod(sizes)
+        palette = data.draw(st.sampled_from(PALETTES))
+        game = GameSpec(tuple(letters(k) for k in sizes), tuple(
+            tuple(data.draw(st.lists(st.sampled_from(palette), min_size=count,
+                                     max_size=count)))
+            for _ in sizes))
+        player = data.draw(st.integers(0, len(sizes) - 1))
+        rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+        # Denominator 1 gives {0, 1}-valued beliefs; the others interior
+        # levels, with 2, 3 and 4 among the grid levels the payoffs hit.
+        denominator = data.draw(st.sampled_from([1, 2, 3, 4, 8]))
+        others = [d for j, d in enumerate(game.strategy_domains) if j != player]
+        if len(others) > 1 and data.draw(st.booleans()):
+            belief = LazyTensorCapacity([random_capacity(d, rng, denominator)
+                                         for d in others])
+        else:
+            belief = random_capacity(opponent_domain(game, player).flat, rng,
+                                     denominator)
+        for corr in CORRECTIONS:
+            assert (best_response(game, player, belief, corr)
+                    == fraction_best_response(game, player, belief, corr))
+
+    @given(st.data())
+    def test_scores_between_two_payoffs_match_the_fraction_argmax(self, data):
+        # Payoffs -10 and 10 only: a strategy whose slice holds both
+        # scores the corrected level of its winning set, so several
+        # strategies often score distinct levels inside one gap.
+        k, m = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+        game = GameSpec((letters(k), letters(m)), tuple(
+            tuple(data.draw(st.lists(st.sampled_from((-10, 10)), min_size=k * m,
+                                     max_size=k * m)))
+            for _ in range(2)))
+        rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+        belief = random_capacity(letters(m), rng, data.draw(st.sampled_from([3, 4, 8])))
+        for corr in CORRECTIONS:
+            assert (best_response(game, 0, belief, corr)
+                    == fraction_best_response(game, 0, belief, corr))
+
+    def test_corrected_levels_between_the_same_two_payoffs(self):
+        # Strategy s scores psi(mu({x})) and t scores psi(mu({y})). The
+        # game's only payoffs are -10 and 10, so each score is a
+        # corrected level strictly between them, and distinct levels
+        # must still be told apart.
+        xy = Domain(("x", "y"))
+        game = GameSpec.from_nested(
+            [Domain(("s", "t")), xy],
+            [[[10, -10], [-10, 10]], [[10, -10], [-10, 10]]])
+        # The default psi: 1/3 -> -3/2, 1/2 -> 0, 2/3 -> 3/2.
+        cases = [((F(2, 3), F(1, 2)), ("s",)),
+                 ((F(1, 2), F(2, 3)), ("t",)),
+                 ((F(1, 3), F(1, 2)), ("t",)),
+                 ((F(1, 2), F(1, 2)), ("s", "t"))]
+        self.assert_cases(game, cases)
+
+    def test_corrected_levels_equal_to_a_payoff(self):
+        # As above, with a third strategy u paying 0 everywhere: psi(1/2)
+        # = 0 ties it, and psi(1/3) = -3/2 loses to it.
+        xy = Domain(("x", "y"))
+        game = GameSpec.from_nested(
+            [Domain(("s", "t", "u")), xy],
+            [[[10, -10], [-10, 10], [0, 0]], [[10, -10], [-10, 10], [0, 0]]])
+        cases = [((F(2, 3), F(1, 2)), ("s",)),
+                 ((F(1, 3), F(1, 2)), ("t", "u")),
+                 ((F(1, 2), F(1, 2)), ("s", "t", "u")),
+                 ((F(1, 3), F(1, 4)), ("u",))]
+        self.assert_cases(game, cases)
+
+    @staticmethod
+    def assert_cases(game, cases):
+        xy = opponent_domain(game, 0).flat
+        for (x, y), want in cases:
+            belief = FiniteCapacity(xy, [0, x, y, 1])
+            assert best_response(game, 0, belief, PSI) == want
+            assert fraction_best_response(game, 0, belief, PSI) == want
+            for corr in CORRECTIONS:
+                assert (best_response(game, 0, belief, corr)
+                        == fraction_best_response(game, 0, belief, corr))
+
+    def test_levels_zero_and_one_need_no_correction(self):
+        def refuse(u):
+            raise AssertionError(f"correction evaluated at {u}")
+
+        never = CorrectionMap("never", refuse)
+        game = random_game(SplitMix64(4), (3, 2, 2))
+        opp = opponent_domain(game, 0).flat
+        for smask in range(1, opp.subset_count):
+            belief = possibility_capacity(opp, opp.labels_of(smask))
+            assert (best_response(game, 0, belief, never)
+                    == fraction_best_response(game, 0, belief, PSI))

@@ -37,6 +37,7 @@ from helpers import (
     fraction_tensor_many,
     letters,
     level_set_tensor2,
+    loop_mask_of_box,
     seeded_capacity,
 )
 
@@ -78,6 +79,20 @@ class TestProductDomain:
         assert pd.mask_of_box([0b10, 0b01]) == 0b0100
         assert pd.mask_of_box([0b11, 0b11]) == 0b1111
         assert pd.mask_of_box([0b00, 0b11]) == 0
+
+    def test_mask_of_box_rejects_masks_outside_a_factor(self):
+        pd = product_domain([AB, PQR])
+        for masks, bad in (([0b111, 0b1111], 7), ([-1, 1], -1), ([0b11, 0b1000], 8)):
+            with pytest.raises(ValueError, match=f"^mask {bad} out of range"):
+                pd.mask_of_box(masks)
+
+    @given(st.data())
+    def test_mask_of_box_matches_the_point_loop(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        pd = product_domain([Domain(tuple(f"{chr(ord('a') + j)}{k}" for k in range(size)))
+                             for j, size in enumerate(sizes)])
+        masks = [data.draw(st.integers(0, (1 << size) - 1)) for size in sizes]
+        assert pd.mask_of_box(masks) == loop_mask_of_box(pd, masks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
