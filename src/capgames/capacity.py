@@ -118,11 +118,10 @@ class BudgetExceeded(Exception):
 
 
 DENSE_DOMAIN_CAP = 20
-# Exhaustive grid spaces: domain points, grid values, and the members one
-# enumeration may build. The 4-point {0, 1/2, 1} space has 7,246 members,
-# the 4-point spaces on 4 or 5 grid values 145,954 and 1,753,909.
-MAX_DOMAIN_POINTS = 4
-MAX_GRID_POINTS = 5
+# The members one exhaustive grid space may have, the only bound on its
+# domain and grid (`_grid_tables`). The 4-point {0, 1/2, 1} space has
+# 7,246 members and the 5-point {0, 1} space 7,579; the 4-point spaces
+# on 4 or 5 grid values have 145,954 and 1,753,909.
 MAX_SPACE_MEMBERS = 10_000
 
 RationalLike = Union[Fraction, int]
@@ -254,6 +253,7 @@ class Domain(_Record):
 class CapacityBase:
     """Evaluation contract shared by dense tables and lazy tensor evaluators."""
 
+    __slots__ = ()
     domain: Domain
 
     def value_mask(self, mask: int) -> Fraction:
@@ -285,23 +285,15 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
             for mask in order]
 
 
-def _grid_values(domain: Domain, grid: Iterable[RationalLike]) -> list[Fraction]:
-    """The sorted distinct grid values, once the grid and the domain are
-    checked against the exhaustive budget."""
+def _grid_values(grid: Iterable[RationalLike]) -> list[Fraction]:
+    """The sorted distinct grid values, once checked to be rationals in
+    [0, 1] that include 0 and 1."""
     values, _ = _ranked([_coerce_rational(g, "grid value") for g in grid])
     for g in values:
         if g < 0 or g > 1:
             raise RangeError(f"grid value {g} outside [0, 1]")
     if Fraction(0) not in values or Fraction(1) not in values:
         raise ValueError("grid must contain 0 and 1")
-    if domain.size > MAX_DOMAIN_POINTS:
-        raise BudgetExceeded(
-            f"domain has {domain.size} points, exhaustive budget stops at {MAX_DOMAIN_POINTS}"
-        )
-    if len(values) > MAX_GRID_POINTS:
-        raise BudgetExceeded(
-            f"grid has {len(values)} values, exhaustive budget stops at {MAX_GRID_POINTS}"
-        )
     return values
 
 
@@ -320,8 +312,16 @@ def _grid_tables(domain: Domain,
     its extensions before it builds them; the counts never fall from one
     step to the next, so BudgetExceeded is raised, before more than
     MAX_SPACE_MEMBERS partial tables are held, exactly when the space
-    has more than MAX_SPACE_MEMBERS members.
+    has more than MAX_SPACE_MEMBERS members. That is the only bound on a
+    space. On 2 or more points the first steps give the singletons any
+    grid values, len(values) ** size tables, so a space over the budget
+    there is refused before the fill order is built; 1 point, 1 member.
     """
+    too_large = BudgetExceeded(
+        f"{domain.size} points with {len(values)} grid values give "
+        f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
+    if domain.size > 1 and len(values) ** domain.size > MAX_SPACE_MEMBERS:
+        raise too_large
     full = domain.full_mask
     order = _monotone_fill_order(domain)
     # A partial table holds the ranks of the empty set, then of the
@@ -336,9 +336,7 @@ def _grid_tables(domain: Domain,
         cover_ranks = operator.itemgetter(0, *map(position.__getitem__, covers))
         floors = [max(cover_ranks(t)) for t in partial]
         if len(values) * len(floors) - sum(floors) > MAX_SPACE_MEMBERS:
-            raise BudgetExceeded(
-                f"{domain.size} points with {len(values)} grid values give "
-                f"more than {MAX_SPACE_MEMBERS} capacities, the exhaustive budget")
+            raise too_large
         partial = [t + r for t, floor in zip(partial, floors) for r in ranks[floor:]]
     by_mask = operator.itemgetter(*map(position.__getitem__, range(full + 1)))
     return [list(by_mask(t + ranks[-1])) for t in partial]
@@ -483,15 +481,17 @@ def _check_cover_pairs(domain: Domain, ranks: Sequence[int],
             rest ^= bit
 
 
-class FiniteCapacity(CapacityBase):
+class FiniteCapacity(CapacityBase, _Record):
     """Dense, validated, immutable capacity on a domain of at most 20 points.
 
     `values` is the Fraction table, indexed by mask. Construction ranks
     it into its sorted distinct values (`_ranked`) and validates it on
-    the ranks (`_check_ranks`).
+    the ranks (`_check_ranks`). A record of its domain and values
+    (`_Record`): copies and pickles are rebuilt, and re-validated, by
+    `__init__`.
     """
 
-    __slots__ = ("domain", "values")
+    __slots__ = _fields = ("domain", "values")
 
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
@@ -535,13 +535,6 @@ class FiniteCapacity(CapacityBase):
             caps.append(cap)
         return caps
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteCapacity is immutable")
-
-    def __reduce__(self):
-        # Copies and pickles are rebuilt, and re-validated, by __init__.
-        return type(self), (self.domain, self.values)
-
     def value_mask(self, mask: int) -> Fraction:
         if not 0 <= mask < len(self.values):
             self.domain.check_mask(mask)
@@ -561,14 +554,6 @@ class FiniteCapacity(CapacityBase):
                 raise MissingSubset(domain.labels_of(mask))
             values.append(by_mask[mask])
         return cls(domain, values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteCapacity):
-            return NotImplemented
-        return self.domain.labels == other.domain.labels and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.domain.labels, self.values))
 
     def __le__(self, other: "FiniteCapacity") -> bool:
         """Pointwise order over every subset."""

@@ -21,7 +21,7 @@ from typing import Sequence
 # The modules every command loads (io needs the other three). The rest
 # are imported inside the commands that run them, so that a cold process
 # compiles no module its command does not use.
-from .capacity import BudgetExceeded, CapacityError, Domain
+from .capacity import DENSE_DOMAIN_CAP, BudgetExceeded, CapacityError, Domain
 from .io import (
     ParseError,
     ValidationError,
@@ -186,6 +186,9 @@ def cmd_verify_convexity(args) -> tuple[int, dict | str]:
     from .convexity import check_binarity, check_t2, enumerate_capacities
     from .generate import _letters
 
+    if not 1 <= args.domain_size <= DENSE_DOMAIN_CAP:
+        raise ValueError(f"--domain-size must lie in 1..{DENSE_DOMAIN_CAP}, "
+                         f"got {args.domain_size}")
     grid = _parse_grid(args.grid)
     domain = Domain(_letters(args.domain_size))
     space = enumerate_capacities(domain, grid)

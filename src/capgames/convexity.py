@@ -133,10 +133,11 @@ def enumerate_capacities(domain: Domain,
     cardinality, each subset's grid values ascending). The whole space
     is filled as rank tables and validated as one batch
     (`FiniteCapacity._many_from_ranks`) before any member is built. The
-    fill stops with BudgetExceeded before it would hold more than
+    member count is the only bound on the domain and the grid: the fill
+    stops with BudgetExceeded before it would hold more than
     MAX_SPACE_MEMBERS tables.
     """
-    values = _grid_values(domain, grid)
+    values = _grid_values(grid)
     caps = tuple(FiniteCapacity._many_from_ranks(
         domain, values, _grid_tables(domain, values)))
     return GridCapacitySpace(domain, tuple(values), caps)

@@ -482,19 +482,16 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     player i accepts the members of group r_i whose rank outside the
     box of r_-i is 0, the rank of value 0: the residual rule of
     `is_equilibrium`. The hits for r are the product of the accepted
-    lists. The budget bounds the product of the space sizes: each space
-    is filled once as rank tables, and the tables are counted before
-    any member is built from them.
+    lists. The grid is checked once. Each space is filled once as rank
+    tables, bounded only by its member count (MAX_SPACE_MEMBERS, not the
+    opponents' domain size or the grid length), and the budget bounds
+    the product of the space sizes, counted before any member is built.
     """
     corr = correction if correction is not None else default_correction()
-    grid = tuple(grid)
+    levels = _grid_values(grid)
     domains = [opponent_domain(game, i).flat for i in range(game.n_players)]
     # Players whose opponents have equal labels share one space.
-    tables: dict[Domain, list[list[int]]] = {}
-    for d in domains:
-        if d not in tables:
-            levels = _grid_values(d, grid)  # the sorted grid, for every d
-            tables[d] = _grid_tables(d, levels)
+    tables = {d: _grid_tables(d, levels) for d in dict.fromkeys(domains)}
     total = math.prod(len(tables[d]) for d in domains)
     if total > budget:
         raise BudgetExceeded(

@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 from typing import Union
 
+__all__ = ["NEG_INF", "POS_INF", "format_rational", "parse_rational"]
+
 
 class Extreme:
     """Signed infinity. Compares against Fraction/int; never equal to them."""

@@ -56,6 +56,7 @@ __all__ = [
     "marginal",
     "LazyTensorCapacity",
     "lazy_tensor",
+    "materialize",
     "associativity_probe",
 ]
 
@@ -258,7 +259,7 @@ def marginal(cap: CapacityBase, product: ProductDomain, axis: int) -> FiniteCapa
     return pushforward(cap, mapping, target)
 
 
-class LazyTensorCapacity(CapacityBase):
+class LazyTensorCapacity(CapacityBase, _Record):
     """On-demand left-fold tensor evaluation, no dense table.
 
     Evaluates the recursive section formula: the product of the first
@@ -269,11 +270,12 @@ class LazyTensorCapacity(CapacityBase):
     the rank of the whole product back to its level. `_memo` is the
     whole product's memo. A lazy factor is ranked on demand, through its
     own levels; any other factor is read as a dense table (`_table`).
-    Instances are immutable apart from the memos; copies and pickles are
-    rebuilt from the factors, with empty memos.
+    A record of its factors (`_Record`), immutable apart from the memos;
+    copies and pickles are rebuilt from the factors, with empty memos.
     """
 
     __slots__ = ("domain", "factors", "product", "_levels", "_rank", "_memo")
+    _fields = ("factors",)
 
     def __init__(self, factors: Sequence[CapacityBase],
                  _product: ProductDomain | None = None):
@@ -301,12 +303,6 @@ class LazyTensorCapacity(CapacityBase):
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_memo", memo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LazyTensorCapacity is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.factors,)
 
     def value_mask(self, mask: int) -> Fraction:
         self.domain.check_mask(mask)

@@ -29,7 +29,7 @@ from capgames import (
     separating_halves,
     top_capacity,
 )
-from capgames import convexity
+from capgames import capacity, convexity
 
 from helpers import (_scale_of, _scaled_matrix, bigint_binarity_scan, letters,
                      pairwise_t2_scan)
@@ -132,12 +132,30 @@ class TestEnumerateCapacities:
             enumerate_capacities(AB, grid)
 
     def test_budgets(self):
-        with pytest.raises(BudgetExceeded):
-            enumerate_capacities(Domain(("a", "b", "c", "d", "e")), (0, 1))
-        with pytest.raises(BudgetExceeded):
-            enumerate_capacities(
-                AB, (0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1)
-            )
+        # The member count is the only bound: neither the domain size
+        # nor the grid length refuses a space inside it.
+        assert len(enumerate_capacities(letters(5), (0, 1))) == 7579
+        assert len(enumerate_capacities(AB, [F(k, 5) for k in range(6)])) == 36
+        one_point = enumerate_capacities(Domain(("a",)), [F(k, 10000) for k in range(10001)])
+        assert len(one_point) == 1
+        assert one_point.capacities[0].values == (F(0), F(1))
+
+    @pytest.mark.parametrize("domain, grid", [
+        (AB, [F(k, 100) for k in range(101)]),
+        (letters(20), (0, 1)),
+    ], ids=["2-points-101-values", "20-points-0-1"])
+    def test_singleton_choices_over_the_budget_are_refused_before_the_fill(
+            self, domain, grid, monkeypatch):
+        # 101^2 and 2^20 singleton choices: refused before the fill order
+        # (2^20 subsets on 20 points) is built.
+        def no_fill_order(domain):
+            raise AssertionError("fill order built")
+
+        monkeypatch.setattr(capacity, "_monotone_fill_order", no_fill_order)
+        with pytest.raises(BudgetExceeded, match=(
+                f"^{domain.size} points with {len(grid)} grid values give more "
+                "than 10000 capacities, the exhaustive budget$")):
+            enumerate_capacities(domain, grid)
 
     def test_member_budget_admits_the_four_point_three_value_space(self):
         assert len(enumerate_capacities(letters(4), GRID3)) == 7246

@@ -53,6 +53,7 @@ from helpers import (
     fraction_best_response,
     fraction_pure_nash,
     full_product_support_scan,
+    is_possibility,
     letters,
     matching_pennies,
     measure_support_scan,
@@ -568,7 +569,7 @@ class TestFindEquilibriaGrid:
         assert member_indices(game, grid, fast) == member_indices(game, grid, slow)
         for i in range(game.n_players):
             domain = opponent_domain(game, i).flat
-            levels = _grid_values(domain, grid)
+            levels = _grid_values(grid)
             masks = _grid_response_masks(game, i, levels,
                                          _grid_tables(domain, levels), corr)
             own = game.strategy_domains[i]
@@ -617,6 +618,25 @@ class TestFindEquilibriaGrid:
             assert (key in found) == (masks in hits)
         for system in systems[::997]:
             assert is_equilibrium(game, system).holds
+
+    def test_possibility_systems_on_a_two_by_five_game_are_the_support_hits(self):
+        # Player 0 believes on player 1's 5 strategies: the 5-point
+        # {0, 1} space, 7,579 members, which only the member budget bounds.
+        # Criterion 09's relation: the possibility systems among the grid
+        # hits are the support-scan hits.
+        game = random_game(SplitMix64(3), [2, 5])
+        systems = find_equilibria_grid(game, (0, 1))
+        assert len(systems) == 5104
+
+        def support(cap):
+            return sum(1 << k for k in range(cap.domain.size) if cap.value_mask(1 << k) == 1)
+
+        # Player i's belief encodes the other player's support.
+        translated = {(support(b1), support(b0)) for b0, b1 in
+                      (s.beliefs for s in systems) if is_possibility(b0) and is_possibility(b1)}
+        hits = {p.masks for p, _ in find_equilibria_supports(game)}
+        assert len(hits) == 4
+        assert translated == hits
 
     def test_budget_is_checked_before_any_member_is_built(self, monkeypatch):
         # Members are built by _many_from_ranks, which validates every

@@ -68,6 +68,18 @@ def test_star_import_and_dir_list_every_name():
     assert {"capacity", "cli", "io", "tensor", "__version__"} <= set(listed)
 
 
+@pytest.mark.parametrize("module", sorted(capgames._EXPORTS))
+def test_each_module_lists_its_exports(module):
+    # A star import of the module gives exactly its __all__, which holds
+    # every name the package exports from it.
+    home = importlib.import_module(f"capgames.{module}")
+    namespace = {}
+    exec(f"from capgames.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(home.__all__)
+    assert set(capgames._EXPORTS[module]) <= set(home.__all__)
+
+
 def test_budget_exceeded_is_one_class():
     from capgames import capacity, convexity
 

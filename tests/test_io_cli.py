@@ -572,6 +572,19 @@ class TestCli:
                      "--grid", "0,1/4,1/2,3/4,1"]) == 2
         assert "exhaustive budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-3", "21", "28", "1000000", "2000000"])
+    def test_verify_convexity_refuses_a_domain_size_before_any_label(
+            self, size, capsys, monkeypatch):
+        from capgames import generate
+
+        def no_labels(count):
+            raise AssertionError("labels built")
+
+        monkeypatch.setattr(generate, "_letters", no_labels)
+        assert main(["verify-convexity", "--domain-size", size]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --domain-size must lie in 1..20, got {size}\n")
+
     def test_verify_convexity_names_the_binarity_scan_it_refuses(self, capsys):
         # The 4-point {0, 1/2, 1} space fits the member budget (7,246) but
         # has more intervals than the binarity scan's budget.

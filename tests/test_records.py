@@ -32,6 +32,7 @@ X = Domain(("x",))
 TOP = top_capacity(X)
 TOP_TEXT = "FiniteCapacity({}: 0, {'x'}: 1)"
 PSI = default_correction()
+LAZY = LazyTensorCapacity((TOP, TOP))
 PROFILE = SupportProfile(masks=(1, 2), labels=(("a",), ("b",)))
 PROFILE_TEXT = "SupportProfile(masks=(1, 2), labels=(('a',), ('b',)))"
 SYSTEM = BeliefSystem(beliefs=(TOP,))
@@ -93,6 +94,10 @@ CASES = [
      (2, 1, ((0, 1, "halves do not cover the space"),), 0.25),
      "SeparationReport(capacity_count=2, pairs_checked=1, "
      "failures=((0, 1, 'halves do not cover the space'),), seconds=0.25)"),
+    (FiniteCapacity, dict(domain=X, values=(0, 1)), (X, (F(0), F(1))), TOP_TEXT),
+    # Two lazy tensors are equal when their factors are.
+    (LazyTensorCapacity, dict(factors=(TOP, TOP)), ((TOP, TOP),),
+     f"LazyTensorCapacity(factors=({TOP_TEXT}, {TOP_TEXT}))"),
 ]
 # A case keeps its number when an earlier case is removed, so that the
 # other cases' test ids stay put; number 9 is retired.
@@ -168,6 +173,19 @@ def test_copies_rebuild_the_derived_state():
     for twin in (copy.deepcopy(product), pickle.loads(pickle.dumps(product))):
         assert twin.index_of(("b", "x")) == 1
         assert twin.flat.index_of("b|x") == 1
+
+
+@pytest.mark.parametrize("record", [TOP, LAZY], ids=["FiniteCapacity", "LazyTensorCapacity"])
+def test_capacities_hold_no_state_but_their_slots(record):
+    # No slot can be deleted, the lazy memo included, and with no
+    # instance dict no other attribute can be set, even bypassing
+    # __setattr__.
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "unknown", 1)
+    assert not hasattr(record, "__dict__")
 
 
 def _copies(obj):
