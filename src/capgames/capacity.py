@@ -198,7 +198,8 @@ class Domain(_Record):
     __slots__ = ("labels", "_index")
     _fields = ("labels",)
 
-    def __init__(self, labels: tuple[str, ...]):
+    def __init__(self, labels: Sequence[str]):
+        labels = tuple(labels)
         if not labels:
             raise ValueError("domain needs at least one label")
         if len(set(labels)) != len(labels):
@@ -364,13 +365,14 @@ def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
     and greatest rank, against `unit` (which lies inside the rank
     bounds); the ranks at the empty and the full set, which must be the
     ranks of 0 and 1 (one Fraction compare per end for the batch); and
-    the cover pairs of all tables at once (`_cover_pairs_hold`). Only if
+    the cover pairs of all tables at once (`_cover_violation`). Only if
     that fails are the tables checked one by one, in order, so the first
     bad table raises, in this order: its length and rank bounds
     (ValueError), its range at the first mask outside [0, 1]
     (RangeError), 0 on the empty set and 1 on the full set
-    (NormalizationError), then its first violating cover pair
-    (MonotonicityError). Rank order is level order, so they compare ints.
+    (NormalizationError), then the first violating cover pair that the
+    same packed check names on the table alone (MonotonicityError).
+    Rank order is level order, so they compare ints.
     """
     count, full = domain.subset_count, domain.full_mask
     if tables and all(map(count.__eq__, map(len, tables))):
@@ -382,7 +384,7 @@ def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
                 and flat[::count].count(unit.start) == len(tables)
                 and flat[full::count].count(unit.stop - 1) == len(tables)
                 and levels[unit.start] == 0 and levels[unit.stop - 1] == 1
-                and _cover_pairs_hold(domain.size, flat, len(levels))):
+                and _cover_violation(domain.size, flat, len(levels)) is None):
             return
     for ranks in tables:
         if len(ranks) != count:
@@ -402,7 +404,11 @@ def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
             raise NormalizationError(f"empty set must get 0, got {empty}")
         if whole != 1:
             raise NormalizationError(f"full set must get 1, got {whole}")
-        _check_cover_pairs(domain, ranks, levels)
+        violation = _cover_violation(domain.size, ranks, len(levels))
+        if violation is not None:
+            small, large = violation
+            raise MonotonicityError(domain.labels_of(small), domain.labels_of(large),
+                                    levels[ranks[small]], levels[ranks[large]])
 
 
 @functools.cache
@@ -413,9 +419,11 @@ def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int,
     point k the guard bits of the fields whose mask lacks k, repeated
     once per table. Single tables give at most 60 entries (20 sizes, 3
     widths), the largest, 20 points in 32-bit fields, holding 21 ints of
-    4 MiB; grid spaces give one more per domain size and grid length, at
-    most 16, since a space's size depends on nothing else (the 4-point
-    {0, 1/2, 1} space's entry holds 5 ints of 113 KiB)."""
+    4 MiB. Grid spaces add one per domain size and member count, a
+    count the member budget (MAX_SPACE_MEMBERS) bounds: 107 entries, all
+    on 2-5 points and 99 of them on 2 (one per grid of 2-100 values),
+    together holding about 6 MiB of ints, the largest, the 5-point
+    {0, 1} space's, 6 ints of 1.4 MiB. A 1-point space is one table."""
     width = array(code).itemsize
     on = (1 << (8 * width - 1)).to_bytes(width, sys.byteorder)
     off = bytes(width)
@@ -431,10 +439,15 @@ def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int,
     return 8 * width, guard, lacking
 
 
-def _cover_pairs_hold(size: int, ranks: Sequence[int], level_count: int) -> bool:
-    """Whether ranks[A] <= ranks[A + {x}] for every cover pair of every
-    table in `ranks`, a batch of rank tables on `size` points laid one
-    after another (one table is a batch of one), decided on packed ints.
+def _cover_violation(size: int, ranks: Sequence[int],
+                     level_count: int) -> tuple[int, int] | None:
+    """The first cover pair (A, A + {x}) with ranks[A] > ranks[A + {x}],
+    by A and then by x, over a batch of rank tables on `size` points
+    laid one after another (one table is a batch of one), decided on
+    packed ints; None when every pair holds. A and A + {x} are indices
+    into the batch, so for one table they are masks. Cover pairs
+    suffice: they imply monotonicity for all nested pairs by
+    transitivity.
 
     Each rank fills one fixed-width field of a packed int, field A of a
     table at its mask A, and stays below the field's top (guard) bit:
@@ -446,39 +459,22 @@ def _cover_pairs_hold(size: int, ranks: Sequence[int], level_count: int) -> bool
     ranks leaves each field's guard bit set iff its larger-set rank is
     at least its own, and no field borrows from the next. One AND with
     the mask of the fields lacking k then checks every cover pair along
-    k at once.
+    k at once, and the lowest guard bit it leaves clear is k's first
+    failing field.
     """
     code = "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
     bits, guard, lacking = _cover_masks(size, code, len(ranks) >> size)
     # bytes() converts a list of small ints about three times as fast.
     fields = bytes(ranks) if code == "B" else array(code, ranks).tobytes()
     packed = int.from_bytes(fields, sys.byteorder)
+    first = None
     for k, mask in enumerate(lacking):
-        if (((packed >> (bits << k)) | guard) - packed) & mask != mask:
-            return False
-    return True
-
-
-def _check_cover_pairs(domain: Domain, ranks: Sequence[int],
-                       levels: Sequence[Fraction]) -> None:
-    """Raise MonotonicityError at the first cover pair (A, A + {x}), by
-    mask of A and then by x, whose smaller set has the larger rank; the
-    error reports the two levels.
-
-    Cover pairs suffice: A <= A + {x} for every x outside A implies
-    monotonicity for all nested pairs by transitivity. This loop names
-    the failure of a table that `_check_ranks` found bad in its batch.
-    """
-    full = domain.full_mask
-    for mask, r in enumerate(ranks):
-        rest = full & ~mask
-        while rest:
-            bit = rest & -rest
-            if r > ranks[mask | bit]:
-                raise MonotonicityError(domain.labels_of(mask),
-                                        domain.labels_of(mask | bit),
-                                        levels[r], levels[ranks[mask | bit]])
-            rest ^= bit
+        clear = mask ^ ((((packed >> (bits << k)) | guard) - packed) & mask)
+        if clear:
+            field = (clear & -clear).bit_length() // bits - 1
+            if first is None or field < first[0]:
+                first = field, field | 1 << k
+    return first
 
 
 class FiniteCapacity(CapacityBase, _Record):
@@ -544,10 +540,15 @@ class FiniteCapacity(CapacityBase, _Record):
     def from_table(cls, domain: Domain,
                    table: Mapping[frozenset, RationalLike] | Mapping[tuple, RationalLike],
                    ) -> "FiniteCapacity":
-        """Build from a mapping keyed by label collections; every subset required."""
+        """Build from a mapping keyed by label collections; every subset
+        required, each once."""
         by_mask: dict[int, Fraction] = {}
         for key, val in table.items():
-            by_mask[domain.mask_of(key)] = _coerce_rational(val, "capacity value")
+            mask = domain.mask_of(key)
+            if mask in by_mask:
+                raise ValueError(f"subset {_subset_text(domain.labels_of(mask))} "
+                                 f"given twice, the second time as {key!r}")
+            by_mask[mask] = _coerce_rational(val, "capacity value")
         values = []
         for mask in range(domain.subset_count):
             if mask not in by_mask:
@@ -580,8 +581,7 @@ _ZERO_ONE = (Fraction(0), Fraction(1))
 
 def top_capacity(domain: Domain) -> FiniteCapacity:
     """1 on every nonempty subset."""
-    return FiniteCapacity._from_ranks(
-        domain, _ZERO_ONE, [0] + [1] * (domain.subset_count - 1))
+    return _possibility(domain, domain.full_mask)
 
 
 def bottom_capacity(domain: Domain) -> FiniteCapacity:
@@ -592,9 +592,7 @@ def bottom_capacity(domain: Domain) -> FiniteCapacity:
 
 def dirac_capacity(domain: Domain, label: str) -> FiniteCapacity:
     """Point mass: 1 exactly on subsets containing the label."""
-    k = domain.index_of(label)
-    return FiniteCapacity._from_ranks(
-        domain, _ZERO_ONE, [mask >> k & 1 for mask in range(domain.subset_count)])
+    return _possibility(domain, 1 << domain.index_of(label))
 
 
 def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapacity:
@@ -606,7 +604,9 @@ def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapaci
 
 
 def _possibility(domain: Domain, support: int) -> FiniteCapacity:
-    """`possibility_capacity` on a nonempty support mask."""
+    """`possibility_capacity` on a nonempty support mask: the one
+    constructor of the {0, 1} capacities that are 1 exactly on the sets
+    meeting a support, the top and Dirac capacities among them."""
     return FiniteCapacity._from_ranks(
         domain, _ZERO_ONE,
         [1 if mask & support else 0 for mask in range(domain.subset_count)])

@@ -252,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, psi: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, psi: bool = True, files: bool = True) -> None:
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--allow-decimal", action="store_true",
-                       help="convert decimal literals in input files exactly")
+        if files:
+            p.add_argument("--allow-decimal", action="store_true",
+                           help="convert decimal literals in input files exactly")
         if psi:
             p.add_argument("--psi", default="default",
                            help="correction map: default, logit, or logit:SCALE")
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0,1/2,1")
     p.add_argument("--full-family", action="store_true",
                    help="also scan every linked family, tiny spaces only")
-    common(p, psi=False)
+    common(p, psi=False, files=False)
     p.set_defaults(handler=cmd_verify_convexity)
 
     p = sub.add_parser("oracle-compare",
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--resolution", default="1/1000")
-    common(p)
+    common(p, files=False)
     p.set_defaults(handler=cmd_oracle_compare)
 
     return parser

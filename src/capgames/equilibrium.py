@@ -66,7 +66,7 @@ from .game import (
     GameSpec,
     _argmax_mask,
     _lifted,
-    _payoff_ranks,
+    _payoff_ranked,
     _response_mask,
     _response_table,
     opponent_domain,
@@ -359,9 +359,9 @@ def _best_response_masks(game: GameSpec, player: int) -> list[int]:
     """Player's best-response mask against every box of opponent
     supports, row-major over the opponents' masks (mask m at m - 1) in
     ascending player order: the own strategies whose payoff maximum over
-    the box is largest, compared as payoff ranks (`_payoff_ranks`)."""
+    the box is largest, compared as payoff ranks (`_payoff_ranked`)."""
     dims = list(game.sizes)
-    table = list(_payoff_ranks(game)[player])
+    table = list(_payoff_ranked(game)[1][player])
     for axis in range(game.n_players):
         if axis != player:
             table = _subset_max_axis(table, dims, axis)
@@ -456,8 +456,8 @@ def _grid_response_masks(game: GameSpec, player: int,
     the grid ranks as level indices: each table goes through the
     level-set loop on the player's payoff level sets (`_response_table`),
     grid rank 0 is level 0, the last is level 1, and the lift of any
-    other is the chain key of its correction (`_lifted`), evaluated once
-    for all tables.
+    other is the chain rank of its correction (`_lifted`), evaluated
+    once for all tables.
     """
     sets = _response_table(game, player)
     sets, keys = _lifted(game, sets, [correction.evaluate(g) for g in levels[1:-1]])
@@ -525,9 +525,9 @@ def pure_nash(game: GameSpec) -> list[tuple[str, ...]]:
     """Classical exhaustive pure Nash scan by payoff comparison,
     profiles in ascending strategy-index order: a profile is kept when
     no player has a strictly better deviation. Payoffs compare as their
-    ranks (`_payoff_ranks`)."""
+    ranks (`_payoff_ranked`)."""
     domains, strides = game.strategy_domains, game.strides()
-    ranks = _payoff_ranks(game)
+    ranks = _payoff_ranked(game)[1]
     hits: list[tuple[str, ...]] = []
     # Row-major flat indices count up in itertools.product order.
     for flat, combo in enumerate(itertools.product(*(range(d.size) for d in domains))):

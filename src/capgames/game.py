@@ -10,10 +10,10 @@ player).
 The integral uses only min, max and order, so a best response is
 decided on ranks. Each player's payoff level sets are kept once per
 game as (payoff rank, mask) pairs (`_response_table`). A belief level
-of 0 or 1 needs no correction; the correction of every interior level
-is ranked exactly into one chain with the payoff values (`_lifted`),
-and the level-set loop `_level_set_max` then runs on ints. The grid
-equilibrium search shares the table and the lift.
+of 0 or 1 needs no correction; the corrections of the interior levels
+and the payoff values are ranked in one `_ranked` call into one chain
+(`_lifted`), and the level-set loop `_level_set_max` then runs on ints.
+The grid equilibrium search shares the table and the lift.
 `expected_payoff`, through `sugeno_integral`, stays the Fraction
 reference that the tests hold the ranks to.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -111,19 +110,28 @@ class GameSpec(_Record):
     def from_nested(cls, domains: Sequence[Domain],
                     nested: Sequence) -> "GameSpec":
         """Build from one nested payoff array per player, axis k indexed
-        by player k's strategy order."""
+        by player k's strategy order. An axis of the wrong length raises
+        ValueError naming the player and the position."""
         doms = tuple(domains)
         sizes = [d.size for d in doms]
         flats = []
         for i, arr in enumerate(nested):
-            flat = []
-            for profile in itertools.product(*(range(s) for s in sizes)):
-                node = arr
-                for idx in profile:
-                    node = node[idx]
-                flat.append(node)
+            flat: list = []
+            _flatten(arr, sizes, f"player {i} payoffs", flat)
             flats.append(tuple(flat))
         return cls(doms, tuple(flats))
+
+
+def _flatten(node, sizes: Sequence[int], where: str, out: list) -> None:
+    """Append the entries of a nested array of shape `sizes` to `out` in
+    row-major order, checking the length at every axis."""
+    if not sizes:
+        out.append(node)
+        return
+    if not hasattr(node, "__len__") or len(node) != sizes[0]:
+        raise ValueError(f"{where}: expected a list of length {sizes[0]}")
+    for k, sub in enumerate(node):
+        _flatten(sub, sizes[1:], f"{where}[{k}]", out)
 
 
 def opponent_domain(game: GameSpec, player: int) -> ProductDomain:
@@ -142,12 +150,6 @@ def _payoff_ranked(game: GameSpec) -> tuple[list[Fraction], list[list[int]]]:
     if game._ranked is None:
         object.__setattr__(game, "_ranked", _ranked(*game.payoffs))
     return game._ranked
-
-
-def _payoff_ranks(game: GameSpec) -> list[list[int]]:
-    """Each player's payoff tensor as ranks into the sorted distinct
-    payoffs of all players. Payoffs compare as their ranks do."""
-    return _payoff_ranked(game)[1]
 
 
 def _check_player(game: GameSpec, player: int) -> None:
@@ -213,12 +215,12 @@ def best_response(game: GameSpec, player: int, belief: CapacityBase,
 
 def _response_table(game: GameSpec, player: int) -> list[list[tuple[int, int]]]:
     """The player's payoff level sets, for each own strategy as
-    `_level_sets` yields them but with payoff ranks (`_payoff_ranks`)
+    `_level_sets` yields them but with payoff ranks (`_payoff_ranked`)
     for values; built once per player by int sorts and cached on the
     game."""
     table = game._response_tables.get(player)
     if table is None:
-        ranks = _payoff_ranks(game)[player]
+        ranks = _payoff_ranked(game)[1][player]
         table = game._response_tables[player] = [
             list(_level_sets([ranks[k] for k in _slice_indices(game, player, own)]))
             for own in range(game.strategy_domains[player].size)]
@@ -227,32 +229,15 @@ def _response_table(game: GameSpec, player: int) -> list[list[tuple[int, int]]]:
 
 def _lifted(game: GameSpec, sets: list[list[tuple[int, int]]],
             corrected: Sequence[Fraction]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Corrected levels ranked exactly into one chain with the payoff
-    values: the level sets with their payoff ranks scaled into the
-    chain, and each corrected level's chain key.
-
-    With s = 1 + the number of distinct corrected levels, payoff rank r
-    becomes r * s, a corrected level equal to payoff r gets r * s too,
-    and those strictly between payoffs r - 1 and r get (r - 1) * s + 1,
-    (r - 1) * s + 2, ... in ascending order, so the keys compare as the
-    values do, and equal values get equal keys. Without corrected levels
-    the sets are returned as they are."""
+    """The payoff values and the corrected levels ranked into one chain
+    (`_ranked`): the level sets with each payoff rank replaced by its
+    chain rank, and each corrected level's chain rank. Equal values
+    share a rank, so the ranks compare as the values do. Without
+    corrected levels the sets are returned as they are."""
     if not corrected:
         return sets, []
-    payoffs = _payoff_ranked(game)[0]
-    distinct, (ranks,) = _ranked(corrected)
-    stride = len(distinct) + 1
-    keys, gap, within = [], None, 0
-    for c in distinct:
-        r = bisect_left(payoffs, c)
-        if r < len(payoffs) and payoffs[r] == c:
-            keys.append(r * stride)
-        else:
-            within = within + 1 if r == gap else 1
-            gap = r
-            keys.append((r - 1) * stride + within)
-    scaled = [[(v * stride, mask) for v, mask in level_sets] for level_sets in sets]
-    return scaled, [keys[r] for r in ranks]
+    _, (chain, keys) = _ranked(_payoff_ranked(game)[0], corrected)
+    return [[(chain[v], mask) for v, mask in level_sets] for level_sets in sets], keys
 
 
 def _argmax_mask(sets: list[list[tuple[int, int]]], level_of: Callable[[int], int],
@@ -268,14 +253,14 @@ def _response_mask(game: GameSpec, player: int, belief: CapacityBase,
                    correction: CorrectionMap) -> int:
     """The player's best-response mask against the belief, decided on
     ranks. Each level-set mask the loop reads gets a level index: 0 for
-    level 0, 1 for level 1 (the top), and 2, 3, ... for the distinct
-    interior levels. Only interior levels are corrected: if the loop
-    read any, their corrections are lifted into the payoff chain
-    (`_lifted`) and the loop runs again on the lifted keys. It reads the
-    same masks, since which ones it reads depends on the indices alone."""
+    level 0, 1 for level 1 (the top), and 2, 3, ... for the interior
+    levels, one per mask. Only interior levels are corrected: if the
+    loop read any, their corrections are ranked into the payoff chain
+    (`_lifted`), where equal corrections share a rank, and the loop
+    runs again on the chain ranks. It reads the same masks, since which
+    ones it reads depends on the indices alone."""
     sets = _response_table(game, player)
     index: dict[int, int] = {}
-    interior: dict[tuple[int, int], int] = {}
     levels = []
 
     def level_of(mask: int) -> int:
@@ -283,15 +268,9 @@ def _response_mask(game: GameSpec, player: int, belief: CapacityBase,
         if k is None:
             level = belief.value_mask(mask)
             num, den = level.numerator, level.denominator
-            if num == 0:
-                k = 0
-            elif num == den:
-                k = 1
-            else:
-                k = interior.get((num, den))
-                if k is None:
-                    k = interior[num, den] = len(levels) + 2
-                    levels.append(level)
+            k = 0 if num == 0 else 1 if num == den else len(levels) + 2
+            if k > 1:
+                levels.append(level)
             index[mask] = k
         return k
 

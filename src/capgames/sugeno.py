@@ -140,10 +140,15 @@ class PayoffFunction(_Record):
     @classmethod
     def from_mapping(cls, domain: Domain,
                      mapping: Mapping[str, Fraction | int]) -> "PayoffFunction":
+        """Build from a payoff per label, every label of the domain and
+        no other; the values are coerced as by the constructor."""
         missing = [lab for lab in domain.labels if lab not in mapping]
         if missing:
             raise ValueError(f"no payoff for labels {missing}")
-        return cls(domain, tuple(Fraction(mapping[lab]) for lab in domain.labels))
+        unknown = [lab for lab in mapping if lab not in domain.labels]
+        if unknown:
+            raise ValueError(f"labels {unknown} not in domain {list(domain.labels)}")
+        return cls(domain, tuple(mapping[lab] for lab in domain.labels))
 
     def value_of(self, label: str) -> Fraction:
         return self.values[self.domain.index_of(label)]
@@ -209,8 +214,8 @@ def _level_set_max(level_sets: Iterable[tuple[Fraction, int]],
     which the grid equilibrium search and `is_equilibrium` share. Its
     level sets are computed once per player from the payoff ranks, its
     levels are indices (a grid rank in the grid search) and its lift
-    maps an interior level to the key of its correction in one sorted
-    chain with the payoff values (`game._lifted`).
+    maps an interior level to the rank of its correction in one chain
+    with the payoff values (`game._lifted`).
     A level at `top` ends the scan, since later values are strictly
     smaller and cannot beat it; a level 0 lifts to the bottom of the
     range and never wins, so it is skipped.

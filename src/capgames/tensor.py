@@ -76,12 +76,12 @@ def _row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
 class ProductDomain(_Record):
     """Ordered factor domains with a flat, row-major indexed label domain.
 
-    `flat` is always built from the factors; the argument is ignored."""
+    `flat` is derived from the factors."""
 
     __slots__ = ("factors", "flat", "_sizes", "_strides")
-    _fields = ("factors", "flat")
+    _fields = ("factors",)
 
-    def __init__(self, factors: tuple[Domain, ...], flat: Domain | None = None):
+    def __init__(self, factors: tuple[Domain, ...]):
         object.__setattr__(self, "factors", factors)
         # Called through self, so that perfbench's tracer, which patches
         # the method on the class, counts every build.

@@ -32,8 +32,7 @@ from capgames import (
 from capgames.capacity import (
     MAX_SPACE_MEMBERS,
     BudgetExceeded,
-    _check_cover_pairs,
-    _cover_pairs_hold,
+    _cover_violation,
     _grid_tables,
     _ranked,
 )
@@ -72,6 +71,11 @@ class TestDomain:
             Domain(("",))
         with pytest.raises(ValueError):
             Domain(("x,y",))
+
+    def test_labels_are_stored_as_a_tuple(self):
+        listed = Domain(["a", "b"])
+        assert listed.labels == ("a", "b")
+        assert listed == AB and hash(listed) == hash(AB)
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
@@ -115,6 +119,12 @@ class TestConstruction:
     def test_from_table_missing_subset(self):
         with pytest.raises(MissingSubset):
             FiniteCapacity.from_table(AB, {(): 0, ("a",): 1, ("a", "b"): 1})
+
+    def test_from_table_refuses_a_repeated_subset(self):
+        table = {(): 0, ("a",): F(1, 2), ("b",): F(1, 2), ("a", "b"): 1, ("b", "a"): 2}
+        with pytest.raises(ValueError,
+                           match=r"subset \{'a', 'b'\} given twice, the second time as \('b', 'a'\)"):
+            FiniteCapacity.from_table(AB, table)
 
     def test_domain_cap(self):
         big = Domain(tuple(f"p{k}" for k in range(DENSE_DOMAIN_CAP + 1)))
@@ -475,27 +485,26 @@ def test_constructor_matches_the_fraction_checks(seed, ints, data, length_change
         assert got == outcome(lambda: fraction_capacity_table(domain, values))
 
 
-def cover_pair_outcome(domain: Domain, levels, ranks):
-    """The packed verdict of a rank table, and the text of the error
-    `_check_cover_pairs` raises on it (None when it passes)."""
-    holds = _cover_pairs_hold(domain.size, ranks, len(levels))
-    try:
-        _check_cover_pairs(domain, ranks, levels)
-    except MonotonicityError as exc:
-        return holds, str(exc)
-    return holds, None
-
-
-def loop_outcome(domain: Domain, levels, ranks):
-    """What the per-mask loop decides on the same table: no violation,
-    or the error naming the first violating cover pair."""
-    violation = first_cover_violation(domain, ranks)
+def violation_outcome(domain: Domain, levels, ranks, violation):
+    """No violation, or the text of the MonotonicityError that
+    `_check_ranks` raises on the named cover pair."""
     if violation is None:
         return True, None
     small, large = violation
     return False, str(MonotonicityError(
         domain.labels_of(small), domain.labels_of(large),
         levels[ranks[small]], levels[ranks[large]]))
+
+
+def cover_pair_outcome(domain: Domain, levels, ranks):
+    """What the packed check decides on a rank table."""
+    return violation_outcome(domain, levels, ranks,
+                             _cover_violation(domain.size, ranks, len(levels)))
+
+
+def loop_outcome(domain: Domain, levels, ranks):
+    """What the per-mask loop decides on the same table."""
+    return violation_outcome(domain, levels, ranks, first_cover_violation(domain, ranks))
 
 
 class TestPackedCoverPairs:
@@ -575,15 +584,23 @@ def batch_outcome(build):
 def assert_batch_matches(domain: Domain, levels, tables):
     """The batch constructor gives the values or the error of the
     table-by-table reference; and, where every rank lies in
-    range(len(levels)), the packed cover check on the whole batch gives
-    the per-mask loop's verdict on all its tables."""
+    range(len(levels)), the packed cover check on the whole batch names
+    the per-mask loop's first violation in its first bad table."""
     got = batch_outcome(lambda: FiniteCapacity._many_from_ranks(domain, levels, tables))
     assert got == batch_outcome(lambda: one_by_one_from_ranks(domain, levels, tables))
     flat = list(itertools.chain.from_iterable(tables))
     if (all(len(t) == domain.subset_count for t in tables)
             and all(0 <= r < len(levels) for r in flat)):
-        assert _cover_pairs_hold(domain.size, flat, len(levels)) == all(
-            first_cover_violation(domain, t) is None for t in tables)
+        # The batch names the first violation of its first bad table,
+        # as indices into the batch.
+        expected = None
+        for t, table in enumerate(tables):
+            violation = first_cover_violation(domain, table)
+            if violation is not None:
+                base = t * domain.subset_count
+                expected = (base + violation[0], base + violation[1])
+                break
+        assert _cover_violation(domain.size, flat, len(levels)) == expected
     return got
 
 

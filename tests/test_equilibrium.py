@@ -41,7 +41,7 @@ from capgames.equilibrium import (
     _grid_response_masks,
     support_profile_count,
 )
-from capgames.game import _payoff_ranks
+from capgames.game import _payoff_ranked
 from capgames.generate import SplitMix64, random_game
 
 from helpers import (
@@ -489,7 +489,7 @@ class TestFindEquilibriaSupports:
     def test_box_max_tables_compare_no_fractions(self):
         game = random_game(SplitMix64(5), (3, 3, 2))
         with counted_fraction_compares() as compares:
-            _payoff_ranks(game)
+            _payoff_ranked(game)
         # The counter does count: ranking the payoffs sorts Fractions.
         assert compares[0] > 0
         with counted_fraction_compares() as compares:

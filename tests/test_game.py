@@ -95,6 +95,21 @@ class TestGameSpec:
             )
 
 
+    @pytest.mark.parametrize("rows, where", [
+        ([[1, 0, 9], [0, 1, 9]], r"\[0\]"),
+        ([[1, 0], [0]], r"\[1\]"),
+        ([[1, 0], [0, 1], [0, 1]], ""),
+        ([[1, 0], 0], r"\[1\]"),
+    ], ids=["row-too-long", "row-too-short", "too-many-rows", "scalar-row"])
+    def test_from_nested_checks_every_axis(self, rows, where):
+        doms = [Domain(("a", "b")), Domain(("x", "y"))]
+        good = [[1, 0], [0, 1]]
+        for player, nested in enumerate(([rows, good], [good, rows])):
+            with pytest.raises(ValueError, match=rf"^player {player} payoffs{where}: "
+                                                 "expected a list of length 2$"):
+                GameSpec.from_nested(doms, nested)
+
+
 class TestOpponentDomain:
     def test_two_player_opponent_is_the_other_domain(self):
         game = coordination_game()

@@ -601,6 +601,18 @@ class TestCli:
         assert report["passed"] is True
         assert report["config"]["trials"] == 25
 
+    def test_allow_decimal_only_on_commands_that_read_files(self, tmp_path, capsys):
+        cap_file = _write(tmp_path, "cap.json", json.dumps(
+            {"domain": ["a", "b"], "values": {"": 0, "a": 0.25, "b": 0.5, "a,b": 1}}))
+        fn_file = _write(tmp_path, "fn.json", serialize_function(
+            PayoffFunction(AB, (F(1), F(0)))))
+        assert main(["integrate", cap_file, fn_file, "--allow-decimal"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "0"
+        for argv in (["verify-convexity", "--domain-size", "1"],
+                     ["oracle-compare", "--trials", "1"]):
+            assert main(argv + ["--allow-decimal"]) == 2
+            assert "unrecognized arguments: --allow-decimal" in capsys.readouterr().err
+
     def test_oracle_compare_zero_resolution_is_a_usage_error(self, capsys):
         assert main(["oracle-compare", "--trials", "1", "--resolution", "0"]) == 2
         assert "resolution must be positive" in capsys.readouterr().err

@@ -47,9 +47,8 @@ CASES = [
      f"CorrectionMap(name='rational-default', _interior={PSI._interior!r})"),
     (PayoffFunction, dict(domain=AB, values=(F(1, 2), 3)), (AB, (F(1, 2), F(3))),
      f"PayoffFunction(domain={AB_TEXT}, values=(Fraction(1, 2), Fraction(3, 1)))"),
-    (ProductDomain, dict(factors=(AB, X)), ((AB, X), Domain(("a|x", "b|x"))),
-     f"ProductDomain(factors=({AB_TEXT}, {X_TEXT}), "
-     "flat=Domain(labels=('a|x', 'b|x')))"),
+    (ProductDomain, dict(factors=(AB, X)), ((AB, X),),
+     f"ProductDomain(factors=({AB_TEXT}, {X_TEXT}))"),
     (GameSpec, dict(strategy_domains=(AB, X), payoffs=((1, F(1, 3)), (0, 2))),
      ((AB, X), ((F(1), F(1, 3)), (F(0), F(2)))),
      f"GameSpec(strategy_domains=({AB_TEXT}, {X_TEXT}), "

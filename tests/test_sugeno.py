@@ -130,6 +130,16 @@ class TestPayoffFunction:
         with pytest.raises(ValueError):
             PayoffFunction.from_mapping(AB, {"a": F(1)})
 
+    def test_from_mapping_coerces_as_the_constructor(self):
+        with pytest.raises(TypeError):
+            PayoffFunction.from_mapping(AB, {"a": 0.1, "b": 1})
+        assert PayoffFunction.from_mapping(AB, {"a": 1, "b": F(1, 10)}).values == (
+            F(1), F(1, 10))
+
+    def test_from_mapping_refuses_unknown_labels(self):
+        with pytest.raises(ValueError, match=r"labels \['zz'\] not in domain \['a', 'b'\]"):
+            PayoffFunction.from_mapping(AB, {"a": 1, "b": 2, "zz": 5})
+
     def test_length_must_match_domain(self):
         with pytest.raises(ValueError):
             PayoffFunction(AB, (F(1),))

@@ -60,6 +60,12 @@ class TestProductDomain:
         assert pd.sizes == (2, 2)
         assert pd.size == 4
 
+    def test_flat_is_derived_not_given(self):
+        pd = product_domain([AB, XY])
+        with pytest.raises(TypeError):
+            ProductDomain((AB, XY), pd.flat)
+        assert pd == ProductDomain((AB, XY)) and hash(pd) == hash(ProductDomain((AB, XY)))
+
     def test_index_point_round_trip(self):
         pd = product_domain([AB, PQR])
         for idx in range(pd.size):
