@@ -11,7 +11,13 @@ capacities:
   (lower, upper) of space members, the intersection of two linked
   intervals is (join of the lowers, meet of the uppers), again an
   interval, and the scan runs on member indices through join, meet and
-  order tables.
+  order tables. Order intervals in a lattice have Helly number 2, so
+  no linked triple can fail, and only the counts of linked pairs and
+  triples are left to find. The space is a distributive lattice, and
+  each of its intervals is a contractible cube complex whose cubes are
+  its Boolean intervals [x, join(S)], S a set of upper covers of x: the
+  counts are signed sums over the cubes of the number of intervals
+  holding each, checked by the same sum giving the interval count.
 * pair separation: any two distinct capacities split the space into two
   intervals built from a witness subset and the midpoint of the two
   values there, each endpoint falling outside one half. The halves are
@@ -23,9 +29,11 @@ member into its sorted distinct grid once (`capacity._ranked`), and the
 scans compare those ints in numpy batches; a half's corners take the
 levels 0, a and 1, each bisected once into a rank bound. The binarity
 scan finds joins and meets by exact int64 keys of the member rows, with
-no row sort, keeps its interval links as packed uint64 rows, and counts
-each linked triple i < j < k once, by an AND of the rows of the links
-above i and above j, read from j's word on, and a popcount.
+no row sort. When those tables are not the pointwise max and min of
+the rows (a test can break them), or for the full-family scan, it walks
+the linked pairs instead: packed uint64 link rows, and each linked
+triple i < j < k counted once, by an AND of the rows of the links above
+i and above j, read from j's word on, and a popcount.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ FULL_FAMILY_CAP = 18
 INTERVAL_BUDGET = 60000
 # Failures one binarity scan lists; the scan stops recording there.
 FAILURE_CAP = 16
-# Binarity scan blocks: link-table entries per block of rows, and packed
+# Pair walk blocks: link-table entries per block of rows, and packed
 # words per block of linked pairs.
 _BLOCK_ENTRIES = 1 << 16
 _BLOCK_WORDS = 1 << 15
@@ -236,7 +244,8 @@ class BinarityReport(_Record):
 
 
 def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> BinarityReport:
-    """Scan every linked interval triple for an empty common part.
+    """Count the linked interval pairs and triples and check that every
+    linked triple has a common member.
 
     The space is a lattice under pointwise max (join) and min (meet),
     so the interval of two members x, y is the pair of members
@@ -244,27 +253,34 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     (L, H) of members with L <= H, numbered in the order of their
     (lower, upper) grid rank rows. Intervals i and j meet in
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
-    ordered, and it is then again an interval, i ∩ j. So a pairwise
-    linked triple {i, j, k} with i < j < k has a common member iff k is
-    linked to i ∩ j. Building the join and meet tables, by exact int64
-    keys of the member rows (`_member_table`), checks closure for every
-    pair of members and raises AssertionError on a space that is not a
-    lattice.
+    ordered, and it is then again an interval, i ∩ j. Building the join
+    and meet tables, by exact int64 keys of the member rows
+    (`_member_table`), checks closure for every pair of members and
+    raises AssertionError on a space that is not a lattice.
 
-    Each interval's links are one row of packed uint64 words, built in
-    bounded blocks of rows, one entry per lookup of the order table at
-    (join_of[L_a, L_b], meet_of[H_a, H_b]); later[i] keeps the links of
-    i above i. For a linked pair i < j, later[i] & later[j] holds the
-    k > j linked to both, once per triple i < j < k, and no bit below
-    j. So each row block's pairs are sorted by the word of j and walked
-    in runs of about _BLOCK_WORDS words, each run reading only the words
-    from its first j's on: one popcount counts a run's triples, and an
-    AND with the rows of the i ∩ j leaves its failures. The failing
-    pairs of a row block are put in (i, j) order and only the first few
-    unpacked, so failures come in (i, j, k) order, and the scan stops
-    recording them once FAILURE_CAP are listed, full family included.
-    The full-family scan runs on the same rows as Python integers. A
-    space with no members has no intervals and passes.
+    Order intervals in a lattice have Helly number 2: if L_a <= H_b for
+    every a, b of a triple, the join of the three lowers lies below the
+    meet of the three uppers. So no linked triple can fail, and the
+    counts need no walk over the linked pairs. A member space closed
+    under pointwise max and min is a distributive lattice, and each of
+    its intervals is contractible as a cube complex, whose cubes are
+    its Boolean intervals [x, join(S)], S a set of upper covers of x,
+    of dimension |S|. Its Euler characteristic, the sum of (-1)^|S|
+    over the cubes it holds, is then 1, and that of an empty part 0.
+    With c = down(x) * up(join(S)) intervals holding a cube (one choice
+    of L <= x and of H >= join(S)), summing over the cubes gives
+
+        linked pairs     = sum (-1)^|S| C(c, 2)
+        linked triples   = sum (-1)^|S| C(c, 3)
+        intervals (m)    = sum (-1)^|S| c
+
+    and the last is checked: AssertionError if it is not m
+    (`_cube_counts`). This holds when the join and meet tables are the
+    pointwise max and min of the member rows, as `_member_table` builds
+    them. When they are not, or with `full_family`, the scan walks the
+    linked pairs (`_pair_walk`), which is the one path that names
+    failing triples and linked families. A space with no members has
+    no intervals and passes.
     """
     import numpy as np
 
@@ -275,7 +291,6 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     # np.unique is asked for counts it drops: with no return flag, numpy
     # imports numpy.ma to test for a masked array.
     mat, _ = np.unique(np.array(space._ranks), axis=0, return_counts=True)
-    n = len(mat)
     # Row by row, so that a space far over budget stops before n x n tables.
     below_rows = []
     m = 0
@@ -287,7 +302,6 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
                 f"binarity scan: at least {m} distinct intervals exceed "
                 f"budget {INTERVAL_BUDGET}")
     below = np.array(below_rows)
-    lows, highs = np.nonzero(below)
     if full_family and m > FULL_FAMILY_CAP:
         raise BudgetExceeded(
             f"binarity scan: full-family scan capped at {FULL_FAMILY_CAP} "
@@ -300,6 +314,100 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     # the n x n tables stay below 4.1e8, inside int32.
     join_of = _member_table(mat, np.maximum).astype(np.int32)
     meet_of = _member_table(mat, np.minimum).astype(np.int32)
+    pointwise = all((col[join_of] == np.maximum.outer(col, col)).all()
+                    and (col[meet_of] == np.minimum.outer(col, col)).all()
+                    for col in mat.T)
+    if pointwise and not full_family:
+        linked_pairs, triples_checked = _cube_counts(below, join_of, m)
+        failures, full_family_sets = (), None
+    else:
+        linked_pairs, triples_checked, failures, full_family_sets = _pair_walk(
+            below, join_of, meet_of, full_family)
+
+    return BinarityReport(
+        capacity_count=len(space.capacities),
+        interval_count=m,
+        linked_pairs=linked_pairs,
+        triples_checked=triples_checked,
+        failures=failures,
+        full_family_sets=full_family_sets,
+        seconds=time.perf_counter() - start,
+    )
+
+
+def _upper_covers(below: np.ndarray) -> np.ndarray:
+    """covers[x, y]: y covers x, i.e. y is a minimal member above x.
+    below[a, b] is a <= b."""
+    import numpy as np
+
+    strict = below & ~np.eye(len(below), dtype=bool)
+    return np.array([above & ~strict[above].any(axis=0) for above in strict])
+
+
+def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int) -> tuple[int, int]:
+    """(linked pairs, linked triples) of a distributive lattice's m
+    intervals, as signed sums over its cubes (see `check_binarity`).
+
+    below[a, b] is a <= b, and join_of the member join table. A cube is
+    a member x, a set S of its upper covers, its top join(S) and the
+    position after S's last cover in x's run of covers. The cubes of
+    dimension d + 1 extend those of dimension d by each later cover,
+    so each set S is reached once. A cube is an interval, so there are
+    at most m of them, and each C(c, 3) is below C(m, 3): the int64
+    sums of one dimension stay below m * C(m, 3) < 2.2e18.
+    """
+    import numpy as np
+
+    n = len(below)
+    down, up = below.sum(axis=0), below.sum(axis=1)
+    source, target = np.nonzero(_upper_covers(below))
+    members = np.arange(n)
+    stop = np.searchsorted(source, members, side="right")
+    x, top, nxt = members, members, np.searchsorted(source, members)
+    sums = [0, 0, 0]
+    sign = 1
+    while len(x):
+        c = down[x] * up[top]
+        for k, binomial in enumerate((c, c * (c - 1) // 2, c * (c - 1) * (c - 2) // 6)):
+            sums[k] += sign * int(binomial.sum())
+        more = stop[x] - nxt
+        cube = np.repeat(np.arange(len(x)), more)
+        pos = nxt[cube] + np.arange(len(cube)) - np.repeat(np.cumsum(more) - more, more)
+        x, top, nxt = x[cube], join_of[top[cube], target[pos]], pos + 1
+        sign = -sign
+    if sums[0] != m:
+        raise AssertionError(
+            f"cube counts hold {sums[0]} intervals, not {m}; covers or joins broken")
+    return sums[1], sums[2]
+
+
+def _pair_walk(below: np.ndarray, join_of: np.ndarray, meet_of: np.ndarray,
+               full_family: bool,
+               ) -> tuple[int, int, tuple[tuple[int, ...], ...], int | None]:
+    """(linked pairs, linked triples, failures, full-family sets) by a
+    walk over every linked pair, on the tables as given.
+
+    Each interval's links are one row of packed uint64 words, built in
+    bounded blocks of rows, one entry per lookup of the order table at
+    (join_of[L_a, L_b], meet_of[H_a, H_b]); later[i] keeps the links of
+    i above i. A pairwise linked triple {i, j, k} with i < j < k has a
+    common member iff k is linked to i ∩ j. For a linked pair i < j,
+    later[i] & later[j] holds the k > j linked to both, once per triple
+    i < j < k, and no bit below j. So each row block's pairs are sorted
+    by the word of j and walked in runs of about _BLOCK_WORDS words,
+    each run reading only the words from its first j's on: one popcount
+    counts a run's triples, and an AND with the rows of the i ∩ j
+    leaves its failures. The failing pairs of a row block are put in
+    (i, j) order and only the first few unpacked, so failures come in
+    (i, j, k) order, and the scan stops recording them once FAILURE_CAP
+    are listed, full family included. The full-family scan runs on the
+    same rows as Python integers.
+    """
+    import numpy as np
+
+    n = len(below)
+    lows, highs = np.nonzero(below)
+    m = len(lows)
     interval_of = np.full((n, n), -1, dtype=np.int32)
     interval_of[lows, highs] = np.arange(m)
     ordered, join_rows = below.ravel(), join_of * n
@@ -396,15 +504,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
         for i in range(m):
             grow([i], rows[i] & (all_mask << (i + 1)), lows[i], highs[i])
 
-    return BinarityReport(
-        capacity_count=len(space.capacities),
-        interval_count=m,
-        linked_pairs=linked_pairs,
-        triples_checked=triples_checked,
-        failures=tuple(failures),
-        full_family_sets=full_family_sets,
-        seconds=time.perf_counter() - start,
-    )
+    return linked_pairs, triples_checked, tuple(failures), full_family_sets
 
 
 def _witness_midpoint(first: FiniteCapacity, second: FiniteCapacity,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from capgames import (
     BudgetExceeded,
@@ -655,3 +655,77 @@ class TestHandBuiltGrids:
         assert (fast.pairs_checked, fast.failures) == (slow.pairs_checked, slow.failures)
         assert fast.pairs_checked == len(members) * (len(members) - 1) // 2
         assert [space.index_of(m) for m in members] == list(range(len(members)))
+
+
+class TestCubeCounts:
+    """check_binarity counts a lattice's linked pairs and triples as signed
+    sums over its cubes; the pair walk stays for broken tables and the
+    full family."""
+
+    SPACES = [(AB, (0, 1), 9, 20, 16), (AB, GRID3, 36, 320, 1408),
+              (ABC, (0, 1), 129, 4282, 78728), (ABC, GRID3, 3965, 2_785_270, 921_277_916)]
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        def refused(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(convexity, name, refused)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_closed_sublattices_that_are_not_intervals(self, data):
+        domain, grid = data.draw(st.sampled_from(
+            [(ABC, GRID3), (ABC, (0, 1)), (AB, (0, F(1, 4), F(1, 2), F(3, 4), 1))]))
+        full = enumerate_capacities(domain, grid)
+        drawn = data.draw(st.lists(st.sampled_from(full._ranks), min_size=2, max_size=4))
+        rows = set(closure(drawn))
+        lo, hi = min(rows), max(rows)
+        assume(rows != {r for r in full._ranks
+                        if all(a <= b <= c for a, b, c in zip(lo, r, hi))})
+        space = GridCapacitySpace(domain, full.grid, tuple(
+            c for c, r in zip(full.capacities, full._ranks) if r in rows))
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert (fast.capacity_count, fast.interval_count, fast.linked_pairs,
+                fast.triples_checked, fast.failures) == (
+                    slow.capacity_count, slow.interval_count, slow.linked_pairs,
+                    slow.triples_checked, slow.failures)
+
+    @pytest.mark.parametrize("domain, grid, intervals, pairs, triples", SPACES)
+    def test_enumerated_spaces_take_the_cube_path(self, monkeypatch, domain, grid,
+                                                  intervals, pairs, triples):
+        self.refuse(monkeypatch, "_pair_walk")
+        report = check_binarity(enumerate_capacities(domain, grid))
+        assert (report.interval_count, report.linked_pairs, report.triples_checked,
+                report.failures) == (intervals, pairs, triples, ())
+
+    def test_four_point_zero_one_counts(self, monkeypatch):
+        # The pair walk reports the same counts, in seconds.
+        self.refuse(monkeypatch, "_pair_walk")
+        report = check_binarity(enumerate_capacities(letters(4), (0, 1)))
+        assert (report.capacity_count, report.interval_count, report.linked_pairs,
+                report.triples_checked) == (166, 7246, 10_651_368, 7_742_938_478)
+
+    def test_full_family_and_broken_tables_take_the_pair_walk(self, monkeypatch):
+        self.refuse(monkeypatch, "_cube_counts")
+        report = check_binarity(enumerate_capacities(AB, (0, 1)), full_family=True)
+        assert (report.linked_pairs, report.triples_checked,
+                report.full_family_sets) == (20, 16, 40)
+        break_member_table(monkeypatch, "meet", "reversed")
+        assert not check_binarity(enumerate_capacities(AB, GRID3)).passed
+
+    @pytest.mark.parametrize("domain, grid, intervals, pairs, triples", SPACES)
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_a_dropped_cover_trips_the_interval_sum(self, monkeypatch, which, domain,
+                                                    grid, intervals, pairs, triples):
+        upper_covers = convexity._upper_covers
+
+        def dropped(below):
+            covers = upper_covers(below)
+            x, y = (found[which] for found in np.nonzero(covers))
+            covers[x, y] = False
+            return covers
+
+        monkeypatch.setattr(convexity, "_upper_covers", dropped)
+        with pytest.raises(AssertionError, match=f"not {intervals}; covers or joins broken"):
+            check_binarity(enumerate_capacities(domain, grid))

@@ -563,6 +563,18 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["binarity"]["full_family_sets"] == 40
 
+    def test_verify_convexity_four_value_three_point_space(self, capsys):
+        # 571 members and 56,801 intervals: inside both budgets, and
+        # answered from the lattice's cubes, with no walk over linked pairs.
+        assert main(["verify-convexity", "--domain-size", "3",
+                     "--grid", "0,1/3,2/3,1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        binarity, t2 = report["binarity"], report["t2"]
+        assert (report["capacities"], binarity["intervals"], binarity["linked_pairs"],
+                binarity["triples_checked"], t2["pairs_checked"]) == (
+                    571, 56_801, 470_110_828, 1_721_881_725_680, 162_735)
+        assert report["passed"] and binarity["passed"] and t2["passed"]
+
     def test_verify_convexity_bad_grid(self, capsys):
         assert main(["verify-convexity", "--grid", "1/2,1"]) == 2
         assert "error:" in capsys.readouterr().err
