@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-size", type=int, default=2)
     p.add_argument("--grid", default="0,1/2,1")
     p.add_argument("--full-family", action="store_true",
-                   help="also scan every linked family, tiny spaces only")
+                   help="also count every linked family, tiny spaces only")
     common(p, psi=False, files=False)
     p.set_defaults(handler=cmd_verify_convexity)
 

@@ -5,19 +5,20 @@ capacity pointwise between the meet and join of two endpoints. Two
 checks run over an exhaustively enumerated space of grid-valued
 capacities:
 
-* binarity: every pairwise-intersecting ("linked") triple of intervals
+* binarity: every pairwise-intersecting ("linked") family of intervals
   has a common element inside the space. A grid space is a lattice
   under pointwise max (join) and min (meet), so an interval is a pair
   (lower, upper) of space members, the intersection of two linked
   intervals is (join of the lowers, meet of the uppers), again an
-  interval, and the scan runs on member indices through join, meet and
-  order tables. Order intervals in a lattice have Helly number 2, so
-  no linked triple can fail, and only the counts of linked pairs and
-  triples are left to find. The space is a distributive lattice, and
-  each of its intervals is a contractible cube complex whose cubes are
-  its Boolean intervals [x, join(S)], S a set of upper covers of x: the
-  counts are signed sums over the cubes of the number of intervals
-  holding each, checked by the same sum giving the interval count.
+  interval, and the scan runs on member indices through join and order
+  tables. Order intervals in a lattice have Helly number 2, so no linked
+  family can fail, and only the counts of linked pairs, triples and
+  (with `full_family`) families are left to find. The space is a
+  distributive lattice, and each of its intervals is a contractible cube
+  complex whose cubes are its Boolean intervals [x, join(S)], S a set of
+  upper covers of x: the counts are signed sums over the cubes of the
+  number of interval sets holding each, checked by the same sum giving
+  the interval count.
 * pair separation: any two distinct capacities split the space into two
   intervals built from a witness subset and the midpoint of the two
   values there, each endpoint falling outside one half. The halves are
@@ -29,11 +30,7 @@ member into its sorted distinct grid once (`capacity._ranked`), and the
 scans compare those ints in numpy batches; a half's corners take the
 levels 0, a and 1, each bisected once into a rank bound. The binarity
 scan finds joins and meets by exact int64 keys of the member rows, with
-no row sort. When those tables are not the pointwise max and min of
-the rows (a test can break them), or for the full-family scan, it walks
-the linked pairs instead: packed uint64 link rows, and each linked
-triple i < j < k counted once, by an AND of the rows of the links above
-i and above j, read from j's word on, and a popcount.
+no row sort.
 """
 
 from __future__ import annotations
@@ -76,15 +73,10 @@ __all__ = [
     "check_t2",
 ]
 
+# Intervals a full-family count may hold; beyond, BudgetExceeded.
 FULL_FAMILY_CAP = 18
 # Distinct intervals one binarity scan may hold; beyond, BudgetExceeded.
 INTERVAL_BUDGET = 60000
-# Failures one binarity scan lists; the scan stops recording there.
-FAILURE_CAP = 16
-# Pair walk blocks: link-table entries per block of rows, and packed
-# words per block of linked pairs.
-_BLOCK_ENTRIES = 1 << 16
-_BLOCK_WORDS = 1 << 15
 
 
 class EqualCapacities(Exception):
@@ -97,9 +89,11 @@ class GridCapacitySpace(_Record):
     `enumerate_capacities` builds the full space. A space built by hand,
     such as a subset of it, must be closed under pointwise max and min
     (a sublattice) for `check_binarity`, which raises AssertionError
-    otherwise. Every member value must lie in the grid: ValueError names
-    the first member and value that do not. Each member is kept as its
-    row of ranks into the sorted distinct grid, which the scans compare.
+    otherwise. Every member must lie on the domain: DomainMismatch names
+    the first member that does not. Every member value must lie in the
+    grid: ValueError names the first member and value that do not. Each
+    member is kept as its row of ranks into the sorted distinct grid,
+    which the scans compare.
     """
 
     __slots__ = ("domain", "grid", "capacities", "_levels", "_ranks", "_pos")
@@ -107,6 +101,11 @@ class GridCapacitySpace(_Record):
 
     def __init__(self, domain: Domain, grid: tuple[Fraction, ...],
                  capacities: tuple[FiniteCapacity, ...]):
+        for k, cap in enumerate(capacities):
+            if cap.domain.labels != domain.labels:
+                raise DomainMismatch(
+                    f"member {k} lives on {list(cap.domain.labels)}, "
+                    f"the space on {list(domain.labels)}")
         levels, (grid_ranks, *rows) = _ranked(grid, *(cap.values for cap in capacities))
         on_grid = set(grid_ranks)
         if len(on_grid) < len(levels):
@@ -123,11 +122,12 @@ class GridCapacitySpace(_Record):
         object.__setattr__(self, "_pos", {row: k for k, row in enumerate(ranks)})
 
     def index_of(self, cap: FiniteCapacity) -> int:
-        levels, (_, row) = _ranked(self._levels, cap.values)
-        row = tuple(row)
-        if len(levels) > len(self._levels) or row not in self._pos:
-            raise ValueError("capacity is not a member of this space")
-        return self._pos[row]
+        if cap.domain.labels == self.domain.labels:
+            levels, (_, row) = _ranked(self._levels, cap.values)
+            row = tuple(row)
+            if len(levels) == len(self._levels) and row in self._pos:
+                return self._pos[row]
+        raise ValueError("capacity is not a member of this space")
 
     def __len__(self) -> int:
         return len(self.capacities)
@@ -244,14 +244,14 @@ class BinarityReport(_Record):
 
 
 def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> BinarityReport:
-    """Count the linked interval pairs and triples and check that every
-    linked triple has a common member.
+    """Count the linked interval pairs and triples, and with
+    `full_family` the linked families of two or more intervals, of a
+    space in which every linked family has a common member.
 
     The space is a lattice under pointwise max (join) and min (meet),
     so the interval of two members x, y is the pair of members
     (meet(x, y), join(x, y)), and the intervals are exactly the pairs
-    (L, H) of members with L <= H, numbered in the order of their
-    (lower, upper) grid rank rows. Intervals i and j meet in
+    (L, H) of members with L <= H. Intervals i and j meet in
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
     ordered, and it is then again an interval, i ∩ j. Building the join
     and meet tables, by exact int64 keys of the member rows
@@ -259,28 +259,28 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     raises AssertionError on a space that is not a lattice.
 
     Order intervals in a lattice have Helly number 2: if L_a <= H_b for
-    every a, b of a triple, the join of the three lowers lies below the
-    meet of the three uppers. So no linked triple can fail, and the
-    counts need no walk over the linked pairs. A member space closed
-    under pointwise max and min is a distributive lattice, and each of
-    its intervals is contractible as a cube complex, whose cubes are
-    its Boolean intervals [x, join(S)], S a set of upper covers of x,
-    of dimension |S|. Its Euler characteristic, the sum of (-1)^|S|
-    over the cubes it holds, is then 1, and that of an empty part 0.
-    With c = down(x) * up(join(S)) intervals holding a cube (one choice
-    of L <= x and of H >= join(S)), summing over the cubes gives
+    every a, b of a family, the join of its lowers lies below the meet
+    of its uppers. So no linked family can fail, `failures` is always
+    empty, and the counts need no walk over the linked pairs. A member
+    space closed under pointwise max and min is a distributive lattice,
+    and each of its intervals is contractible as a cube complex, whose
+    cubes are its Boolean intervals [x, join(S)], S a set of upper
+    covers of x, of dimension |S|. The cubes inside every interval of a
+    family are those of its intersection, whose Euler characteristic,
+    the sum of (-1)^|S| over the cubes it holds, is 1 if it is an
+    interval and 0 if it is empty. With c = down(x) * up(join(S))
+    intervals holding a cube (one choice of L <= x and of H >= join(S)),
+    summing over the cubes gives
 
         linked pairs     = sum (-1)^|S| C(c, 2)
         linked triples   = sum (-1)^|S| C(c, 3)
+        linked families  = sum (-1)^|S| (2^c - 1 - c)
         intervals (m)    = sum (-1)^|S| c
 
     and the last is checked: AssertionError if it is not m
-    (`_cube_counts`). This holds when the join and meet tables are the
-    pointwise max and min of the member rows, as `_member_table` builds
-    them. When they are not, or with `full_family`, the scan walks the
-    linked pairs (`_pair_walk`), which is the one path that names
-    failing triples and linked families. A space with no members has
-    no intervals and passes.
+    (`_cube_counts`). The family count is capped at FULL_FAMILY_CAP
+    intervals, checked before any table is built. A space with no
+    members has no intervals and passes.
     """
     import numpy as np
 
@@ -308,28 +308,18 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
             f"intervals, have {m}"
         )
 
-    # Past the tables, the space is a lattice with a bottom and a top,
-    # so m >= 3n - 3: (x, x), (bottom, x) and (x, top) for every x. The
-    # budget then caps n at 20001, and the flat indices a * n + b into
-    # the n x n tables stay below 4.1e8, inside int32.
-    join_of = _member_table(mat, np.maximum).astype(np.int32)
-    meet_of = _member_table(mat, np.minimum).astype(np.int32)
-    pointwise = all((col[join_of] == np.maximum.outer(col, col)).all()
-                    and (col[meet_of] == np.minimum.outer(col, col)).all()
-                    for col in mat.T)
-    if pointwise and not full_family:
-        linked_pairs, triples_checked = _cube_counts(below, join_of, m)
-        failures, full_family_sets = (), None
-    else:
-        linked_pairs, triples_checked, failures, full_family_sets = _pair_walk(
-            below, join_of, meet_of, full_family)
+    join_of = _member_table(mat, np.maximum)
+    # The meet table is built only to check closure under min.
+    _member_table(mat, np.minimum)
+    linked_pairs, triples_checked, full_family_sets = _cube_counts(
+        below, join_of, m, full_family)
 
     return BinarityReport(
         capacity_count=len(space.capacities),
         interval_count=m,
         linked_pairs=linked_pairs,
         triples_checked=triples_checked,
-        failures=failures,
+        failures=(),
         full_family_sets=full_family_sets,
         seconds=time.perf_counter() - start,
     )
@@ -344,9 +334,11 @@ def _upper_covers(below: np.ndarray) -> np.ndarray:
     return np.array([above & ~strict[above].any(axis=0) for above in strict])
 
 
-def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int) -> tuple[int, int]:
-    """(linked pairs, linked triples) of a distributive lattice's m
-    intervals, as signed sums over its cubes (see `check_binarity`).
+def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int, full_family: bool,
+                 ) -> tuple[int, int, int | None]:
+    """(linked pairs, linked triples, linked families or None) of a
+    distributive lattice's m intervals, as signed sums over its cubes
+    (see `check_binarity`).
 
     below[a, b] is a <= b, and join_of the member join table. A cube is
     a member x, a set S of its upper covers, its top join(S) and the
@@ -354,7 +346,9 @@ def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int) -> tuple[int, i
     dimension d + 1 extend those of dimension d by each later cover,
     so each set S is reached once. A cube is an interval, so there are
     at most m of them, and each C(c, 3) is below C(m, 3): the int64
-    sums of one dimension stay below m * C(m, 3) < 2.2e18.
+    sums of one dimension stay below m * C(m, 3) < 2.2e18. The families
+    are counted only with `full_family`, where m <= FULL_FAMILY_CAP
+    keeps 2^c inside int64.
     """
     import numpy as np
 
@@ -364,12 +358,15 @@ def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int) -> tuple[int, i
     members = np.arange(n)
     stop = np.searchsorted(source, members, side="right")
     x, top, nxt = members, members, np.searchsorted(source, members)
-    sums = [0, 0, 0]
+    sums = [0, 0, 0, 0]
     sign = 1
     while len(x):
         c = down[x] * up[top]
-        for k, binomial in enumerate((c, c * (c - 1) // 2, c * (c - 1) * (c - 2) // 6)):
-            sums[k] += sign * int(binomial.sum())
+        terms = [c, c * (c - 1) // 2, c * (c - 1) * (c - 2) // 6]
+        if full_family:
+            terms.append((1 << c) - 1 - c)
+        for k, term in enumerate(terms):
+            sums[k] += sign * int(term.sum())
         more = stop[x] - nxt
         cube = np.repeat(np.arange(len(x)), more)
         pos = nxt[cube] + np.arange(len(cube)) - np.repeat(np.cumsum(more) - more, more)
@@ -378,133 +375,7 @@ def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int) -> tuple[int, i
     if sums[0] != m:
         raise AssertionError(
             f"cube counts hold {sums[0]} intervals, not {m}; covers or joins broken")
-    return sums[1], sums[2]
-
-
-def _pair_walk(below: np.ndarray, join_of: np.ndarray, meet_of: np.ndarray,
-               full_family: bool,
-               ) -> tuple[int, int, tuple[tuple[int, ...], ...], int | None]:
-    """(linked pairs, linked triples, failures, full-family sets) by a
-    walk over every linked pair, on the tables as given.
-
-    Each interval's links are one row of packed uint64 words, built in
-    bounded blocks of rows, one entry per lookup of the order table at
-    (join_of[L_a, L_b], meet_of[H_a, H_b]); later[i] keeps the links of
-    i above i. A pairwise linked triple {i, j, k} with i < j < k has a
-    common member iff k is linked to i ∩ j. For a linked pair i < j,
-    later[i] & later[j] holds the k > j linked to both, once per triple
-    i < j < k, and no bit below j. So each row block's pairs are sorted
-    by the word of j and walked in runs of about _BLOCK_WORDS words,
-    each run reading only the words from its first j's on: one popcount
-    counts a run's triples, and an AND with the rows of the i ∩ j
-    leaves its failures. The failing pairs of a row block are put in
-    (i, j) order and only the first few unpacked, so failures come in
-    (i, j, k) order, and the scan stops recording them once FAILURE_CAP
-    are listed, full family included. The full-family scan runs on the
-    same rows as Python integers.
-    """
-    import numpy as np
-
-    n = len(below)
-    lows, highs = np.nonzero(below)
-    m = len(lows)
-    interval_of = np.full((n, n), -1, dtype=np.int32)
-    interval_of[lows, highs] = np.arange(m)
-    ordered, join_rows = below.ravel(), join_of * n
-
-    # link[i] packs the intervals linked to i, later[i] those of them
-    # above i; bit k of a row is bit k % 64 of its word k // 64.
-    words, row_bytes = -(-m // 64), -(-m // 8)
-    link = np.zeros((m, words), dtype=np.uint64)
-    block_rows = max(1, _BLOCK_ENTRIES // m)
-    for a in range(0, m, block_rows):
-        block = slice(a, a + block_rows)
-        linked = ordered[np.take(join_rows[lows[block]], lows, axis=1)
-                         + np.take(meet_of[highs[block]], highs, axis=1)]
-        link.view(np.uint8)[block, :row_bytes] = np.packbits(
-            linked, axis=1, bitorder="little")
-    # later[r] keeps the bits of link[r] above r: the words past r // 64,
-    # and in word r // 64 the bits above r % 64.
-    r = np.arange(m)
-    later = np.where(np.arange(words) > r[:, None] // 64, link, np.uint64(0))
-    later[r, r // 64] = link[r, r // 64] & (np.uint64(2**64 - 2) << (r % 64).astype(np.uint64))
-
-    # Over the linked pairs i < j, later[i] & later[j] holds the k > j
-    # linked to both, once per triple i < j < k, and no bit below j. The
-    # failures of (i, j) are the k of that set not linked to i ∩ j.
-    def unlinked(i, j, common, w):
-        # The bits of `common`, words w on, not linked to each i ∩ j.
-        inside = interval_of.ravel()[join_rows[lows[i], lows[j]] + meet_of[highs[i], highs[j]]]
-        return common & ~link[inside, w:]
-
-    linked_pairs = int(np.bitwise_count(later).sum())
-    triples_checked = 0
-    failures: list[tuple[int, int, int]] = []
-    for a in range(0, m, block_rows):
-        # The block's pairs, sorted by j's word w and then in (i, j) order:
-        # in the bits of the block's word columns, bit r * 64 + t of
-        # column w is bit t of row a + r's word w. A run of pairs from
-        # word w on reads only the words from w on.
-        bits = np.unpackbits(np.ascontiguousarray(later[a:a + block_rows].T).view(np.uint8),
-                             axis=1, bitorder="little")
-        word_of, spots = np.divmod(np.flatnonzero(bits), bits.shape[1])
-
-        def pairs(p):
-            return a + (spots[p] >> 6), word_of[p] * 64 + (spots[p] & 63)
-
-        suspects = []
-        b = 0
-        while b < len(spots):
-            w = int(word_of[b])
-            run = slice(b, b + max(1, _BLOCK_WORDS // (words - w)))
-            i, j = pairs(run)
-            common = later[i, w:]
-            common &= later[j, w:]
-            triples_checked += int(np.bitwise_count(common).sum())
-            if len(failures) < FAILURE_CAP:
-                bad = unlinked(i, j, common, w)
-                if np.count_nonzero(bad):
-                    suspects.append(b + np.flatnonzero(bad.any(axis=1)))
-            b = run.stop
-        if suspects:
-            # Each failing pair fails at least once, so the first failures
-            # of the block, in (i, j, k) order, lie in its first failing
-            # pairs in (i, j) order.
-            room = FAILURE_CAP - len(failures)
-            i, j = pairs(np.concatenate(suspects))
-            p = np.lexsort((j, i))[:room]
-            i, j = i[p], j[p]
-            for q, row in enumerate(unlinked(i, j, later[i] & later[j], 0)):
-                ks = np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))
-                failures.extend((int(i[q]), int(j[q]), k) for k in ks[:room].tolist())
-                room = FAILURE_CAP - len(failures)
-
-    full_family_sets = None
-    if full_family:
-        full_family_sets = 0
-        all_mask = (1 << m) - 1
-        rows = [int.from_bytes(row.tobytes(), "little") for row in link]
-
-        def grow(members: list[int], candidates: int, box_lo, box_hi) -> None:
-            nonlocal full_family_sets
-            rest = candidates
-            while rest:
-                low = rest & -rest
-                k = low.bit_length() - 1
-                rest ^= low
-                nlo = join_of[box_lo, lows[k]]
-                nhi = meet_of[box_hi, highs[k]]
-                nm = members + [k]
-                if len(nm) >= 2:
-                    full_family_sets += 1
-                    if not below[nlo, nhi] and len(failures) < FAILURE_CAP:
-                        failures.append(tuple(nm[:3]))
-                grow(nm, rest & rows[k], nlo, nhi)
-
-        for i in range(m):
-            grow([i], rows[i] & (all_mask << (i + 1)), lows[i], highs[i])
-
-    return linked_pairs, triples_checked, tuple(failures), full_family_sets
+    return sums[1], sums[2], sums[3] if full_family else None
 
 
 def _witness_midpoint(first: FiniteCapacity, second: FiniteCapacity,
@@ -600,9 +471,6 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
 
     start = time.perf_counter()
     caps = space.capacities
-    for cap in caps[1:]:
-        if cap.domain.labels != caps[0].domain.labels:
-            raise DomainMismatch("separation needs a common domain")
     levels = space._levels
     ranks = np.array(space._ranks)
     n = len(caps)
@@ -641,7 +509,7 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
                     # is below the least rank whose level is > c. The
                     # corners take few values (0, a and 1), each bisected
                     # once; the corner tables map their ranks to those.
-                    halves = _halves(caps[0].domain, w, key[1])
+                    halves = _halves(space.domain, w, key[1])
                     values, corners = _ranked(*(c.values for half in halves
                                                 for c in (half.lower, half.upper)))
                     low = np.array([bisect_left(levels, v) for v in values])[corners[0::2]]

@@ -578,15 +578,19 @@ def _pack_bool(bools: np.ndarray) -> int:
     )
 
 
+# Failures the reference binarity scan lists; it stops recording there.
+FAILURE_CAP = 16
+
+
 def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
     """Reference binarity scan: the intervals' link rows as Python
     big-integer bitsets, every linked pair (i, j) and its triples walked
-    one pair at a time. The join and meet tables come from
-    convexity._member_table, and the failure cap and the interval budget
-    are read from convexity.FAILURE_CAP and convexity.INTERVAL_BUDGET, so
-    a test can break, cap or budget both scans alike. The members are
-    compared as values scaled by twice the lcm of the grid denominators,
-    not as the library's grid ranks."""
+    one pair at a time, each failing triple or family listed up to
+    FAILURE_CAP. The join and meet tables come from
+    convexity._member_table, and the interval budget is read from
+    convexity.INTERVAL_BUDGET, so a test can break or budget both scans
+    alike. The members are compared as values scaled by twice the lcm of
+    the grid denominators, not as the library's grid ranks."""
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)
@@ -635,13 +639,13 @@ def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
             if not cand:
                 continue
             triples_checked += cand.bit_count()
-            bad = cand & ~rows[inside[j]] if len(failures) < convexity.FAILURE_CAP else 0
+            bad = cand & ~rows[inside[j]] if len(failures) < FAILURE_CAP else 0
             while bad:
                 lowb = bad & -bad
                 k = lowb.bit_length() - 1
                 bad ^= lowb
                 failures.append((i, j, k))
-                if len(failures) == convexity.FAILURE_CAP:
+                if len(failures) == FAILURE_CAP:
                     bad = 0
 
     full_family_sets = None
@@ -661,7 +665,7 @@ def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
                 nm = members + [k]
                 if len(nm) >= 2:
                     full_family_sets += 1
-                    if not below[nlo, nhi] and len(failures) < convexity.FAILURE_CAP:
+                    if not below[nlo, nhi] and len(failures) < FAILURE_CAP:
                         failures.append(tuple(nm[:3]))
                 grow(nm, rest & rows[k], nlo, nhi)
 
