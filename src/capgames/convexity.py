@@ -10,15 +10,15 @@ capacities:
   under pointwise max (join) and min (meet), so an interval is a pair
   (lower, upper) of space members, the intersection of two linked
   intervals is (join of the lowers, meet of the uppers), again an
-  interval, and the scan runs on member indices through join and order
-  tables. Order intervals in a lattice have Helly number 2, so no linked
-  family can fail, and only the counts of linked pairs, triples and
-  (with `full_family`) families are left to find. The space is a
-  distributive lattice, and each of its intervals is a contractible cube
-  complex whose cubes are its Boolean intervals [x, join(S)], S a set of
-  upper covers of x: the counts are signed sums over the cubes of the
-  number of interval sets holding each, checked by the same sum giving
-  the interval count.
+  interval, and the scan runs on member indices through the order
+  table and the members' row keys. Order intervals in a lattice have
+  Helly number 2, so no linked family can fail, and only the counts of
+  linked pairs, triples and (with `full_family`) families are left to
+  find. The space is a distributive lattice, and each of its intervals
+  is a contractible cube complex whose cubes are its Boolean intervals
+  [x, join(S)], S a set of upper covers of x: the counts are signed sums
+  over the cubes of the number of interval sets holding each, checked
+  by the same sum giving the interval count.
 * pair separation: any two distinct capacities split the space into two
   intervals built from a witness subset and the midpoint of the two
   values there, each endpoint falling outside one half. The halves are
@@ -29,8 +29,9 @@ Both checks read values only through order, so a space ranks each
 member into its sorted distinct grid once (`capacity._ranked`), and the
 scans compare those ints in numpy batches; a half's corners take the
 levels 0, a and 1, each bisected once into a rank bound. The binarity
-scan finds joins and meets by exact int64 keys of the member rows, with
-no row sort.
+scan finds a member row by one exact key, the bytes of the row, in a
+dict from each member's key to its index: no n x n op or join table is
+built.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
 from .capacity import (
@@ -119,7 +121,9 @@ class GridCapacitySpace(_Record):
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_ranks", ranks)
-        object.__setattr__(self, "_pos", {row: k for k, row in enumerate(ranks)})
+        # Reversed, so that a repeated member's first position wins.
+        pos = {row: k for k, row in reversed(list(enumerate(ranks)))}
+        object.__setattr__(self, "_pos", pos)
 
     def index_of(self, cap: FiniteCapacity) -> int:
         if cap.domain.labels == self.domain.labels:
@@ -175,40 +179,12 @@ def interval_membership(iv: CapacityInterval, cap: FiniteCapacity) -> bool:
     return iv.lower <= cap and cap <= iv.upper
 
 
-def _member_table(mat: np.ndarray, op) -> np.ndarray:
-    """table[a, b] = index of the row op(mat[a], mat[b]) in mat.
-
-    `mat` holds distinct integer rows in lexicographic order, as
-    np.unique returns them. Each row gets an exact int64 key, built
-    column by column: the key so far times the column's count of
-    distinct values in mat, plus the rank of the row's value among
-    them, then renumbered by rank among mat's keys (np.searchsorted),
-    so no key reaches n times a column's count. mat's keys ascend and
-    end as 0..n-1, an op row's last key is the row of mat it was placed
-    at, and the rows found are compared with the op rows. Raises
-    AssertionError if some op(mat[a], mat[b]) is not a row of mat,
-    i.e. if the space is not closed under op.
-    """
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One exact key for each row of a C-contiguous int64 matrix: the
+    row's bytes, viewed as a single void field."""
     import numpy as np
 
-    def distinct(ascending):
-        return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
-
-    def rank_in(ascending, x):
-        return np.minimum(np.searchsorted(ascending, x), len(ascending) - 1)
-
-    n, width = mat.shape
-    rows = np.concatenate((mat, op(mat[:, None], mat[None]).reshape(n * n, width)))
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        digits = distinct(np.sort(col[:n]))
-        keys = keys * len(digits) + rank_in(digits, col)
-        keys = rank_in(distinct(keys[:n]), keys)
-    index = keys[n:]
-    if not (mat[index] == rows[n:]).all():
-        raise AssertionError(
-            f"pointwise {op.__name__} of two members left the space; closure broken")
-    return index.reshape(n, n)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 class BinarityReport(_Record):
@@ -253,10 +229,11 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     (meet(x, y), join(x, y)), and the intervals are exactly the pairs
     (L, H) of members with L <= H. Intervals i and j meet in
     (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
-    ordered, and it is then again an interval, i ∩ j. Building the join
-    and meet tables, by exact int64 keys of the member rows
-    (`_member_table`), checks closure for every pair of members and
-    raises AssertionError on a space that is not a lattice.
+    ordered, and it is then again an interval, i ∩ j. Each member row
+    is keyed by its bytes (`_row_keys`), and the pointwise max and min
+    of every pair of members, built one member row at a time, must have
+    the key of a member: AssertionError otherwise, on a space that is
+    not a lattice.
 
     Order intervals in a lattice have Helly number 2: if L_a <= H_b for
     every a, b of a family, the join of its lowers lies below the meet
@@ -278,9 +255,9 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
         intervals (m)    = sum (-1)^|S| c
 
     and the last is checked: AssertionError if it is not m
-    (`_cube_counts`). The family count is capped at FULL_FAMILY_CAP
-    intervals, checked before any table is built. A space with no
-    members has no intervals and passes.
+    (`_cube_counts`). The interval budget, then the family cap of
+    FULL_FAMILY_CAP intervals, is checked before closure. A space with
+    no members has no intervals and passes.
     """
     import numpy as np
 
@@ -291,7 +268,7 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     # np.unique is asked for counts it drops: with no return flag, numpy
     # imports numpy.ma to test for a masked array.
     mat, _ = np.unique(np.array(space._ranks), axis=0, return_counts=True)
-    # Row by row, so that a space far over budget stops before n x n tables.
+    # Row by row, so that a space far over budget stops before the n x n order.
     below_rows = []
     m = 0
     for row in mat:
@@ -308,11 +285,16 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
             f"intervals, have {m}"
         )
 
-    join_of = _member_table(mat, np.maximum)
-    # The meet table is built only to check closure under min.
-    _member_table(mat, np.minimum)
+    index = dict(zip(_row_keys(mat), range(len(mat))))
+    # One member row at a time, so that a space that is not closed stops
+    # before it holds more than n op rows.
+    for op in (np.maximum, np.minimum):
+        for a in range(len(mat)):
+            if not all(map(index.__contains__, _row_keys(op(mat[a], mat[a + 1:])))):
+                raise AssertionError(f"pointwise {op.__name__} of two members "
+                                     "left the space; closure broken")
     linked_pairs, triples_checked, full_family_sets = _cube_counts(
-        below, join_of, m, full_family)
+        below, mat, index, m, full_family)
 
     return BinarityReport(
         capacity_count=len(space.capacities),
@@ -334,13 +316,16 @@ def _upper_covers(below: np.ndarray) -> np.ndarray:
     return np.array([above & ~strict[above].any(axis=0) for above in strict])
 
 
-def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int, full_family: bool,
-                 ) -> tuple[int, int, int | None]:
+def _cube_counts(below: np.ndarray, mat: np.ndarray, index: dict[bytes, int], m: int,
+                 full_family: bool) -> tuple[int, int, int | None]:
     """(linked pairs, linked triples, linked families or None) of a
     distributive lattice's m intervals, as signed sums over its cubes
     (see `check_binarity`).
 
-    below[a, b] is a <= b, and join_of the member join table. A cube is
+    below[a, b] is a <= b for the member rows mat, and index maps each
+    row's key (`_row_keys`) to its position in mat: a cube's top is
+    found by looking up the key of the pointwise max of the previous
+    top and the new cover. A cube is
     a member x, a set S of its upper covers, its top join(S) and the
     position after S's last cover in x's run of covers. The cubes of
     dimension d + 1 extend those of dimension d by each later cover,
@@ -370,7 +355,8 @@ def _cube_counts(below: np.ndarray, join_of: np.ndarray, m: int, full_family: bo
         more = stop[x] - nxt
         cube = np.repeat(np.arange(len(x)), more)
         pos = nxt[cube] + np.arange(len(cube)) - np.repeat(np.cumsum(more) - more, more)
-        x, top, nxt = x[cube], join_of[top[cube], target[pos]], pos + 1
+        tops = _row_keys(np.maximum(mat[top[cube]], mat[target[pos]]))
+        x, top, nxt = x[cube], np.array([index[key] for key in tops], dtype=np.intp), pos + 1
         sign = -sign
     if sums[0] != m:
         raise AssertionError(
@@ -462,10 +448,10 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     whether the two halves cover the space. For each row p, one
     vectorised compare on the members' grid ranks gives the witnesses
     of all pairs (p, q > p); a dense table indexed by (witness, smaller
-    rank, larger rank) gives their keys, so only codes not seen before
-    reach the key dictionary. Each pair's cover and two exclusions are
-    then table lookups. A repeated member raises EqualCapacities, as
-    `separating_halves` does.
+    rank, larger rank), filled before the pairs from every witness
+    column and every two distinct ranks present in it, gives their keys.
+    Each pair's cover and two exclusions are then table lookups. A
+    repeated member raises EqualCapacities, as `separating_halves` does.
     """
     import numpy as np
 
@@ -475,12 +461,31 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     ranks = np.array(space._ranks)
     n = len(caps)
     size = len(levels)
-    # Per key (witness, midpoint): its row in the tables; key_of maps
-    # each (witness, smaller rank, larger rank) code to its key.
+    # Every code (witness w, two distinct ranks present in column w) a
+    # pair can have, mapped by key_of to its key (w, midpoint), whose
+    # halves are built once: in_hi[k] and in_lo[k] say which members lie
+    # in key k's upper and lower half.
     keys: dict[tuple[int, Fraction], int] = {}
-    key_of = np.full(ranks.shape[-1] * size * size, -1, dtype=np.intp)
-    in_hi: list[np.ndarray] = []
-    in_lo: list[np.ndarray] = []
+    key_of = np.zeros(space.domain.subset_count * size * size, dtype=np.intp)
+    for w, column in enumerate(zip(*space._ranks)):
+        for r, t in combinations(sorted(set(column)), 2):
+            key = (w, Fraction(levels[r] + levels[t], 2))
+            key_of[(w * size + r) * size + t] = keys.setdefault(key, len(keys))
+    in_hi = np.empty((len(keys), n), dtype=bool)
+    in_lo = np.empty((len(keys), n), dtype=bool)
+    for (w, a), k in keys.items():
+        # A value is >= a corner value c iff its rank is >= the least rank
+        # whose level is >= c, and <= c iff its rank is below the least
+        # rank whose level is > c. The corners take few values (0, a and
+        # 1), each bisected once; the corner tables map their ranks to those.
+        halves = _halves(space.domain, w, a)
+        values, corners = _ranked(*(c.values for half in halves
+                                    for c in (half.lower, half.upper)))
+        low = np.array([bisect_left(levels, v) for v in values])[corners[0::2]]
+        high = np.array([bisect_right(levels, v) for v in values])[corners[1::2]]
+        for inside, lo, hi in zip((in_hi, in_lo), low, high):
+            inside[k] = (ranks >= lo).all(axis=1) & (ranks < hi).all(axis=1)
+    covers = (in_hi | in_lo).all(axis=1)
     pairs = 0
     failures: list[tuple[int, int, str]] = []
 
@@ -492,40 +497,12 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
         witness = differ.argmax(axis=1)
         rp = ranks[p, witness]
         rq = rest[np.arange(len(rest)), witness]
-        codes = (witness * size + np.minimum(rp, rq)) * size + np.maximum(rp, rq)
-        kid = key_of[codes]
-        if (kid < 0).any():
-            known = len(keys)
-            # Most rows bring a few new codes, which a set sorts faster
-            # than np.unique; with no return flag, np.unique would also
-            # import numpy.ma.
-            for code in sorted(set(codes[kid < 0].tolist())):
-                w, pair = divmod(code, size * size)
-                key = (w, Fraction(levels[pair // size] + levels[pair % size], 2))
-                if key not in keys:
-                    keys[key] = len(keys)
-                    # A value is >= a corner value c iff its rank is >= the
-                    # least rank whose level is >= c, and <= c iff its rank
-                    # is below the least rank whose level is > c. The
-                    # corners take few values (0, a and 1), each bisected
-                    # once; the corner tables map their ranks to those.
-                    halves = _halves(space.domain, w, key[1])
-                    values, corners = _ranked(*(c.values for half in halves
-                                                for c in (half.lower, half.upper)))
-                    low = np.array([bisect_left(levels, v) for v in values])[corners[0::2]]
-                    high = np.array([bisect_right(levels, v) for v in values])[corners[1::2]]
-                    for inside, lo, hi in zip((in_hi, in_lo), low, high):
-                        inside.append((ranks >= lo).all(axis=1) & (ranks < hi).all(axis=1))
-                key_of[code] = keys[key]
-            if known < len(keys):
-                hi_table, lo_table = np.array(in_hi), np.array(in_lo)
-                covers = (hi_table | lo_table).all(axis=1)
-            kid = key_of[codes]
+        kid = key_of[(witness * size + np.minimum(rp, rq)) * size + np.maximum(rp, rq)]
         qs = np.arange(p + 1, n)
         p_smaller = rp < rq
         bad_cover = ~covers[kid]
-        bad_hi = hi_table[kid, np.where(p_smaller, p, qs)]
-        bad_lo = lo_table[kid, np.where(p_smaller, qs, p)]
+        bad_hi = in_hi[kid, np.where(p_smaller, p, qs)]
+        bad_lo = in_lo[kid, np.where(p_smaller, qs, p)]
         for j in np.flatnonzero(bad_cover | bad_hi | bad_lo).tolist():
             q = p + 1 + j
             if bad_cover[j]:

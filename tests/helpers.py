@@ -586,11 +586,12 @@ def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
     """Reference binarity scan: the intervals' link rows as Python
     big-integer bitsets, every linked pair (i, j) and its triples walked
     one pair at a time, each failing triple or family listed up to
-    FAILURE_CAP. The join and meet tables come from
-    convexity._member_table, and the interval budget is read from
-    convexity.INTERVAL_BUDGET, so a test can break or budget both scans
-    alike. The members are compared as values scaled by twice the lcm of
-    the grid denominators, not as the library's grid ranks."""
+    FAILURE_CAP. The join and meet tables come from a dict of its own
+    from each member row tuple to its index. Only the budgets come from
+    the library: FULL_FAMILY_CAP, and convexity.INTERVAL_BUDGET, read at
+    each call so that a test can budget both scans alike. The members
+    are compared as values scaled by twice the lcm of the grid
+    denominators, not as the library's grid ranks."""
     start = time.perf_counter()
     mat = np.unique(_scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0)
     n = len(mat)
@@ -612,8 +613,17 @@ def bigint_binarity_scan(space, full_family: bool = False) -> BinarityReport:
             f"intervals, have {m}"
         )
 
-    join_of = convexity._member_table(mat, np.maximum)
-    meet_of = convexity._member_table(mat, np.minimum)
+    index = {row: k for k, row in enumerate(map(tuple, mat.tolist()))}
+
+    def member_table(op) -> np.ndarray:
+        table = [[index.get(tuple(found)) for found in op(row, mat).tolist()]
+                 for row in mat]
+        if any(None in found for found in table):
+            raise AssertionError(
+                f"pointwise {op.__name__} of two members left the space; closure broken")
+        return np.array(table, dtype=np.intp)
+
+    join_of, meet_of = member_table(np.maximum), member_table(np.minimum)
     interval_of = np.full((n, n), -1, dtype=np.intp)
     interval_of[lows, highs] = np.arange(m)
 

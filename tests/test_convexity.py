@@ -3,6 +3,8 @@ pairwise separation."""
 
 import itertools
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +33,7 @@ from capgames import (
 )
 from capgames import capacity, convexity
 
-from helpers import (_scale_of, _scaled_matrix, bigint_binarity_scan, letters,
-                     pairwise_t2_scan)
+from helpers import _scale_of, bigint_binarity_scan, letters, pairwise_t2_scan
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -117,6 +118,12 @@ class TestEnumerateCapacities:
             space.index_of(top_capacity(Domain(("x", "y"))))
         with pytest.raises(ValueError, match="not a member of this space"):
             space.index_of(top_capacity(Domain(("b", "a"))))
+
+    def test_index_of_a_repeated_member_is_its_first_position(self):
+        top, bottom = top_capacity(AB), bottom_capacity(AB)
+        space = GridCapacitySpace(AB, (F(0), F(1)), (top, bottom, top))
+        assert space.index_of(top) == space.capacities.index(top) == 0
+        assert space.index_of(bottom) == 1
 
     def test_member_on_another_domain_rejected(self):
         members = (top_capacity(AB), bottom_capacity(AB), top_capacity(ABC),
@@ -224,18 +231,18 @@ class TestIntervals:
             interval(top_capacity(AB), top_capacity(ABC))
 
 
-def break_join_table(monkeypatch, mutation):
-    """Patch convexity._member_table so that its join table is shifted by
-    one member or reversed."""
-    member_table = convexity._member_table
+def break_member_index(monkeypatch, mutation):
+    """Patch convexity._cube_counts so that the member index it reads
+    cube tops from is shifted by one member or reversed."""
+    cube_counts = convexity._cube_counts
 
-    def broken(mat, fn):
-        found = member_table(mat, fn)
-        if fn is not np.maximum:
-            return found
-        return (found + 1) % len(mat) if mutation == "shifted" else len(mat) - 1 - found
+    def broken(below, mat, index, m, full_family):
+        n = len(mat)
+        moved = {key: (k + 1) % n if mutation == "shifted" else n - 1 - k
+                 for key, k in index.items()}
+        return cube_counts(below, mat, moved, m, full_family)
 
-    monkeypatch.setattr(convexity, "_member_table", broken)
+    monkeypatch.setattr(convexity, "_cube_counts", broken)
 
 
 def brute_force_binarity(space):
@@ -321,6 +328,47 @@ class TestBinarity:
         with pytest.raises(AssertionError, match="pointwise minimum .* closure broken"):
             check_binarity(space)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_dropped_member_breaks_closure(self, data):
+        domain, grid = data.draw(st.sampled_from(
+            [(ABC, GRID3), (ABC, (0, 1)), (AB, (0, F(1, 4), F(1, 2), F(3, 4), 1))]))
+        full = enumerate_capacities(domain, grid)
+        drawn = data.draw(st.lists(st.sampled_from(full._ranks), min_size=2, max_size=4))
+        rows = closure(drawn)
+        if len(rows) > 1 and data.draw(st.booleans()):
+            del rows[data.draw(st.integers(0, len(rows) - 1))]
+        space = GridCapacitySpace(domain, full.grid, tuple(
+            c for c, r in zip(full.capacities, full._ranks) if r in rows))
+        if closure(rows) != rows:
+            with pytest.raises(AssertionError, match="closure broken"):
+                check_binarity(space)
+            return
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert (fast.capacity_count, fast.interval_count, fast.linked_pairs,
+                fast.triples_checked, fast.failures) == (
+                    slow.capacity_count, slow.interval_count, slow.linked_pairs,
+                    slow.triples_checked, slow.failures)
+
+    def test_an_antichain_is_refused_in_little_memory(self):
+        # The members of the 4-point {0, 1/2, 1} space whose rank rows have
+        # the most common sum: an antichain, so its 620 intervals are inside
+        # the budget, and the pointwise max of any two members has a larger
+        # sum. n x n x width op rows would take about 100 MiB.
+        full = enumerate_capacities(letters(4), GRID3)
+        total, count = Counter(map(sum, full._ranks)).most_common(1)[0]
+        space = GridCapacitySpace(full.domain, full.grid, tuple(
+            c for c, r in zip(full.capacities, full._ranks) if sum(r) == total))
+        assert len(space) == count == 620
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssertionError, match="pointwise maximum .* closure broken"):
+                check_binarity(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_report_shape(self):
         space = enumerate_capacities(AB, (0, 1))
         report = check_binarity(space)
@@ -399,61 +447,6 @@ def closure(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         if not more:
             return sorted(found)
         found |= more
-
-
-class TestMemberTable:
-    """convexity._member_table against a dict from row tuples to indices."""
-
-    @staticmethod
-    def assert_matches_a_dict(mat: np.ndarray) -> None:
-        index = {row: k for k, row in enumerate(map(tuple, mat.tolist()))}
-        for op in (np.maximum, np.minimum):
-            want = [[index.get(tuple(op(x, y).tolist())) for y in mat] for x in mat]
-            if any(None in row for row in want):
-                with pytest.raises(AssertionError, match="closure broken"):
-                    convexity._member_table(mat, op)
-            else:
-                assert convexity._member_table(mat, op).tolist() == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_drawn_sublattices_as_ranks_and_as_scaled_values(self, data):
-        # check_binarity passes grid ranks, bigint_binarity_scan values
-        # scaled by twice the lcm of the grid denominators.
-        domain, grid = data.draw(st.sampled_from([(AB, GRID3), (ABC, GRID3), (ABC, (0, 1))]))
-        full = enumerate_capacities(domain, grid)
-        x, y = data.draw(st.lists(st.sampled_from(full.capacities), min_size=2, max_size=2))
-        lo, hi = meet(x, y), join(x, y)
-        space = GridCapacitySpace(full.domain, full.grid, tuple(
-            c for c in full.capacities if lo <= c and c <= hi))
-        self.assert_matches_a_dict(np.unique(np.array(space._ranks), axis=0))
-        self.assert_matches_a_dict(np.unique(
-            _scaled_matrix(space.capacities, _scale_of(space.grid)), axis=0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_wide_rows_of_large_values(self, data):
-        # Up to 3 rows span a sublattice of at most 18; with up to 80
-        # columns a plain mixed radix over the columns would pass int64.
-        # Dropping a row mostly breaks the closure.
-        width = data.draw(st.integers(1, 80))
-        values = data.draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=4))
-        rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=width,
-                                           max_size=width).map(tuple),
-                                  min_size=1, max_size=3))
-        members = closure(rows)
-        if len(members) > 1 and data.draw(st.booleans()):
-            del members[data.draw(st.integers(0, len(members) - 1))]
-        self.assert_matches_a_dict(np.array(members, dtype=np.int64))
-
-    def test_keys_renumbered_on_a_long_chain(self):
-        # 300 rows, each column taking 300 values: a plain mixed radix
-        # over the columns would leave int64 at the eighth column.
-        mat = np.arange(300)[:, None] * np.arange(1, 21)
-        self.assert_matches_a_dict(mat)
-        # Rows 149 and 150, made incomparable, join outside the rows.
-        mat[150, -1] = mat[149, -1] - 1
-        self.assert_matches_a_dict(mat)
 
 
 class TestSeparatingHalves:
@@ -670,11 +663,11 @@ class TestCubeCounts:
         report = check_binarity(enumerate_capacities(AB, (0, 1)), full_family=True)
         assert (report.linked_pairs, report.triples_checked,
                 report.full_family_sets, report.failures) == (20, 16, 40, ())
-        # A join table that is not the pointwise max breaks the interval sum.
+        # A member index that misplaces cube tops breaks the interval sum.
         for mutation in ("shifted", "reversed"):
             for domain, grid, intervals, _, _ in self.SPACES:
                 with monkeypatch.context() as patch:
-                    break_join_table(patch, mutation)
+                    break_member_index(patch, mutation)
                     with pytest.raises(AssertionError,
                                        match=f"not {intervals}; covers or joins broken"):
                         check_binarity(enumerate_capacities(domain, grid))
