@@ -411,6 +411,12 @@ def _check_ranks(domain: Domain, levels: Sequence[Fraction], unit: range,
                                     levels[ranks[small]], levels[ranks[large]])
 
 
+def _field_code(level_count: int) -> str:
+    """The typecode of fields that hold ranks below `level_count` under a
+    clear top (guard) bit: 8 bits to 2^7 levels, 16 to 2^15, else 32."""
+    return "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
+
+
 @functools.cache
 def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int, ...]]:
     """Field width in bits, and guard masks, of `count` rank tables on
@@ -450,9 +456,8 @@ def _cover_violation(size: int, ranks: Sequence[int],
     transitivity.
 
     Each rank fills one fixed-width field of a packed int, field A of a
-    table at its mask A, and stays below the field's top (guard) bit:
-    8-bit fields while there are at most 2^7 levels, 16-bit ones up to
-    2^15, else 32-bit ones. For a point k, shifting right by 2^k fields
+    table at its mask A, and stays below the field's top (guard) bit
+    (`_field_code`). For a point k, shifting right by 2^k fields
     puts ranks[A + 2^k] in field A; for a mask A lacking k that field
     lies in A's own table, and the others are masked off, so no compare
     crosses a table. With the guard bits set, subtracting the packed
@@ -462,7 +467,7 @@ def _cover_violation(size: int, ranks: Sequence[int],
     k at once, and the lowest guard bit it leaves clear is k's first
     failing field.
     """
-    code = "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
+    code = _field_code(level_count)
     bits, guard, lacking = _cover_masks(size, code, len(ranks) >> size)
     # bytes() converts a list of small ints about three times as fast.
     fields = bytes(ranks) if code == "B" else array(code, ranks).tobytes()

@@ -27,26 +27,33 @@ capacities:
 
 Both checks read values only through order, so a space ranks each
 member into its sorted distinct grid once (`capacity._ranked`), and the
-scans compare those ints in numpy batches; a half's corners take the
-levels 0, a and 1, each bisected once into a rank bound. The binarity
-scan finds a member row by one exact key, the bytes of the row, in a
-dict from each member's key to its index: no n x n op or join table is
-built.
+scans work on those ints as Python int bitsets of the members
+(`_at_least`): up-sets, covers and halves are their ANDs and
+differences, counts their sizes, sums exact ints, and no n x n table is
+built. A half's corners take the levels 0, a and 1, each bisected once
+into a rank bound.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from functools import reduce
+from itertools import accumulate, chain, combinations, repeat
+from math import comb
+from operator import and_, or_
+from struct import Struct
+from typing import Iterable, Sequence
 
 from .capacity import (
     BudgetExceeded,
     Domain,
     DomainMismatch,
     FiniteCapacity,
+    _field_code,
     _grid_tables,
     _grid_values,
     _ranked,
@@ -56,9 +63,6 @@ from .capacity import (
     meet,
     top_capacity,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BudgetExceeded",
@@ -179,12 +183,20 @@ def interval_membership(iv: CapacityInterval, cap: FiniteCapacity) -> bool:
     return iv.lower <= cap and cap <= iv.upper
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """One exact key for each row of a C-contiguous int64 matrix: the
-    row's bytes, viewed as a single void field."""
-    import numpy as np
+def _at_least(rows: Sequence[Sequence[int]], size: int) -> list[list[int]]:
+    """For each column w, the bitsets of the rows whose rank at w is at
+    least r, for r = 0, ..., size (the last empty): bit k is row k."""
+    exact = [[0] * (size + 1) for _ in rows[0]] if rows else []
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        for column, r in zip(exact, row):
+            column[r] |= bit
+    return [list(accumulate(reversed(column), or_))[::-1] for column in exact]
 
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+def _least(bits: int) -> int:
+    """The position of the lowest set bit."""
+    return (bits & -bits).bit_length() - 1
 
 
 class BinarityReport(_Record):
@@ -225,27 +237,22 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     space in which every linked family has a common member.
 
     The space is a lattice under pointwise max (join) and min (meet),
-    so the interval of two members x, y is the pair of members
-    (meet(x, y), join(x, y)), and the intervals are exactly the pairs
-    (L, H) of members with L <= H. Intervals i and j meet in
-    (join(L_i, L_j), meet(H_i, H_j)): they are linked iff that pair is
-    ordered, and it is then again an interval, i ∩ j. Each member row
-    is keyed by its bytes (`_row_keys`), and the pointwise max and min
-    of every pair of members, built one member row at a time, must have
-    the key of a member: AssertionError otherwise, on a space that is
-    not a lattice.
+    so its intervals are the pairs (L, H) of members with L <= H, m of
+    them, the sum of the members' up-set sizes. Intervals i and j meet
+    in (join(L_i, L_j), meet(H_i, H_j)): linked iff that pair is
+    ordered, and then again an interval. The pointwise max and min of
+    every two members must be members (`_check_closure`):
+    AssertionError otherwise, on a space that is not a lattice.
 
     Order intervals in a lattice have Helly number 2: if L_a <= H_b for
     every a, b of a family, the join of its lowers lies below the meet
-    of its uppers. So no linked family can fail, `failures` is always
-    empty, and the counts need no walk over the linked pairs. A member
-    space closed under pointwise max and min is a distributive lattice,
-    and each of its intervals is contractible as a cube complex, whose
-    cubes are its Boolean intervals [x, join(S)], S a set of upper
-    covers of x, of dimension |S|. The cubes inside every interval of a
-    family are those of its intersection, whose Euler characteristic,
-    the sum of (-1)^|S| over the cubes it holds, is 1 if it is an
-    interval and 0 if it is empty. With c = down(x) * up(join(S))
+    of its uppers. So no linked family can fail and `failures` is always
+    empty. The space is a distributive lattice, and each of its
+    intervals is contractible as a cube complex, whose cubes are its
+    Boolean intervals [x, join(S)], S a set of upper covers of x. The
+    cubes inside every interval of a family are those of its
+    intersection, whose Euler characteristic, the sum of (-1)^|S| over
+    the cubes it holds, is 1 if it is an interval and 0 if it is empty. With c = down(x) * up(join(S))
     intervals holding a cube (one choice of L <= x and of H >= join(S)),
     summing over the cubes gives
 
@@ -259,104 +266,102 @@ def check_binarity(space: GridCapacitySpace, full_family: bool = False) -> Binar
     FULL_FAMILY_CAP intervals, is checked before closure. A space with
     no members has no intervals and passes.
     """
-    import numpy as np
-
     start = time.perf_counter()
     if not space.capacities:
         return BinarityReport(0, 0, 0, 0, (), 0 if full_family else None,
                               time.perf_counter() - start)
-    # np.unique is asked for counts it drops: with no return flag, numpy
-    # imports numpy.ma to test for a masked array.
-    mat, _ = np.unique(np.array(space._ranks), axis=0, return_counts=True)
-    # Row by row, so that a space far over budget stops before the n x n order.
-    below_rows = []
-    m = 0
-    for row in mat:
-        below_rows.append((row <= mat).all(axis=1))
-        m += int(below_rows[-1].sum())
+    # Sorted, so that the index order extends the member order.
+    rows = sorted(set(space._ranks))
+    at_least = _at_least(rows, len(space._levels))
+    # One up-set at a time, so that a space over budget stops early.
+    ups, m = [], 0
+    for row in rows:
+        ups.append(reduce(and_, map(list.__getitem__, at_least, row)))
+        m += ups[-1].bit_count()
         if m > INTERVAL_BUDGET:
-            raise BudgetExceeded(
-                f"binarity scan: at least {m} distinct intervals exceed "
-                f"budget {INTERVAL_BUDGET}")
-    below = np.array(below_rows)
+            raise BudgetExceeded(f"binarity scan: at least {m} distinct intervals "
+                                 f"exceed budget {INTERVAL_BUDGET}")
     if full_family and m > FULL_FAMILY_CAP:
-        raise BudgetExceeded(
-            f"binarity scan: full-family scan capped at {FULL_FAMILY_CAP} "
-            f"intervals, have {m}"
-        )
-
-    index = dict(zip(_row_keys(mat), range(len(mat))))
-    # One member row at a time, so that a space that is not closed stops
-    # before it holds more than n op rows.
-    for op in (np.maximum, np.minimum):
-        for a in range(len(mat)):
-            if not all(map(index.__contains__, _row_keys(op(mat[a], mat[a + 1:])))):
-                raise AssertionError(f"pointwise {op.__name__} of two members "
-                                     "left the space; closure broken")
-    linked_pairs, triples_checked, full_family_sets = _cube_counts(
-        below, mat, index, m, full_family)
-
-    return BinarityReport(
-        capacity_count=len(space.capacities),
-        interval_count=m,
-        linked_pairs=linked_pairs,
-        triples_checked=triples_checked,
-        failures=(),
-        full_family_sets=full_family_sets,
-        seconds=time.perf_counter() - start,
-    )
+        raise BudgetExceeded(f"binarity scan: full-family scan capped at "
+                             f"{FULL_FAMILY_CAP} intervals, have {m}")
+    _check_closure(rows, len(space._levels))
+    downs = [len(rows) - reduce(or_, [column[r + 1] for column, r in zip(at_least, row)])
+             .bit_count() for row in rows]  # The rest exceed x in some column.
+    counts = _cube_counts(ups, downs, _upper_covers(ups), m, full_family)
+    return BinarityReport(len(space.capacities), m, counts[0], counts[1], (), counts[2],
+                          time.perf_counter() - start)
 
 
-def _upper_covers(below: np.ndarray) -> np.ndarray:
-    """covers[x, y]: y covers x, i.e. y is a minimal member above x.
-    below[a, b] is a <= b."""
-    import numpy as np
+def _check_closure(rows: list[tuple[int, ...]], size: int) -> None:
+    """AssertionError unless the pointwise max, and then the min, of every
+    two rows (ranks below `size`) is a row. The rows are packed into the
+    fields of one int (`_field_code`), a row's bytes its key. Row a,
+    repeated, is subtracted from all later rows at once with their guard
+    bits set: a guard bit stays set iff the later rank is at least row
+    a's, and picks the max and the min."""
+    code = _field_code(size)
+    width = array(code).itemsize
+    flat = array(code, chain.from_iterable(rows)).tobytes()
+    step = len(flat) // len(rows)
+    guards = (1 << 8 * width - 1).to_bytes(width, sys.byteorder) * (len(flat) // width)
+    split = Struct(f"{step}s").iter_unpack
+    keys = set(split(flat))
+    meets_closed = True
+    for start in range(step, len(flat), step):
+        later, row, guard = (int.from_bytes(b, sys.byteorder) for b in (
+            flat[start:], flat[start - step:start] * (len(rows) - start // step), guards[start:]))
+        at_least = ((later | guard) - row) & guard
+        take = (later ^ row) & (at_least - (at_least >> 8 * width - 1))
+        joins, meets = ((v ^ take).to_bytes(len(flat) - start, sys.byteorder)
+                        for v in (row, later))
+        if not keys.issuperset(split(joins)):
+            raise AssertionError("pointwise maximum of two members left the space; "
+                                 "closure broken")
+        meets_closed = meets_closed and keys.issuperset(split(meets))
+    if not meets_closed:
+        raise AssertionError("pointwise minimum of two members left the space; "
+                             "closure broken")
 
-    strict = below & ~np.eye(len(below), dtype=bool)
-    return np.array([above & ~strict[above].any(axis=0) for above in strict])
+
+def _upper_covers(ups: list[int]) -> list[list[int]]:
+    """The upper covers of each member, ascending. ups[x] is the bitset of
+    the members >= x, and the index order extends the member order, so
+    the least member left in x's strict up-set is a cover, and removing
+    its up-set leaves the other covers and what lies above them."""
+    covers = []
+    for x, up in enumerate(ups):
+        rest, found = up ^ 1 << x, []
+        while rest:
+            found.append(_least(rest))
+            rest &= ~ups[found[-1]]
+        covers.append(found)
+    return covers
 
 
-def _cube_counts(below: np.ndarray, mat: np.ndarray, index: dict[bytes, int], m: int,
+def _cube_counts(ups: list[int], downs: list[int], covers: list[list[int]], m: int,
                  full_family: bool) -> tuple[int, int, int | None]:
     """(linked pairs, linked triples, linked families or None) of a
     distributive lattice's m intervals, as signed sums over its cubes
-    (see `check_binarity`).
+    (see `check_binarity`), in exact ints.
 
-    below[a, b] is a <= b for the member rows mat, and index maps each
-    row's key (`_row_keys`) to its position in mat: a cube's top is
-    found by looking up the key of the pointwise max of the previous
-    top and the new cover. A cube is
-    a member x, a set S of its upper covers, its top join(S) and the
-    position after S's last cover in x's run of covers. The cubes of
-    dimension d + 1 extend those of dimension d by each later cover,
-    so each set S is reached once. A cube is an interval, so there are
-    at most m of them, and each C(c, 3) is below C(m, 3): the int64
-    sums of one dimension stay below m * C(m, 3) < 2.2e18. The families
-    are counted only with `full_family`, where m <= FULL_FAMILY_CAP
-    keeps 2^c inside int64.
+    ups[x] is the bitset of the members >= x, downs[x] the number of
+    members <= x. A cube is x, a set S of its covers, its top join(S)
+    and the position after S's last cover in covers[x]; adding a later
+    cover y, the least member of the AND of their up-sets is the top.
     """
-    import numpy as np
-
-    n = len(below)
-    down, up = below.sum(axis=0), below.sum(axis=1)
-    source, target = np.nonzero(_upper_covers(below))
-    members = np.arange(n)
-    stop = np.searchsorted(source, members, side="right")
-    x, top, nxt = members, members, np.searchsorted(source, members)
+    sizes = [up.bit_count() for up in ups]
     sums = [0, 0, 0, 0]
     sign = 1
-    while len(x):
-        c = down[x] * up[top]
-        terms = [c, c * (c - 1) // 2, c * (c - 1) * (c - 2) // 6]
+    cubes = [(x, x, 0) for x in range(len(ups))]
+    while cubes:
+        counts = [downs[x] * sizes[top] for x, top, _ in cubes]
+        terms = [counts, map(comb, counts, repeat(2)), map(comb, counts, repeat(3))]
         if full_family:
-            terms.append((1 << c) - 1 - c)
+            terms.append([(1 << c) - 1 - c for c in counts])
         for k, term in enumerate(terms):
-            sums[k] += sign * int(term.sum())
-        more = stop[x] - nxt
-        cube = np.repeat(np.arange(len(x)), more)
-        pos = nxt[cube] + np.arange(len(cube)) - np.repeat(np.cumsum(more) - more, more)
-        tops = _row_keys(np.maximum(mat[top[cube]], mat[target[pos]]))
-        x, top, nxt = x[cube], np.array([index[key] for key in tops], dtype=np.intp), pos + 1
+            sums[k] += sign * sum(term)
+        cubes = [(x, _least(ups[top] & ups[y]), j + 1) for x, top, after in cubes
+                 for j, y in enumerate(covers[x][after:], after)]
         sign = -sign
     if sums[0] != m:
         raise AssertionError(
@@ -442,79 +447,65 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
 
     A pair's halves are a function of its key: the witness w (the first
     subset where the two differ) and the midpoint a of their values
-    there. So each key's halves are built once, by the `_halves`
-    construction that `separating_halves` uses, and compared against
-    every member of the space once: which members lie in each half, and
-    whether the two halves cover the space. For each row p, one
-    vectorised compare on the members' grid ranks gives the witnesses
-    of all pairs (p, q > p); a dense table indexed by (witness, smaller
-    rank, larger rank), filled before the pairs from every witness
-    column and every two distinct ranks present in it, gives their keys.
-    Each pair's cover and two exclusions are then table lookups. A
-    repeated member raises EqualCapacities, as `separating_halves` does.
+    there. Each key's halves, from every column and every two distinct
+    ranks in it, are built once by `_halves` as bitsets of the members
+    inside them. For each member p, one bitset holds the later members
+    agreeing with p on every column before w; split by their rank at w,
+    each piece is one key's pairs (p, q), counted by its size and
+    checked by ANDs with the key's halves. A repeated member raises
+    EqualCapacities, as `separating_halves` does.
     """
-    import numpy as np
-
     start = time.perf_counter()
-    caps = space.capacities
-    levels = space._levels
-    ranks = np.array(space._ranks)
-    n = len(caps)
-    size = len(levels)
-    # Every code (witness w, two distinct ranks present in column w) a
-    # pair can have, mapped by key_of to its key (w, midpoint), whose
-    # halves are built once: in_hi[k] and in_lo[k] say which members lie
-    # in key k's upper and lower half.
-    keys: dict[tuple[int, Fraction], int] = {}
-    key_of = np.zeros(space.domain.subset_count * size * size, dtype=np.intp)
-    for w, column in enumerate(zip(*space._ranks)):
-        for r, t in combinations(sorted(set(column)), 2):
+    rows, levels = space._ranks, space._levels
+    everyone = (1 << len(rows)) - 1
+    at_least = _at_least(rows, len(levels))
+    exact = [[column[r] ^ column[r + 1] for r in range(len(levels))] for column in at_least]
+    present = [sorted(set(column)) for column in zip(*rows)]
+    # (members in the upper half, in the lower half, whether they cover
+    # the space) of each key, and of each code (w, r, t) with r != t.
+    sides, keys = {}, {}
+    for w, ranks in enumerate(present):
+        for r, t in combinations(ranks, 2):
             key = (w, Fraction(levels[r] + levels[t], 2))
-            key_of[(w * size + r) * size + t] = keys.setdefault(key, len(keys))
-    in_hi = np.empty((len(keys), n), dtype=bool)
-    in_lo = np.empty((len(keys), n), dtype=bool)
-    for (w, a), k in keys.items():
-        # A value is >= a corner value c iff its rank is >= the least rank
-        # whose level is >= c, and <= c iff its rank is below the least
-        # rank whose level is > c. The corners take few values (0, a and
-        # 1), each bisected once; the corner tables map their ranks to those.
-        halves = _halves(space.domain, w, a)
-        values, corners = _ranked(*(c.values for half in halves
-                                    for c in (half.lower, half.upper)))
-        low = np.array([bisect_left(levels, v) for v in values])[corners[0::2]]
-        high = np.array([bisect_right(levels, v) for v in values])[corners[1::2]]
-        for inside, lo, hi in zip((in_hi, in_lo), low, high):
-            inside[k] = (ranks >= lo).all(axis=1) & (ranks < hi).all(axis=1)
-    covers = (in_hi | in_lo).all(axis=1)
+            if key not in keys:
+                # A rank is >= corner c iff >= bisect_left(levels, c),
+                # and <= c iff < bisect_right(levels, c).
+                values, corners = _ranked(*(c.values for half in _halves(space.domain, *key)
+                                            for c in (half.lower, half.upper)))
+                low = [bisect_left(levels, v) for v in values]
+                high = [bisect_right(levels, v) for v in values]
+                upper, lower = (
+                    reduce(and_, [column[low[a]] & ~column[high[b]]
+                                  for column, a, b in zip(at_least, bottom, top)], everyone)
+                    for bottom, top in zip(corners[0::2], corners[1::2]))
+                keys[key] = upper, lower, upper | lower == everyone
+            sides[w, r, t] = sides[w, t, r] = keys[key]
     pairs = 0
     failures: list[tuple[int, int, str]] = []
-
-    for p in range(n - 1):
-        rest = ranks[p + 1:]
-        differ = rest != ranks[p]
-        if not differ.any(axis=1).all():
+    texts = ("halves do not cover the space", "smaller endpoint not excluded from upper half",
+             "larger endpoint not excluded from lower half")
+    for p, row in enumerate(rows):
+        agree = everyone >> p + 1 << p + 1
+        found = []
+        for w, rp in enumerate(row):
+            if not agree:
+                break
+            for r in present[w]:
+                piece = agree & exact[w][r]
+                if not piece or r == rp:
+                    continue
+                pairs += piece.bit_count()
+                upper, lower, covered = sides[w, r, rp]
+                # The smaller endpoint must be outside the upper half, the
+                # larger outside the lower one.
+                bad = (0 if covered else piece,
+                       piece & upper if r < rp else piece * (upper >> p & 1),
+                       piece * (lower >> p & 1) if r < rp else piece & lower)
+                if any(bad):
+                    found += [(q, kind) for kind, bits in enumerate(bad)
+                              for q in range(p + 1, len(rows)) if bits >> q & 1]
+            agree &= exact[w][rp]
+        if agree:
             raise EqualCapacities("cannot separate a capacity from itself")
-        witness = differ.argmax(axis=1)
-        rp = ranks[p, witness]
-        rq = rest[np.arange(len(rest)), witness]
-        kid = key_of[(witness * size + np.minimum(rp, rq)) * size + np.maximum(rp, rq)]
-        qs = np.arange(p + 1, n)
-        p_smaller = rp < rq
-        bad_cover = ~covers[kid]
-        bad_hi = in_hi[kid, np.where(p_smaller, p, qs)]
-        bad_lo = in_lo[kid, np.where(p_smaller, qs, p)]
-        for j in np.flatnonzero(bad_cover | bad_hi | bad_lo).tolist():
-            q = p + 1 + j
-            if bad_cover[j]:
-                failures.append((p, q, "halves do not cover the space"))
-            if bad_hi[j]:
-                failures.append((p, q, "smaller endpoint not excluded from upper half"))
-            if bad_lo[j]:
-                failures.append((p, q, "larger endpoint not excluded from lower half"))
-        pairs += len(rest)
-    return SeparationReport(
-        capacity_count=n,
-        pairs_checked=pairs,
-        failures=tuple(failures),
-        seconds=time.perf_counter() - start,
-    )
+        failures += [(p, q, texts[kind]) for q, kind in sorted(found)]
+    return SeparationReport(len(rows), pairs, tuple(failures), time.perf_counter() - start)

@@ -2,12 +2,12 @@
 pairwise separation."""
 
 import itertools
+import random
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -231,16 +231,14 @@ class TestIntervals:
             interval(top_capacity(AB), top_capacity(ABC))
 
 
-def break_member_index(monkeypatch, mutation):
-    """Patch convexity._cube_counts so that the member index it reads
-    cube tops from is shifted by one member or reversed."""
+def break_up_sets(monkeypatch, mutation):
+    """Patch convexity._cube_counts so that the up-sets it reads cube
+    tops and their sizes from are shifted by one member or reversed."""
     cube_counts = convexity._cube_counts
 
-    def broken(below, mat, index, m, full_family):
-        n = len(mat)
-        moved = {key: (k + 1) % n if mutation == "shifted" else n - 1 - k
-                 for key, k in index.items()}
-        return cube_counts(below, mat, moved, m, full_family)
+    def broken(ups, downs, covers, m, full_family):
+        moved = ups[1:] + ups[:1] if mutation == "shifted" else ups[::-1]
+        return cube_counts(moved, downs, covers, m, full_family)
 
     monkeypatch.setattr(convexity, "_cube_counts", broken)
 
@@ -567,9 +565,16 @@ class TestCheckT2:
     ])
     def test_broken_halves_fail_alike_in_both_scans(self, monkeypatch, mutation, message):
         # Each broken construction is still a function of (witness, midpoint),
-        # so the keyed scan must report exactly the pairwise scan's failures.
-        space = enumerate_capacities(AB, GRID3)
-        halves, step = convexity._halves, Fraction(1, _scale_of(space.grid))
+        # so the keyed scan must report exactly the pairwise scan's failures:
+        # on the 2-point space, and on drawn subsets of the 3-point space,
+        # whose pairs agree on several subsets before their witness.
+        three = enumerate_capacities(ABC, GRID3)
+        spaces = [enumerate_capacities(AB, GRID3)] + [
+            GridCapacitySpace(ABC, three.grid, tuple(
+                three.capacities[k] for k in sorted(random.Random(count).sample(
+                    range(len(three)), count))))
+            for count in (12, 25, 40)]
+        halves, step = convexity._halves, Fraction(1, _scale_of(GRID3))
 
         def broken(domain, witness, a):
             if mutation == "midpoint moved one step":
@@ -580,9 +585,10 @@ class TestCheckT2:
                     halves(domain, witness, a)[1])
 
         monkeypatch.setattr(convexity, "_halves", broken)
-        fast, slow = check_t2(space), pairwise_t2_scan(space)
-        assert fast.failures == slow.failures
-        assert any(message in text for _, _, text in fast.failures)
+        for space in spaces:
+            fast, slow = check_t2(space), pairwise_t2_scan(space)
+            assert fast.failures == slow.failures
+            assert any(message in text for _, _, text in fast.failures)
 
 
 class TestHandBuiltGrids:
@@ -613,6 +619,24 @@ class TestHandBuiltGrids:
         assert (fast.pairs_checked, fast.failures) == (slow.pairs_checked, slow.failures)
         assert fast.pairs_checked == len(members) * (len(members) - 1) // 2
         assert [space.index_of(m) for m in members] == list(range(len(members)))
+
+    def test_ranks_past_the_byte_fields(self):
+        # A 2-point space on a grid of 300 values, whose members take the
+        # ranks 0, 130, 260 and 299 on each point: past 127 and 255, so the
+        # packed rank rows need fields wider than a byte.
+        grid = tuple(Fraction(k, 299) for k in range(300))
+        members = tuple(FiniteCapacity(AB, (grid[0], grid[x], grid[y], grid[-1]))
+                        for x in (0, 130, 260, 299) for y in (0, 130, 260, 299))
+        space = GridCapacitySpace(AB, grid, members)
+        assert max(max(row) for row in space._ranks) == 299
+        fast, slow = check_binarity(space), bigint_binarity_scan(space)
+        assert (fast.interval_count, fast.linked_pairs, fast.triples_checked,
+                fast.failures) == (slow.interval_count, slow.linked_pairs,
+                                   slow.triples_checked, slow.failures)
+        assert fast.interval_count == 100
+        fast, slow = check_t2(space), pairwise_t2_scan(space)
+        assert (fast.pairs_checked, fast.failures) == (slow.pairs_checked, slow.failures)
+        assert fast.pairs_checked == 16 * 15 // 2
 
 
 class TestCubeCounts:
@@ -663,11 +687,11 @@ class TestCubeCounts:
         report = check_binarity(enumerate_capacities(AB, (0, 1)), full_family=True)
         assert (report.linked_pairs, report.triples_checked,
                 report.full_family_sets, report.failures) == (20, 16, 40, ())
-        # A member index that misplaces cube tops breaks the interval sum.
+        # Up-sets that misplace cube tops break the interval sum.
         for mutation in ("shifted", "reversed"):
             for domain, grid, intervals, _, _ in self.SPACES:
                 with monkeypatch.context() as patch:
-                    break_member_index(patch, mutation)
+                    break_up_sets(patch, mutation)
                     with pytest.raises(AssertionError,
                                        match=f"not {intervals}; covers or joins broken"):
                         check_binarity(enumerate_capacities(domain, grid))
@@ -678,10 +702,12 @@ class TestCubeCounts:
                                                     grid, intervals, pairs, triples):
         upper_covers = convexity._upper_covers
 
-        def dropped(below):
-            covers = upper_covers(below)
-            x, y = (found[which] for found in np.nonzero(covers))
-            covers[x, y] = False
+        def dropped(ups):
+            # The first cover of the first member with covers, or the
+            # last cover of the last one.
+            covers = upper_covers(ups)
+            x = [x for x, found in enumerate(covers) if found][which]
+            del covers[x][which]
             return covers
 
         monkeypatch.setattr(convexity, "_upper_covers", dropped)

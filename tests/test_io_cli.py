@@ -650,9 +650,12 @@ class TestCli:
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is imported only inside the convexity scans.
+    # No module imports numpy, the convexity scans included.
     src = str(Path(capgames.__file__).resolve().parent.parent)
-    code = "import capgames, capgames.cli, sys; assert 'numpy' not in sys.modules"
+    code = ("import capgames, capgames.cli, sys; "
+            "space = capgames.enumerate_capacities(capgames.Domain(('a', 'b')), (0, 1)); "
+            "assert capgames.check_binarity(space).passed and capgames.check_t2(space).passed; "
+            "assert 'numpy' not in sys.modules")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
@@ -681,8 +684,7 @@ def test_error_text_does_not_follow_the_hash_seed(tmp_path):
 
 # Modules a cold command could load for nothing: `dataclasses` (which
 # imports `inspect`) and `numpy.ma` each cost 8-16 ms with no bytecode
-# cache. numpy imports `inspect` itself, and `numpy.ma` whenever
-# `np.unique` is called without a return flag.
+# cache, and numpy, which imports `inspect` itself, more.
 WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect")
 
 
@@ -732,8 +734,7 @@ COLD_COMMANDS = [
     (["check-eq", "coord.json", "--supports", "A,B;B"], 1, GAME | {"equilibrium"}),
     (["solve", "coord.json"], 0, GAME | {"equilibrium"}),
     (["solve", "empty.json"], 1, GAME | {"equilibrium"}),
-    (["verify-convexity", "--domain-size", "2"], 0,
-     BASE | {"convexity", "generate", "numpy", "inspect"}),
+    (["verify-convexity", "--domain-size", "2"], 0, BASE | {"convexity", "generate"}),
     (["oracle-compare", "--trials", "5", "--seed", "7"], 0, BASE | {"generate"}),
 ]
 
@@ -764,10 +765,10 @@ def cold_inputs(tmp_path_factory):
 
 def test_each_command_loads_only_the_modules_it_runs(cold_inputs):
     # In command order, so that `integrate` reads the product `tensor` wrote.
-    # Only verify-convexity loads the convexity scans (and numpy, which
-    # imports inspect), only check-eq and solve the equilibrium search,
-    # and no command but the game commands loads the game layer. No
-    # command loads dataclasses or numpy.ma.
+    # Only verify-convexity loads the convexity scans, only check-eq and
+    # solve the equilibrium search, and no command but the game commands
+    # loads the game layer. No command loads numpy, dataclasses or
+    # inspect.
     for args, want_code, want in COLD_COMMANDS:
         code, modules = _cold_run(args, cold_inputs)
         assert (code, modules) == (want_code, want), args
