@@ -417,19 +417,20 @@ def _field_code(level_count: int) -> str:
     return "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int, ...]]:
     """Field width in bits, and guard masks, of `count` rank tables on
     `size` points packed one after another into fields of the array
     typecode `code`: the guard (top) bit of every field, and for each
     point k the guard bits of the fields whose mask lacks k, repeated
-    once per table. Single tables give at most 60 entries (20 sizes, 3
-    widths), the largest, 20 points in 32-bit fields, holding 21 ints of
-    4 MiB. Grid spaces add one per domain size and member count, a
-    count the member budget (MAX_SPACE_MEMBERS) bounds: 107 entries, all
-    on 2-5 points and 99 of them on 2 (one per grid of 2-100 values),
-    together holding about 6 MiB of ints, the largest, the 5-point
-    {0, 1} space's, 6 ints of 1.4 MiB. A 1-point space is one table."""
+    once per table. The 128 most recently used shapes are kept. Single
+    tables give at most 60 (20 sizes, 3 widths), the largest, 20 points
+    in 32-bit fields, holding 21 ints of 4 MiB. A grid space gives one
+    per domain size and member count, the largest, the 5-point {0, 1}
+    space's, 6 ints of 1.4 MiB; the corners of `convexity._halves` one
+    per domain size; and a support scan's possibility capacities one
+    per strategy domain size and number of supports its hits use, a
+    count that only the scan bounds, hence the limit on entries."""
     width = array(code).itemsize
     on = (1 << (8 * width - 1)).to_bytes(width, sys.byteorder)
     off = bytes(width)
@@ -609,12 +610,20 @@ def possibility_capacity(domain: Domain, support: Iterable[str]) -> FiniteCapaci
 
 
 def _possibility(domain: Domain, support: int) -> FiniteCapacity:
-    """`possibility_capacity` on a nonempty support mask: the one
-    constructor of the {0, 1} capacities that are 1 exactly on the sets
-    meeting a support, the top and Dirac capacities among them."""
-    return FiniteCapacity._from_ranks(
+    """`possibility_capacity` on a nonempty support mask: `_possibilities`
+    on one support."""
+    return _possibilities(domain, [support])[0]
+
+
+def _possibilities(domain: Domain, supports: Sequence[int]) -> list[FiniteCapacity]:
+    """The {0, 1} capacity that is 1 exactly on the sets meeting each
+    nonempty support mask, in order, built and validated as one batch
+    (`FiniteCapacity._many_from_ranks`): the one constructor of these
+    capacities, the top and Dirac capacities among them."""
+    masks = range(domain.subset_count)
+    return FiniteCapacity._many_from_ranks(
         domain, _ZERO_ONE,
-        [1 if mask & support else 0 for mask in range(domain.subset_count)])
+        [[1 if mask & support else 0 for mask in masks] for support in supports])
 
 
 def probability_capacity(domain: Domain,

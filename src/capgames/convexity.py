@@ -58,10 +58,8 @@ from .capacity import (
     _grid_values,
     _ranked,
     _Record,
-    bottom_capacity,
     join,
     meet,
-    top_capacity,
 )
 
 __all__ = [
@@ -386,19 +384,20 @@ def _halves(domain: Domain, witness: int, a: Fraction,
             ) -> tuple[CapacityInterval, CapacityInterval]:
     """The upper half {mu : mu(witness) >= a} and the lower half
     {mu : mu(witness) <= a}: the intervals [upper gate, top] and
-    [bottom, lower gate], whose corners are ordered already. The two
-    gates take the values 0, a and 1, and are built on ranks."""
-    full = domain.full_mask
+    [bottom, lower gate], whose corners are ordered already. The four
+    corners take the values 0, a and 1, and are built on ranks as one
+    batch (`FiniteCapacity._many_from_ranks`), so the levels are checked
+    once."""
+    full, masks = domain.full_mask, range(domain.subset_count)
     levels, ((zero, mid, one),) = _ranked((Fraction(0), a, Fraction(1)))
-    upper_gate = FiniteCapacity._from_ranks(domain, levels, [
-        one if mask == full else (mid if mask & witness == witness else zero)
-        for mask in range(domain.subset_count)
+    upper_gate, top, bottom, lower_gate = FiniteCapacity._many_from_ranks(domain, levels, [
+        [one if mask == full else (mid if mask & witness == witness else zero)
+         for mask in masks],
+        [one if mask else zero for mask in masks],
+        [one if mask == full else zero for mask in masks],
+        [zero if mask == 0 else (mid if mask | witness == witness else one)
+         for mask in masks],
     ])
-    lower_gate = FiniteCapacity._from_ranks(domain, levels, [
-        zero if mask == 0 else (mid if mask | witness == witness else one)
-        for mask in range(domain.subset_count)
-    ])
-    top, bottom = top_capacity(domain), bottom_capacity(domain)
     return (CapacityInterval(upper_gate, top, upper_gate, top),
             CapacityInterval(bottom, lower_gate, bottom, lower_gate))
 
@@ -448,11 +447,12 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     A pair's halves are a function of its key: the witness w (the first
     subset where the two differ) and the midpoint a of their values
     there. Each key's halves, from every column and every two distinct
-    ranks in it, are built once by `_halves` as bitsets of the members
-    inside them. For each member p, one bitset holds the later members
-    agreeing with p on every column before w; split by their rank at w,
-    each piece is one key's pairs (p, q), counted by its size and
-    checked by ANDs with the key's halves. A repeated member raises
+    ranks in it (each two ranks' midpoint computed once), are built once
+    by `_halves`, whose four corners are one batch, as bitsets of the
+    members inside them. For each member p, one bitset holds the later
+    members agreeing with p on every column before w; split by their
+    rank at w, each piece is one key's pairs (p, q), counted by its size
+    and checked by ANDs with the key's halves. A repeated member raises
     EqualCapacities, as `separating_halves` does.
     """
     start = time.perf_counter()
@@ -461,12 +461,15 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     at_least = _at_least(rows, len(levels))
     exact = [[column[r] ^ column[r + 1] for r in range(len(levels))] for column in at_least]
     present = [sorted(set(column)) for column in zip(*rows)]
+    # The midpoint of every two distinct ranks, once for all columns.
+    midpoints = {(r, t): Fraction(levels[r] + levels[t], 2)
+                 for r, t in combinations(sorted(set().union(*present)), 2)}
     # (members in the upper half, in the lower half, whether they cover
     # the space) of each key, and of each code (w, r, t) with r != t.
     sides, keys = {}, {}
     for w, ranks in enumerate(present):
         for r, t in combinations(ranks, 2):
-            key = (w, Fraction(levels[r] + levels[t], 2))
+            key = (w, midpoints[r, t])
             if key not in keys:
                 # A rank is >= corner c iff >= bisect_left(levels, c),
                 # and <= c iff < bisect_right(levels, c).

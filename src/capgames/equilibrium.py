@@ -20,14 +20,16 @@ sits inside the set of strategies attaining the largest box maximum.
 The scan decides every profile by that set inclusion, from box-max
 tables built once per player with the subset-max recurrence on payoff
 ranks; for each choice of the other players' supports it visits only
-the last player's supports inside their response. The measure path
-(`check_support_profile`) then certifies each hit, so every reported
-equilibrium carries a certificate computed from the beliefs themselves.
-Within one scan the hits share their work (`_SupportMemo`): each
-possibility capacity, built from its support mask; each belief with its
-verdict (best-response labels and mask, and vacuity), decided once per
-player and choice of the others' supports; and each outside-box mask,
-once per player and choice of the others' responses.
+the last player's supports inside their response. Once every hit is
+found, the measure path (`check_support_profile`) certifies each, so
+every reported equilibrium carries a certificate computed from the
+beliefs themselves. The certificates share their work (`_SupportMemo`):
+the possibility capacities of the supports that the hits use, built and
+validated as one batch per strategy domain before the first
+certificate; each belief with its verdict (best-response labels and
+mask, and vacuity), decided once per player and choice of the others'
+supports; and each outside-box mask, once per player and choice of the
+others' responses.
 
 The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
@@ -59,7 +61,7 @@ from .capacity import (
     FiniteCapacity,
     _grid_tables,
     _grid_values,
-    _possibility,
+    _possibilities,
     _Record,
 )
 from .game import (
@@ -264,18 +266,28 @@ def _check_supports(game: GameSpec, masks: Sequence[int]) -> None:
 
 
 class _SupportMemo:
-    """The work that the certificates of support profiles under one
-    correction share: the possibility capacity of each (player, support
-    mask); each player's belief and verdict (`_verdict`) by (player, the
-    others' masks); and the outside-box masks of `_certificate`. A
-    support scan holds one on the game for its duration; any other check
-    uses a fresh one."""
+    """The work that the certificates of a list of support profiles
+    under one correction share: the possibility capacity of each
+    (strategy domain, support mask) that the profiles use, built on
+    construction as one batch per domain (`_possibilities`), which
+    players with equal domains share; each player's belief and verdict
+    (`_verdict`) by (player, the others' masks); and the outside-box
+    masks of `_certificate`. A support scan builds one from its hits and
+    holds it on the game while it certifies them; any other check builds
+    one from its own profile."""
 
     __slots__ = ("correction", "capacities", "players", "outside")
 
-    def __init__(self, correction: CorrectionMap):
+    def __init__(self, game: GameSpec, correction: CorrectionMap,
+                 profiles: Sequence[SupportProfile]):
         self.correction = correction
-        self.capacities: dict[tuple[int, int], FiniteCapacity] = {}
+        # Only the supports that some profile uses, in first use.
+        supports: dict[Domain, dict[int, None]] = {}
+        for j, domain in enumerate(game.strategy_domains):
+            supports.setdefault(domain, {}).update(dict.fromkeys(p.masks[j] for p in profiles))
+        self.capacities: dict[tuple[Domain, int], FiniteCapacity] = {
+            (domain, mask): cap for domain, masks in supports.items() if masks
+            for mask, cap in zip(masks, _possibilities(domain, list(masks)))}
         self.players: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self.outside: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -289,13 +301,8 @@ class _SupportMemo:
         entry = self.players.get(key)
         if entry is None:
             i, others = key
-            factors = []
-            for j, mask in zip((j for j in range(game.n_players) if j != i), others):
-                cap = self.capacities.get((j, mask))
-                if cap is None:
-                    cap = self.capacities[j, mask] = _possibility(
-                        game.strategy_domains[j], mask)
-                factors.append(cap)
+            domains = game.strategy_domains[:i] + game.strategy_domains[i + 1:]
+            factors = list(map(self.capacities.__getitem__, zip(domains, others)))
             belief = factors[0] if len(factors) == 1 else (
                 LazyTensorCapacity(factors, _product=opponent_domain(game, i)))
             entry = self.players[key] = (belief,
@@ -316,7 +323,7 @@ def check_support_profile(game: GameSpec, profile: SupportProfile,
     corr = correction if correction is not None else default_correction()
     memo = game._belief_cache
     if memo is None or memo.correction is not corr:
-        memo = _SupportMemo(corr)
+        memo = _SupportMemo(game, corr, [profile])
     masks = profile.masks
     beliefs, verdicts = zip(*(memo.player(game, (i, masks[:i] + masks[i + 1:]))
                               for i in range(game.n_players)))
@@ -389,9 +396,12 @@ def find_equilibria_supports(game: GameSpec,
     player's support lies inside their best-response mask against the
     others' support box. For each choice of the other players' masks,
     only the last player's nonempty submasks of their response are
-    visited, in ascending order; the others are then tested. Every hit
-    is certified by the measure path, `check_support_profile` with the
-    given correction, which must agree (AssertionError otherwise).
+    visited, in ascending order; the others are then tested. Once all
+    hits are found, the possibility capacities of the supports they use
+    are built, one batch per strategy domain (`_SupportMemo`), and every
+    hit, in order, is certified by the measure path,
+    `check_support_profile` with the given correction, which must agree
+    (AssertionError otherwise).
     """
     total = support_profile_count(game)
     if total > budget:
@@ -408,38 +418,40 @@ def find_equilibria_supports(game: GameSpec,
         strides.insert(i, 0)
         weights.append(strides)
     last = n - 1
-    corr = correction if correction is not None else default_correction()
     domains = game.strategy_domains
+    profiles: list[SupportProfile] = []
+    for head in itertools.product(*(range(1, w + 1) for w in widths[:last])):
+        coords = [m - 1 for m in head]
+        # Each player's response index from the masks in `head`; the
+        # last player's mask m adds m - 1 to the others' (their last
+        # opponent, so of step 1), and nothing to their own.
+        bases = [sum(c * w for c, w in zip(coords, wts)) for wts in weights]
+        allowed = responses[last][bases[last]]
+        sub = 0
+        while True:
+            sub = (sub - allowed) & allowed  # the next submask, ascending
+            if not sub:
+                break
+            if any(mask & ~resp[base + sub - 1]
+                   for mask, resp, base in zip(head, responses, bases)):
+                continue
+            masks = head + (sub,)
+            # check_support_profile validates the masks.
+            profiles.append(SupportProfile(masks, tuple(map(Domain.labels_of, domains, masks))))
+    corr = correction if correction is not None else default_correction()
     hits: list[tuple[SupportProfile, EquilibriumCertificate]] = []
     # The hits share their beliefs and verdicts through a memo that the
     # game holds for this scan only: kept past it, it would hold memory
     # for nothing.
-    object.__setattr__(game, "_belief_cache", _SupportMemo(corr))
+    object.__setattr__(game, "_belief_cache", _SupportMemo(game, corr, profiles))
     try:
-        for head in itertools.product(*(range(1, w + 1) for w in widths[:last])):
-            coords = [m - 1 for m in head]
-            # Each player's response index from the masks in `head`; the
-            # last player's mask m adds m - 1 to the others' (their last
-            # opponent, so of step 1), and nothing to their own.
-            bases = [sum(c * w for c, w in zip(coords, wts)) for wts in weights]
-            allowed = responses[last][bases[last]]
-            sub = 0
-            while True:
-                sub = (sub - allowed) & allowed  # the next submask, ascending
-                if not sub:
-                    break
-                if any(mask & ~resp[base + sub - 1]
-                       for mask, resp, base in zip(head, responses, bases)):
-                    continue
-                masks = head + (sub,)
-                # check_support_profile validates the masks.
-                profile = SupportProfile(masks, tuple(map(Domain.labels_of, domains, masks)))
-                cert = check_support_profile(game, profile, corr)
-                if not (cert.holds and cert.supports_within_responses):
-                    raise AssertionError(
-                        f"support profile {profile.labels} passed the box-max "
-                        f"test but failed its certificate")
-                hits.append((profile, cert))
+        for profile in profiles:
+            cert = check_support_profile(game, profile, corr)
+            if not (cert.holds and cert.supports_within_responses):
+                raise AssertionError(
+                    f"support profile {profile.labels} passed the box-max "
+                    f"test but failed its certificate")
+            hits.append((profile, cert))
     finally:
         object.__setattr__(game, "_belief_cache", None)
     return hits

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .capacity import Domain, FiniteCapacity, _monotone_fill_order
+from .capacity import Domain, FiniteCapacity, _monotone_fill_order, _ranked
 from .sugeno import PayoffFunction
 
 if TYPE_CHECKING:
@@ -64,18 +64,21 @@ def random_capacity(domain: Domain, rng: SplitMix64,
     Subsets are filled in ascending (cardinality, bitmask) order; each
     value is drawn uniformly from the grid points between the maximum
     over the one-element-smaller subsets and 1. Boundary values fixed.
+    The fill runs on the numerators k, and the capacity is built on
+    their ranks into the values k/denominator it takes
+    (`FiniteCapacity._from_ranks`).
     """
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
     full = domain.full_mask
-    table: dict[int, Fraction] = {0: Fraction(0), full: Fraction(1)}
+    # The numerators k of the values k/denominator, by mask.
+    table = [0] * full + [denominator]
     for mask, covers in _monotone_fill_order(domain):
-        floor = max(table[c] for c in covers)
-        # smallest numerator whose grid point is >= floor
-        start = -(-floor.numerator * denominator // floor.denominator)
-        num = start + rng.below(denominator - start + 1)
-        table[mask] = Fraction(num, denominator)
-    return FiniteCapacity(domain, [table[m] for m in range(full + 1)])
+        start = max(table[c] for c in covers)
+        table[mask] = start + rng.below(denominator - start + 1)
+    numerators, (ranks,) = _ranked(table)
+    return FiniteCapacity._from_ranks(
+        domain, [Fraction(k, denominator) for k in numerators], ranks)
 
 
 def random_payoff_function(domain: Domain, rng: SplitMix64,

@@ -498,6 +498,21 @@ def depth_first_grid_tables(domain: Domain, values):
         yield dense
 
 
+def fraction_random_capacity(domain: Domain, rng: SplitMix64,
+                             denominator: int = 8) -> FiniteCapacity:
+    """Reference for random_capacity: the same draws on a Fraction table.
+    Each subset, in `_monotone_fill_order`, takes a grid value k/denominator
+    drawn uniformly from the least one at or above its floor (the max
+    over its lower covers) up to 1; the table goes through __init__."""
+    full = domain.full_mask
+    table = {0: Fraction(0), full: Fraction(1)}
+    for mask, covers in capacity._monotone_fill_order(domain):
+        floor = max(table[c] for c in covers)
+        start = math.ceil(floor * denominator)
+        table[mask] = Fraction(start + rng.below(denominator - start + 1), denominator)
+    return FiniteCapacity(domain, [table[m] for m in range(full + 1)])
+
+
 def seeded_capacity(seed: int, size: int, denominator: int = 8) -> FiniteCapacity:
     return random_capacity(letters(size), SplitMix64(seed), denominator)
 

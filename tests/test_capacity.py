@@ -34,6 +34,7 @@ from capgames.capacity import (
     BudgetExceeded,
     _cover_violation,
     _grid_tables,
+    _possibilities,
     _ranked,
 )
 from capgames.generate import SplitMix64, random_capacity
@@ -41,6 +42,7 @@ from capgames.generate import SplitMix64, random_capacity
 from helpers import (
     depth_first_grid_tables,
     fraction_capacity_table,
+    fraction_random_capacity,
     letters,
     one_by_one_from_ranks,
     ranked_reference,
@@ -182,6 +184,19 @@ class TestSpecialCapacities:
         with pytest.raises(EmptySupport):
             possibility_capacity(AB, [])
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_possibility_batch_matches_the_fraction_tables(self, size):
+        domain = letters(size)
+        # Every support, once in descending order and once repeated.
+        supports = [*range(domain.full_mask, 0, -1), 1]
+        built = _possibilities(domain, supports)
+        assert built == [FiniteCapacity(domain, [int(bool(mask & support))
+                                                 for mask in range(domain.subset_count)])
+                         for support in supports]
+        assert built[:-1] == [possibility_capacity(domain, domain.labels_of(s))
+                              for s in supports[:-1]]
+        assert _possibilities(domain, []) == []
+
     def test_top_and_bottom(self):
         top = top_capacity(ABC)
         bot = bottom_capacity(ABC)
@@ -308,6 +323,17 @@ def test_random_capacities_fully_monotone(seed, size):
         for large in range(n):
             if small & large == small:
                 assert cap.value_mask(small) <= cap.value_mask(large)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_random_capacity_matches_the_fraction_fill(size):
+    domain = letters(size)
+    for denominator, seed in itertools.product(range(1, 9), range(6)):
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        cap = random_capacity(domain, rng, denominator)
+        assert cap == fraction_random_capacity(domain, reference_rng, denominator)
+        assert rng.state == reference_rng.state  # the same draws
+        assert {type(v) for v in cap.values} == {Fraction}
 
 
 def ranks_of(cap: FiniteCapacity) -> tuple[list[Fraction], list[int]]:

@@ -448,13 +448,34 @@ def closure(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 class TestSeparatingHalves:
-    def test_bottom_top_witness_is_the_first_singleton(self):
-        up, lo = separating_halves(bottom_capacity(AB), top_capacity(AB))
-        # witness {a}, midpoint 1/2
-        assert up.first.values == (F(0), F(1, 2), F(0), F(1))
-        assert lo.second.values == (F(0), F(1, 2), F(1), F(1))
-        assert up.second == top_capacity(AB)
-        assert lo.first == bottom_capacity(AB)
+    # The midpoints of the grids {0, 1/2, 1} and {0, 1/3, 2/3, 1}. A
+    # 1-point domain holds one capacity, so no pair and no witness.
+    @pytest.mark.parametrize("grid", [GRID3, (F(0), F(1, 3), F(2, 3), F(1))],
+                             ids=["halves", "thirds"])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_corners_are_the_gates_top_and_bottom(self, size, grid):
+        # The four corners are built as one batch; each must equal the
+        # table built on its own, so a batch that mixed them up would
+        # fail here even where check_t2 and the pairwise scan agree.
+        domain = letters(size)
+        top, bottom = top_capacity(domain), bottom_capacity(domain)
+        # Bottom and top first differ on {a}, halfway.
+        assert separating_halves(bottom, top) == convexity._halves(domain, 1, F(1, 2))
+        sets = [set(domain.labels_of(mask)) for mask in range(domain.subset_count)]
+        midpoints = sorted({(x + y) / 2 for x, y in itertools.combinations(grid, 2)})
+        for witness, a in itertools.product(range(1, domain.full_mask), midpoints):
+            up, lo = convexity._halves(domain, witness, a)
+            w = sets[witness]
+            # The least capacity with value a on the witness, and the
+            # greatest.
+            upper_gate = FiniteCapacity(domain, [
+                1 if s == sets[-1] else a if s >= w else 0 for s in sets])
+            lower_gate = FiniteCapacity(domain, [
+                0 if not s else a if s <= w else 1 for s in sets])
+            assert (up.first, up.second, up.lower, up.upper) == (
+                upper_gate, top, upper_gate, top)
+            assert (lo.first, lo.second, lo.lower, lo.upper) == (
+                bottom, lower_gate, bottom, lower_gate)
 
     def test_dirac_pair(self):
         da, db = dirac_capacity(AB, "a"), dirac_capacity(AB, "b")

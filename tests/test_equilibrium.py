@@ -14,6 +14,7 @@ from capgames import (
     Domain,
     DomainMismatch,
     EmptySupport,
+    FiniteCapacity,
     GameSpec,
     LazyTensorCapacity,
     SupportProfile,
@@ -485,6 +486,30 @@ class TestFindEquilibriaSupports:
         assert game._belief_cache is None
         again = find_equilibria_supports(game)
         assert again[0][1].beliefs.beliefs[0] is not hits[0][1].beliefs.beliefs[0]
+
+    @pytest.mark.parametrize("sizes, seed", [((2, 10), 3), ((3, 3), 1), ((2, 2, 3), 5)])
+    def test_possibility_batches_hold_only_the_supports_of_hits(self, monkeypatch,
+                                                               sizes, seed):
+        # Every support of a 10-strategy player would be 1,023 tables of
+        # 1,024 entries. The scan builds the supports its hits use, one
+        # batch per strategy domain, which equal domains share.
+        game = random_game(SplitMix64(seed), sizes)
+        batches = []
+        many = FiniteCapacity._many_from_ranks.__func__
+
+        def recording(cls, domain, levels, tables):
+            batches.append((domain, [tuple(t) for t in tables]))
+            return many(cls, domain, levels, tables)
+
+        monkeypatch.setattr(FiniteCapacity, "_many_from_ranks", classmethod(recording))
+        hits = find_equilibria_supports(game)
+        used = {(game.strategy_domains[j], mask)
+                for profile, _ in hits for j, mask in enumerate(profile.masks)}
+        built = [(domain, table) for domain, tables in batches for table in tables]
+        assert hits and len(built) <= len(used)
+        assert len(batches) == len({domain for domain, _ in used})
+        assert set(built) == {(d, tuple(int(bool(mask & s)) for mask in range(d.subset_count)))
+                              for d, s in used}
 
     def test_box_max_tables_compare_no_fractions(self):
         game = random_game(SplitMix64(5), (3, 3, 2))
