@@ -9,7 +9,8 @@ distinct values (`_check_ranks`). Every layer reads values only through
 order, so `_ranked` is the one integer encoding of them all. The rank
 tables of every grid-valued capacity, which the convexity scans and the
 grid equilibrium search both enumerate, are filled here too, under an
-exhaustive budget.
+exhaustive budget; the grid search reads them, and their members, from
+two bounded per-process memos.
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ DENSE_DOMAIN_CAP = 20
 # 7,246 members and the 5-point {0, 1} space 7,579; the 4-point spaces
 # on 4 or 5 grid values have 145,954 and 1,753,909.
 MAX_SPACE_MEMBERS = 10_000
+# The grid spaces kept for the process, in each of the two memos of rank
+# tables (`_grid_space_tables`) and members (`_grid_space_members`). The
+# largest space inside MAX_SPACE_MEMBERS, the 5-point {0, 1} space,
+# holds about 2.2 MiB of rank tuples and 4.0 MiB of members under
+# tracemalloc, so full memos retain at most about 25 MiB.
+SPACE_MEMO_ENTRIES = 4
 
 RationalLike = Union[Fraction, int]
 SubsetLike = Union[int, Iterable[str]]
@@ -286,16 +293,17 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
             for mask in order]
 
 
-def _grid_values(grid: Iterable[RationalLike]) -> list[Fraction]:
+def _grid_values(grid: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """The sorted distinct grid values, once checked to be rationals in
-    [0, 1] that include 0 and 1."""
+    [0, 1] that include 0 and 1; a tuple, so that it can key the space
+    memos."""
     values, _ = _ranked([_coerce_rational(g, "grid value") for g in grid])
     for g in values:
         if g < 0 or g > 1:
             raise RangeError(f"grid value {g} outside [0, 1]")
     if Fraction(0) not in values or Fraction(1) not in values:
         raise ValueError("grid must contain 0 and 1")
-    return values
+    return tuple(values)
 
 
 def _grid_tables(domain: Domain,
@@ -341,6 +349,28 @@ def _grid_tables(domain: Domain,
         partial = [t + r for t, floor in zip(partial, floors) for r in ranks[floor:]]
     by_mask = operator.itemgetter(*map(position.__getitem__, range(full + 1)))
     return [list(by_mask(t + ranks[-1])) for t in partial]
+
+
+@functools.lru_cache(maxsize=SPACE_MEMO_ENTRIES)
+def _grid_space_tables(domain: Domain,
+                       levels: tuple[Fraction, ...]) -> tuple[tuple[int, ...], ...]:
+    """`_grid_tables` of the domain and the sorted grid `levels`, as
+    tuples so that no caller can change a shared table. A space depends
+    only on its domain and grid, so the SPACE_MEMO_ENTRIES most recently
+    used are kept for the process. A space over the budget raises every
+    time: exceptions are not kept."""
+    return tuple(map(tuple, _grid_tables(domain, levels)))
+
+
+@functools.lru_cache(maxsize=SPACE_MEMO_ENTRIES)
+def _grid_space_members(domain: Domain,
+                        levels: tuple[Fraction, ...]) -> tuple["FiniteCapacity", ...]:
+    """The members of `_grid_space_tables(domain, levels)`, in order,
+    built and validated as one batch (`FiniteCapacity._many_from_ranks`)
+    the first time and kept like the tables. Callers share the immutable
+    members."""
+    return tuple(FiniteCapacity._many_from_ranks(
+        domain, levels, _grid_space_tables(domain, levels)))
 
 
 def _check_domain_size(domain: Domain) -> None:

@@ -149,12 +149,14 @@ def enumerate_capacities(domain: Domain,
     (`FiniteCapacity._many_from_ranks`) before any member is built. The
     member count is the only bound on the domain and the grid: the fill
     stops with BudgetExceeded before it would hold more than
-    MAX_SPACE_MEMBERS tables.
+    MAX_SPACE_MEMBERS tables. It fills the space afresh rather than read
+    the grid search's space memo: a scan enumerates each space once and
+    keeps the returned space, so the memo would only save repeat calls.
     """
     values = _grid_values(grid)
     caps = tuple(FiniteCapacity._many_from_ranks(
         domain, values, _grid_tables(domain, values)))
-    return GridCapacitySpace(domain, tuple(values), caps)
+    return GridCapacitySpace(domain, values, caps)
 
 
 class CapacityInterval(_Record):

@@ -42,7 +42,11 @@ it to `best_response`, and that to the Fraction argmax of
 responses then fixes every player's box, and the hits for it are the
 product of each player's group members that vanish (rank 0) outside
 their box. The space sizes are counted, and the product checked against
-the budget, before any member is built.
+the budget, before any member is built. A space depends only on the
+opponents' domain and the grid, so it is filled and built once per
+process, in two bounded memos (`capacity._grid_space_tables` and
+`capacity._grid_space_members`): systems from different searches share
+their immutable members.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from .capacity import (
     DomainMismatch,
     EmptySupport,
     FiniteCapacity,
-    _grid_tables,
+    _grid_space_members,
+    _grid_space_tables,
     _grid_values,
     _possibilities,
     _Record,
@@ -494,22 +499,25 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     player i accepts the members of group r_i whose rank outside the
     box of r_-i is 0, the rank of value 0: the residual rule of
     `is_equilibrium`. The hits for r are the product of the accepted
-    lists. The grid is checked once. Each space is filled once as rank
+    lists. The grid is checked once. Each space is filled as rank
     tables, bounded only by its member count (MAX_SPACE_MEMBERS, not the
     opponents' domain size or the grid length), and the budget bounds
-    the product of the space sizes, counted before any member is built.
+    the product of the space sizes, counted before any member is built
+    or validated. Tables and members are kept per process, a bounded
+    memo each keyed by (domain, grid), so a space is filled and built
+    once for every search that uses it while it stays in the memo, and
+    systems from different calls share their members.
     """
     corr = correction if correction is not None else default_correction()
     levels = _grid_values(grid)
     domains = [opponent_domain(game, i).flat for i in range(game.n_players)]
     # Players whose opponents have equal labels share one space.
-    tables = {d: _grid_tables(d, levels) for d in dict.fromkeys(domains)}
+    tables = {d: _grid_space_tables(d, levels) for d in dict.fromkeys(domains)}
     total = math.prod(len(tables[d]) for d in domains)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
-    built = {d: FiniteCapacity._many_from_ranks(d, levels, ts)
-             for d, ts in tables.items()}
+    built = {d: _grid_space_members(d, levels) for d in tables}
     # groups[i]: best-response mask -> indices of player i's members.
     groups: list[dict[int, list[int]]] = []
     for i, d in enumerate(domains):

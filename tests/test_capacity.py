@@ -720,6 +720,7 @@ class TestGridTables:
         else:
             assert _grid_tables(domain, values) == expected
 
+    @pytest.mark.usefixtures("cold_grid_spaces")
     def test_holds_no_more_partial_tables_than_the_budget(self):
         # The 4-point space on 5 grid values has 1,753,909 members; the
         # fill must stop before any list it holds passes the budget.

@@ -168,6 +168,7 @@ class TestEnumerateCapacities:
         (AB, [F(k, 100) for k in range(101)]),
         (letters(20), (0, 1)),
     ], ids=["2-points-101-values", "20-points-0-1"])
+    @pytest.mark.usefixtures("cold_grid_spaces")
     def test_singleton_choices_over_the_budget_are_refused_before_the_fill(
             self, domain, grid, monkeypatch):
         # 101^2 and 2^20 singleton choices: refused before the fill order

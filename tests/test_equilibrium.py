@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from capgames import (
     top_capacity,
 )
 from capgames import PayoffFunction, capacity, equilibrium, payoff_slice
-from capgames.capacity import _grid_tables, _grid_values
+from capgames.capacity import SPACE_MEMO_ENTRIES, _grid_tables, _grid_values
 from capgames.equilibrium import (
     _best_response_masks,
     _grid_response_masks,
@@ -430,6 +431,7 @@ class TestFindEquilibriaSupports:
         random_game(SplitMix64(5), (3, 3, 2)),
         random_game(SplitMix64(1), (3, 3)),
     ], ids=["equal-payoffs", "3x3x2", "3x3"])
+    @pytest.mark.usefixtures("cold_grid_spaces")
     def test_scan_decides_each_belief_once(self, game, monkeypatch):
         built = []
         init = PayoffFunction.__init__
@@ -488,6 +490,7 @@ class TestFindEquilibriaSupports:
         assert again[0][1].beliefs.beliefs[0] is not hits[0][1].beliefs.beliefs[0]
 
     @pytest.mark.parametrize("sizes, seed", [((2, 10), 3), ((3, 3), 1), ((2, 2, 3), 5)])
+    @pytest.mark.usefixtures("cold_grid_spaces")
     def test_possibility_batches_hold_only_the_supports_of_hits(self, monkeypatch,
                                                                sizes, seed):
         # Every support of a 10-strategy player would be 1,023 tables of
@@ -663,6 +666,7 @@ class TestFindEquilibriaGrid:
         assert len(hits) == 4
         assert translated == hits
 
+    @pytest.mark.usefixtures("cold_grid_spaces")
     def test_budget_is_checked_before_any_member_is_built(self, monkeypatch):
         # Members are built by _many_from_ranks, which validates every
         # table first; count the tables that reach the validator.
@@ -680,6 +684,117 @@ class TestFindEquilibriaGrid:
         with pytest.raises(BudgetExceeded, match="^380447722936 candidate"):
             find_equilibria_grid(game, GRID3)
         assert validated == []
+
+
+@pytest.mark.usefixtures("cold_grid_spaces")
+class TestGridSpaceMemo:
+    """Each grid space is filled and built once per process, in two
+    bounded memos keyed by (domain, grid levels)."""
+
+    @staticmethod
+    def record_fills_and_builds(monkeypatch) -> list[str]:
+        calls = []
+        fill, many = capacity._grid_tables, FiniteCapacity._many_from_ranks.__func__
+
+        def counting_fill(domain, values):
+            calls.append(f"fill {domain.size}")
+            return fill(domain, values)
+
+        def counting_many(cls, domain, levels, tables):
+            calls.append(f"build {domain.size}")
+            return many(cls, domain, levels, tables)
+
+        monkeypatch.setattr(capacity, "_grid_tables", counting_fill)
+        monkeypatch.setattr(FiniteCapacity, "_many_from_ranks", classmethod(counting_many))
+        return calls
+
+    def test_a_second_game_on_the_same_spaces_fills_and_builds_nothing(self, monkeypatch):
+        first, second = (random_game(SplitMix64(seed), [2, 3]) for seed in (1, 2))
+        find_equilibria_grid(first, GRID3)
+        calls = self.record_fills_and_builds(monkeypatch)
+        warm = find_equilibria_grid(second, GRID3)
+        assert warm and calls == []
+        # Its beliefs are the memoized members themselves.
+        levels = _grid_values(GRID3)
+        members = {id(m) for i in range(2)
+                   for m in capacity._grid_space_members(opponent_domain(second, i).flat,
+                                                         levels)}
+        assert {id(b) for s in warm for b in s.beliefs} <= members
+        # No caller can change a shared table.
+        tables = capacity._grid_space_tables(opponent_domain(second, 0).flat, levels)
+        assert type(tables) is tuple and all(type(t) is tuple for t in tables)
+        capacity._grid_space_tables.cache_clear()
+        capacity._grid_space_members.cache_clear()
+        cold = find_equilibria_grid(second, GRID3)
+        # Cold: both spaces are filled, then the budget is checked, then
+        # both are built.
+        assert calls == ["fill 3", "fill 2", "build 3", "build 2"]
+        assert warm == cold
+        assert ([[b.values for b in s.beliefs] for s in warm]
+                == [[b.values for b in s.beliefs] for s in cold])
+
+    def test_each_belief_lives_on_its_own_opponent_labels(self):
+        ab = coordination_game()
+        xy = GameSpec((Domain(("x", "y")),) * 2, ab.payoffs)
+        for game in (ab, xy):
+            systems = find_equilibria_grid(game, GRID3)
+            assert systems
+            for system in systems:
+                for i, belief in enumerate(system.beliefs):
+                    assert belief.domain.labels == opponent_domain(game, i).flat.labels
+                assert is_equilibrium(game, system).holds
+        assert capacity._grid_space_members.cache_info().currsize == 2
+        assert ([[b.values for b in s.beliefs] for s in find_equilibria_grid(xy, GRID3)]
+                == [[b.values for b in s.beliefs] for s in find_equilibria_grid(ab, GRID3)])
+
+    def test_a_refused_search_validates_nothing_cold_or_warm(self, monkeypatch):
+        validated = []
+        check = capacity._check_ranks
+
+        def counting_check(domain, levels, unit, tables):
+            validated.extend(tables)
+            check(domain, levels, unit, tables)
+
+        monkeypatch.setattr(capacity, "_check_ranks", counting_check)
+        calls = self.record_fills_and_builds(monkeypatch)
+        game = random_game(SplitMix64(1), [2, 2, 2])
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="^380447722936 candidate"):
+                find_equilibria_grid(game, GRID3)
+            assert validated == []
+        # The three players' opponents share the labels of one 4-point
+        # space: filled on the first run, read from the memo on the second.
+        assert calls == ["fill 4"]
+        assert capacity._grid_space_tables.cache_info().currsize == 1
+        assert capacity._grid_space_members.cache_info().currsize == 0
+
+    def test_the_memos_hold_no_more_than_their_bound(self):
+        game = coordination_game()
+        memos = (capacity._grid_space_tables, capacity._grid_space_members)
+        grids = [[F(k, n) for k in range(n + 1)] for n in range(1, SPACE_MEMO_ENTRIES + 2)]
+        for grid in grids:
+            find_equilibria_grid(game, grid)
+            assert all(m.cache_info().currsize <= SPACE_MEMO_ENTRIES for m in memos)
+        assert all(m.cache_info().currsize == SPACE_MEMO_ENTRIES for m in memos)
+        assert all(m.cache_info().maxsize == SPACE_MEMO_ENTRIES for m in memos)
+        # The least recently used space, the first grid's, was dropped.
+        misses = capacity._grid_space_tables.cache_info().misses
+        find_equilibria_grid(game, grids[0])
+        assert capacity._grid_space_tables.cache_info().misses == misses + 1
+
+    def test_full_memos_retain_at_most_about_25_mib(self):
+        # The largest space inside the member budget is the 5-point
+        # {0, 1} space; each memo keeps SPACE_MEMO_ENTRIES spaces.
+        domain, levels = letters(5), (F(0), F(1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            members = capacity._grid_space_members(domain, levels)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(members) == 7579
+        assert SPACE_MEMO_ENTRIES * retained < 26 * 2**20
 
 
 class TestPureNash:
