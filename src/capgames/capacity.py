@@ -5,8 +5,10 @@ domain, is 0 on the empty set, 1 on the full set, and is monotone under
 inclusion. Nothing here assumes additivity. Subsets are bitmasks over
 the domain's label order (bit k is labels[k]), and dense value tables
 are tuples indexed by mask, validated as ranks into their sorted
-distinct values (`_check_ranks`). Every layer reads values only through
-order, so `_ranked` is the one integer encoding of them all. The rank
+distinct values (`_check_ranks`), and each capacity keeps the rank table
+it was validated on. Every layer reads values only through order, so
+`_ranked` is the one integer encoding of them all, and a layer that
+reads a capacity's rank table ranks only its few levels. The rank
 tables of every grid-valued capacity, which the convexity scans and the
 grid equilibrium search both enumerate, are filled here too, under an
 exhaustive budget; the grid search reads them, and their members, from
@@ -135,14 +137,16 @@ RationalLike = Union[Fraction, int]
 SubsetLike = Union[int, Iterable[str]]
 
 
+# The exact key of an int or Fraction: both are kept in lowest terms, and
+# the key is cheaper to hash than a Fraction (a modular inverse).
+_rational_key = operator.attrgetter("numerator", "denominator")
+
+
 def _ranked(*tables: Sequence[RationalLike],
             ) -> tuple[list[RationalLike], list[list[int]]]:
     """The sorted distinct values of all the tables, and each table as
-    ranks into them. Values are told apart by their (numerator,
-    denominator) key, exact since ints and Fractions are kept in lowest
-    terms, and cheaper than the Fraction hash (a modular inverse)."""
-    key = operator.attrgetter("numerator", "denominator")
-    keyed = [list(map(key, table)) for table in tables]
+    ranks into them. Values are told apart by `_rational_key`."""
+    keyed = [list(map(_rational_key, table)) for table in tables]
     distinct: dict[tuple[int, int], RationalLike] = {}
     for table, keys in zip(tables, keyed):
         distinct.update(zip(keys, table))
@@ -516,22 +520,31 @@ def _cover_violation(size: int, ranks: Sequence[int],
 class FiniteCapacity(CapacityBase, _Record):
     """Dense, validated, immutable capacity on a domain of at most 20 points.
 
-    `values` is the Fraction table, indexed by mask. Construction ranks
-    it into its sorted distinct values (`_ranked`) and validates it on
-    the ranks (`_check_ranks`). A record of its domain and values
-    (`_Record`): copies and pickles are rebuilt, and re-validated, by
-    `__init__`.
+    `values` is the Fraction table, indexed by mask. It is validated on
+    ranks (`_check_ranks`), and the capacity keeps the rank table it was
+    validated on: `_levels`, a tuple strictly increasing from 0 to 1,
+    and `_ranks`, a tuple with values[mask] == _levels[_ranks[mask]].
+    Grid spaces, the separation scan, tensor products and marginals
+    read these and rank only the few levels. `__init__` ranks the values into their
+    sorted distinct values (`_ranked`); `_many_from_ranks` keeps the
+    caller's ranks and levels, so `_levels` may hold levels that no mask
+    takes. A record of its domain and values (`_Record`): equality,
+    hashing and repr ignore the rank table, and copies and pickles are
+    rebuilt, and re-validated, by `__init__`.
     """
 
-    __slots__ = _fields = ("domain", "values")
+    __slots__ = ("domain", "values", "_levels", "_ranks")
+    _fields = ("domain", "values")
 
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
         table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        levels, ranks = _ranked(table)
-        _check_ranks(domain, levels, _unit_ranks(levels), ranks)
+        levels, (ranks,) = _ranked(table)
+        _check_ranks(domain, levels, _unit_ranks(levels), [ranks])
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", table)
+        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "_ranks", tuple(ranks))
 
     @classmethod
     def _from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
@@ -550,20 +563,33 @@ class FiniteCapacity(CapacityBase, _Record):
         Each table is values[mask] = levels[ranks[mask]]. The batch is
         validated at once by `_check_ranks`, and a bad table raises the
         exception and message `__init__` gives on its values, the first
-        bad table in order winning; only then are the Fraction tables
-        built. Levels that do not strictly increase, or ranks outside
+        bad table in order winning; only then are the capacities built.
+        Levels that do not strictly increase, or ranks outside
         range(len(levels)), raise ValueError.
+
+        The capacities keep their rank tables: the levels, trimmed to
+        those in [0, 1] (which every valid table stays in) and shared by
+        the batch as one tuple, and each table as a tuple of ranks into
+        them, shifted down past the trimmed levels below 0. A tuple
+        table that needs no shift is shared, not copied, so the members
+        of the grid space memo hold the memo's own tables; any other
+        table is copied, and later changes to it change no capacity.
         """
         _check_domain_size(domain)
         levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        _check_ranks(domain, levels, _unit_ranks(levels), tables)
+        unit = _unit_ranks(levels)
+        _check_ranks(domain, levels, unit, tables)
+        shift, levels = unit.start, levels[unit.start:unit.stop]
         caps = []
         for ranks in tables:
+            ranks = tuple(r - shift for r in ranks) if shift else tuple(ranks)
             cap = cls.__new__(cls)
             object.__setattr__(cap, "domain", domain)
             object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
+            object.__setattr__(cap, "_levels", levels)
+            object.__setattr__(cap, "_ranks", ranks)
             caps.append(cap)
         return caps
 
@@ -701,8 +727,9 @@ def pushforward(cap: FiniteCapacity, mapping: Mapping[str, str],
     """Image capacity along a point map: value(A) = cap(preimage of A).
 
     The mapping must cover every point of cap's domain and land in the
-    codomain. Boundary and monotonicity survive automatically but are
-    re-validated on construction.
+    codomain. The image is built on cap's rank table: each subset takes
+    the rank of its preimage (`FiniteCapacity._from_ranks`). Boundary
+    and monotonicity survive automatically but are re-validated.
     """
     preimage_bits = []
     for k, lab in enumerate(cap.domain.labels):
@@ -710,14 +737,14 @@ def pushforward(cap: FiniteCapacity, mapping: Mapping[str, str],
             raise UnknownLabel(f"map gives no image for label {lab!r}")
         target = mapping[lab]
         preimage_bits.append((1 << k, 1 << codomain.index_of(target)))
-    values = []
+    ranks = []
     for mask in range(codomain.subset_count):
         pre = 0
         for src_bit, dst_bit in preimage_bits:
             if mask & dst_bit:
                 pre |= src_bit
-        values.append(cap.values[pre])
-    return FiniteCapacity(codomain, values)
+        ranks.append(cap._ranks[pre])
+    return FiniteCapacity._from_ranks(codomain, cap._levels, ranks)
 
 
 def vanishes_outside(cap: CapacityBase, subset: SubsetLike) -> bool:

@@ -25,13 +25,14 @@ capacities:
   a function of the (witness, midpoint) key, so the scan builds and
   checks them once per key and decides every pair by table lookup.
 
-Both checks read values only through order, so a space ranks each
-member into its sorted distinct grid once (`capacity._ranked`), and the
-scans work on those ints as Python int bitsets of the members
-(`_at_least`): up-sets, covers and halves are their ANDs and
-differences, counts their sizes, sums exact ints, and no n x n table is
-built. A half's corners take the levels 0, a and 1, each bisected once
-into a rank bound.
+Both checks read values only through order, so a space keeps each
+member as its row of ranks into the sorted distinct grid, read off the
+rank table the member keeps (`FiniteCapacity._ranks`) with only its few
+levels looked up in the grid. The scans work on those ints as Python
+int bitsets of the members (`_at_least`): up-sets, covers and halves
+are their ANDs and differences, counts their sizes, sums exact ints,
+and no n x n table is built. A half's corners are read as rank tables
+too: their levels 0, a and 1 are each bisected once into a rank bound.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .capacity import (
     _grid_tables,
     _grid_values,
     _ranked,
+    _rational_key,
     _Record,
     join,
     meet,
@@ -97,10 +99,13 @@ class GridCapacitySpace(_Record):
     the first member that does not. Every member value must lie in the
     grid: ValueError names the first member and value that do not. Each
     member is kept as its row of ranks into the sorted distinct grid,
-    which the scans compare.
+    which the scans compare. A row is read off the member's own rank
+    table: only its levels are looked up in the grid, once for each
+    levels tuple (the members of one batch share one), and a member
+    whose levels are the grid's own keeps its rank tuple as its row.
     """
 
-    __slots__ = ("domain", "grid", "capacities", "_levels", "_ranks", "_pos")
+    __slots__ = ("domain", "grid", "capacities", "_levels", "_ranks", "_pos", "_rank_of")
     _fields = ("domain", "grid", "capacities")
 
     def __init__(self, domain: Domain, grid: tuple[Fraction, ...],
@@ -110,28 +115,52 @@ class GridCapacitySpace(_Record):
                 raise DomainMismatch(
                     f"member {k} lives on {list(cap.domain.labels)}, "
                     f"the space on {list(domain.labels)}")
-        levels, (grid_ranks, *rows) = _ranked(grid, *(cap.values for cap in capacities))
-        on_grid = set(grid_ranks)
-        if len(on_grid) < len(levels):
-            for k, (cap, row) in enumerate(zip(capacities, rows)):
-                if not on_grid.issuperset(row):
-                    v = next(v for v, r in zip(cap.values, row) if r not in on_grid)
-                    raise ValueError(f"member {k} has value {v}, which is off the grid")
-        ranks = tuple(map(tuple, rows))
+        levels, _ = _ranked(grid)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_rank_of",
+                           dict(zip(map(_rational_key, levels), range(len(levels)))))
+        # `_level_ranks` of each distinct levels tuple, by id: a batch
+        # shares one tuple, and every member outlives this loop.
+        to_grid: dict[int, list[int | None] | None] = {}
+        rows = []
+        for k, cap in enumerate(capacities):
+            if id(cap._levels) not in to_grid:
+                to_grid[id(cap._levels)] = self._level_ranks(cap)
+            row = self._row(cap, to_grid[id(cap._levels)])
+            if None in row:
+                raise ValueError(f"member {k} has value {cap.values[row.index(None)]}, "
+                                 "which is off the grid")
+            rows.append(row)
+        ranks = tuple(rows)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "capacities", capacities)
-        object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_ranks", ranks)
         # Reversed, so that a repeated member's first position wins.
         pos = {row: k for k, row in reversed(list(enumerate(ranks)))}
         object.__setattr__(self, "_pos", pos)
 
+    def _level_ranks(self, cap: FiniteCapacity) -> list[int | None] | None:
+        """The rank in the grid of each of the member's levels, None for
+        a level off the grid; None for all when they are the first
+        ranks of the grid in order, so that the member's ranks are its
+        row already."""
+        ranks = list(map(self._rank_of.get, map(_rational_key, cap._levels)))
+        return None if ranks == list(range(len(ranks))) else ranks
+
+    @staticmethod
+    def _row(cap: FiniteCapacity, level_ranks: list[int | None] | None,
+             ) -> tuple[int | None, ...]:
+        """The member's row, given `_level_ranks(cap)`: None where it
+        takes a value off the grid."""
+        if level_ranks is None:
+            return cap._ranks
+        return tuple(map(level_ranks.__getitem__, cap._ranks))
+
     def index_of(self, cap: FiniteCapacity) -> int:
         if cap.domain.labels == self.domain.labels:
-            levels, (_, row) = _ranked(self._levels, cap.values)
-            row = tuple(row)
-            if len(levels) == len(self._levels) and row in self._pos:
+            row = self._row(cap, self._level_ranks(cap))
+            if row in self._pos:
                 return self._pos[row]
         raise ValueError("capacity is not a member of this space")
 
@@ -451,7 +480,9 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
     there. Each key's halves, from every column and every two distinct
     ranks in it (each two ranks' midpoint computed once), are built once
     by `_halves`, whose four corners are one batch, as bitsets of the
-    members inside them. For each member p, one bitset holds the later
+    members inside them: the corners are read as rank tables, and only
+    their levels are bisected into the space's levels. For each member
+    p, one bitset holds the later
     members agreeing with p on every column before w; split by their
     rank at w, each piece is one key's pairs (p, q), counted by its size
     and checked by ANDs with the key's halves. A repeated member raises
@@ -473,16 +504,25 @@ def check_t2(space: GridCapacitySpace) -> SeparationReport:
         for r, t in combinations(ranks, 2):
             key = (w, midpoints[r, t])
             if key not in keys:
-                # A rank is >= corner c iff >= bisect_left(levels, c),
-                # and <= c iff < bisect_right(levels, c).
-                values, corners = _ranked(*(c.values for half in _halves(space.domain, *key)
-                                            for c in (half.lower, half.upper)))
-                low = [bisect_left(levels, v) for v in values]
-                high = [bisect_right(levels, v) for v in values]
+                caps = [c for half in _halves(space.domain, *key)
+                        for c in (half.lower, half.upper)]
+                # A rank is >= corner value v iff >= bisect_left(levels, v),
+                # and <= v iff < bisect_right(levels, v). Only the corners'
+                # levels are bisected, once for each levels tuple: the
+                # corners of one batch share one.
+                cuts = {}
+                for c in caps:
+                    if id(c._levels) not in cuts:
+                        cuts[id(c._levels)] = ([bisect_left(levels, v) for v in c._levels],
+                                               [bisect_right(levels, v) for v in c._levels])
+                # Each corner's bound by mask: lower corners (even) bisect
+                # left, upper corners (odd) right.
+                bounds = [list(map(cuts[id(c._levels)][k % 2].__getitem__, c._ranks))
+                          for k, c in enumerate(caps)]
                 upper, lower = (
-                    reduce(and_, [column[low[a]] & ~column[high[b]]
+                    reduce(and_, [column[a] & ~column[b]
                                   for column, a, b in zip(at_least, bottom, top)], everyone)
-                    for bottom, top in zip(corners[0::2], corners[1::2]))
+                    for bottom, top in zip(bounds[0::2], bounds[1::2]))
                 keys[key] = upper, lower, upper | lower == everyone
             sides[w, r, t] = sides[w, t, r] = keys[key]
     pairs = 0

@@ -12,11 +12,12 @@ the max over sets A of first-factor points of min(mu1(A), min over x in
 A of mu2(B_x)). Splitting that max on whether A holds the first point
 builds the dense table from two tables on one first-factor point fewer
 (see `tensor2`). The formula uses only min, max and order, so
-the dense product runs on ranks: each value is replaced by its position
-in one sorted list of both factors' values, the table and its capacity
-validation compare ints, and the ranks become Fractions only in the
-returned table. The lazy evaluator runs the level-set loop on ranks the
-same way and maps each rank it returns back to its value. Products of
+the dense product runs on ranks: only the factors' levels are ranked
+into one sorted list, each factor's rank table is mapped into it, the
+table and its capacity validation compare ints, and the ranks become
+Fractions only in the returned table. The lazy evaluator runs the
+level-set loop on ranks the same way and maps each rank it returns back
+to its value. Products of
 three or more factors are the left-associated fold of the two-factor
 product; associativity is never assumed (a probe reports bracketing
 differences).
@@ -162,10 +163,34 @@ def product_domain(factors: Sequence[Domain]) -> ProductDomain:
 
 
 def _table(cap: CapacityBase) -> Sequence[Fraction]:
-    """Dense value table of any capacity, indexed by mask."""
-    if isinstance(cap, FiniteCapacity):
-        return cap.values
+    """Dense value table of any capacity, indexed by mask, read mask by
+    mask: for `materialize`, and for capacities that keep no rank table."""
     return [cap.value_mask(mask) for mask in range(cap.domain.subset_count)]
+
+
+def _factor_levels(factors: Sequence[CapacityBase],
+                   ) -> tuple[list[Fraction], list[list[int]]]:
+    """The sorted distinct levels of the factors, with 0 and 1, and the
+    rank in them of each factor's levels (`_ranked` on the levels only):
+    a FiniteCapacity's `_levels`, a lazy product's `_levels`, and the
+    whole value table of any other capacity, each entry its own level."""
+    levels, (_, *level_ranks) = _ranked(_ZERO_ONE, *(
+        f._levels if isinstance(f, (FiniteCapacity, LazyTensorCapacity)) else _table(f)
+        for f in factors))
+    return levels, level_ranks
+
+
+def _dense_ranks(cap: CapacityBase, level_ranks: list[int]) -> list[int]:
+    """A factor's ranks by mask into the levels of `_factor_levels`,
+    given its `level_ranks` there."""
+    if isinstance(cap, FiniteCapacity):
+        ranks = cap._ranks
+    elif isinstance(cap, LazyTensorCapacity):
+        ranks = map(cap._rank, range(cap.domain.subset_count))
+    else:
+        # Its levels are its value table, so their ranks are its ranks.
+        return level_ranks
+    return list(map(level_ranks.__getitem__, ranks))
 
 
 def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
@@ -173,9 +198,9 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
 
     Refuses products beyond the dense cap; use lazy_tensor there. The
     product uses only min, max and order, so it runs on ranks: the
-    values of both factors, with 0 and 1, form one sorted list `levels`,
-    and each factor's table becomes a table of positions in it
-    (`_ranked`). The value at B is max over sets A of left points of
+    levels of both factors, with 0 and 1, form one sorted list `levels`,
+    and each factor's rank table is mapped into it (`_factor_levels`,
+    `_dense_ranks`). The value at B is max over sets A of left points of
     min(left(A), min over x in A of right(B_x)); splitting on whether A
     holds the first left point gives
 
@@ -194,9 +219,9 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
             "use lazy_tensor"
         )
     pd = product_domain([left.domain, right.domain])
-    levels, (_, left_ranks, right_ranks) = _ranked(_ZERO_ONE, _table(left), _table(right))
-    return FiniteCapacity._from_ranks(pd.flat, levels,
-                                      _peel_rows(left_ranks, right_ranks, {}))
+    levels, (to_left, to_right) = _factor_levels((left, right))
+    return FiniteCapacity._from_ranks(pd.flat, levels, _peel_rows(
+        _dense_ranks(left, to_left), _dense_ranks(right, to_right), {}))
 
 
 def _peel_rows(left: Sequence[int], right: Sequence[int],
@@ -265,11 +290,12 @@ class LazyTensorCapacity(CapacityBase, _Record):
     Evaluates the recursive section formula: the product of the first
     d + 1 factors at B integrates factor d's section values against the
     product of the first d factors. Like `tensor2` it runs on ranks:
-    construction ranks the factors' tables once (`_ranked`, with 0 and
-    1), each fold depth memoizes its ranks by mask, and `value_mask` maps
-    the rank of the whole product back to its level. `_memo` is the
-    whole product's memo. A lazy factor is ranked on demand, through its
-    own levels; any other factor is read as a dense table (`_table`).
+    construction ranks the factors' levels once (`_factor_levels`, with
+    0 and 1), each fold depth memoizes its ranks by mask, and
+    `value_mask` maps the rank of the whole product back to its level.
+    `_memo` is the whole product's memo. A lazy factor is ranked on
+    demand, through its own levels; a dense factor's rank table is
+    mapped into the levels once (`_dense_ranks`).
     A record of its factors (`_Record`), immutable apart from the memos;
     copies and pickles are rebuilt from the factors, with empty memos.
     """
@@ -285,11 +311,10 @@ class LazyTensorCapacity(CapacityBase, _Record):
             raise ValueError("tensor of zero factors is undefined")
         fs = tuple(factors)
         pd = _product if _product is not None else product_domain([f.domain for f in fs])
-        levels, (_, *tables) = _ranked(_ZERO_ONE, *(
-            f._levels if isinstance(f, LazyTensorCapacity) else _table(f) for f in fs))
-        # A lazy factor's table ranks its own levels into `levels`.
-        ranks = [_composed(table, f._rank) if isinstance(f, LazyTensorCapacity)
-                 else table.__getitem__ for f, table in zip(fs, tables)]
+        levels, level_ranks = _factor_levels(fs)
+        # A lazy factor ranks its own levels on demand.
+        ranks = [_composed(to, f._rank) if isinstance(f, LazyTensorCapacity)
+                 else _dense_ranks(f, to).__getitem__ for f, to in zip(fs, level_ranks)]
         rank, memo = ranks[0], {}
         prefix_size = fs[0].domain.size
         for f, last_rank in zip(fs[1:], ranks[1:]):

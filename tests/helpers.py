@@ -548,6 +548,50 @@ def ranked_reference(*tables):
     return levels, [[rank[Fraction(v)] for v in table] for table in tables]
 
 
+def value_ranked_space(grid, capacities):
+    """Reference for GridCapacitySpace's rows, ranked on values: the grid
+    and every member's values ranked together (`ranked_reference`).
+    Returns the sorted distinct grid, each member's row of ranks, and
+    the first position of each row; or raises the ValueError that names
+    the first member, and its first value by mask, off the grid."""
+    levels, (grid_ranks, *rows) = ranked_reference(grid, *(c.values for c in capacities))
+    on_grid = set(grid_ranks)
+    for k, (cap, row) in enumerate(zip(capacities, rows)):
+        for v, r in zip(cap.values, row):
+            if r not in on_grid:
+                raise ValueError(f"member {k} has value {v}, which is off the grid")
+    rows = tuple(map(tuple, rows))
+    pos = {}
+    for k, row in enumerate(rows):
+        pos.setdefault(row, k)
+    return levels, rows, pos
+
+
+def value_ranked_index(domain: Domain, levels, pos, cap) -> int | None:
+    """Reference for GridCapacitySpace.index_of on `value_ranked_space`'s
+    levels and positions: the capacity's values ranked with the levels,
+    a member iff that adds no level and gives a member's row; None for
+    a capacity that is not a member."""
+    if cap.domain.labels != domain.labels:
+        return None
+    merged, (_, row) = ranked_reference(levels, cap.values)
+    return pos.get(tuple(row)) if len(merged) == len(levels) else None
+
+
+# Levels that `with_foreign_levels` adds and no mask takes: two outside
+# [0, 1], which the rank constructor trims, and one inside, which it keeps.
+FOREIGN_LEVELS = (Fraction(-1), Fraction(1, 97), Fraction(2))
+
+
+def with_foreign_levels(cap: FiniteCapacity) -> FiniteCapacity:
+    """The same capacity, rebuilt by `FiniteCapacity._from_ranks` on its
+    values and FOREIGN_LEVELS: equal to `cap`, with the unused level
+    1/97 in its `_levels`."""
+    levels = sorted(set(cap.values).union(FOREIGN_LEVELS))
+    rank = {v: r for r, v in enumerate(levels)}
+    return FiniteCapacity._from_ranks(cap.domain, levels, [rank[v] for v in cap.values])
+
+
 def pairwise_t2_scan(space) -> SeparationReport:
     """Reference separation scan: for every distinct pair, build the halves
     through separating_halves and verify the cover and the two

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import sys
 from fractions import Fraction
 
@@ -23,9 +25,12 @@ from capgames import (
     dirac_capacity,
     join,
     meet,
+    marginal,
     possibility_capacity,
     probability_capacity,
+    product_domain,
     pushforward,
+    tensor2,
     top_capacity,
     vanishes_outside,
 )
@@ -33,7 +38,10 @@ from capgames.capacity import (
     MAX_SPACE_MEMBERS,
     BudgetExceeded,
     _cover_violation,
+    _grid_space_members,
+    _grid_space_tables,
     _grid_tables,
+    _grid_values,
     _possibilities,
     _ranked,
 )
@@ -46,6 +54,7 @@ from helpers import (
     letters,
     one_by_one_from_ranks,
     ranked_reference,
+    with_foreign_levels,
 )
 
 AB = Domain(("a", "b"))
@@ -743,3 +752,70 @@ class TestGridTables:
         finally:
             sys.settrace(previous)
         assert 1000 < max(held) <= MAX_SPACE_MEMBERS
+
+
+def assert_rank_table(cap: FiniteCapacity) -> None:
+    """The rank table a capacity keeps: Fraction levels strictly
+    increasing from 0 to 1, and each mask's value the level of its rank."""
+    levels, ranks = cap._levels, cap._ranks
+    assert type(levels) is tuple and type(ranks) is tuple
+    assert all(type(v) is Fraction for v in levels)
+    assert levels[0] == 0 and levels[-1] == 1
+    assert all(a < b for a, b in zip(levels, levels[1:]))
+    assert len(ranks) == cap.domain.subset_count
+    assert tuple(levels[r] for r in ranks) == cap.values
+
+
+class TestRankTables:
+    """Every constructor keeps the rank table it validated the values
+    on, and so does every copy."""
+
+    @given(st.integers(0, 2**32), st.lists(st.integers(1, ABC.full_mask), max_size=4))
+    def test_every_constructor_keeps_a_valid_rank_table(self, seed, supports):
+        rng = SplitMix64(seed)
+        x, y = random_capacity(ABC, rng), random_capacity(ABC, rng, 6)
+        product = product_domain([ABC, AB])
+        # Foreign levels in a factor leave unused levels in the product.
+        dense = tensor2(with_foreign_levels(x), random_capacity(AB, rng, 3))
+        built = [
+            FiniteCapacity(ABC, list(x.values)),
+            # QUARTERS reach outside [0, 1] on both sides.
+            *FiniteCapacity._many_from_ranks(ABC, QUARTERS, quarter_batch(3, 3)),
+            with_foreign_levels(y),
+            dense, marginal(dense, product, 0), marginal(dense, product, 1),
+            join(x, y), meet(x, y),
+            *_possibilities(ABC, supports),
+            *_grid_space_members(AB, _grid_values((0, F(1, 2), 1))),
+        ]
+        for cap in built:
+            for twin in (cap, copy.copy(cap), copy.deepcopy(cap),
+                         pickle.loads(pickle.dumps(cap))):
+                assert twin == cap and hash(twin) == hash(cap)
+                assert_rank_table(twin)
+
+    def test_levels_outside_the_unit_interval_are_trimmed(self):
+        caps = FiniteCapacity._many_from_ranks(ABC, QUARTERS, quarter_batch(3, 3))
+        assert [cap.values for cap in caps] == [
+            tuple(QUARTERS[r] for r in table) for table in quarter_batch(3, 3)]
+        # One tuple for the batch, holding only the levels in [0, 1].
+        assert caps[0]._levels == tuple(QUARTERS[1:-1])
+        assert all(cap._levels is caps[0]._levels for cap in caps)
+        # The top capacity: 0 on the empty set, 1 elsewhere.
+        assert caps[1]._ranks == (0,) + (4,) * 7
+
+    @pytest.mark.parametrize("low", [0, 2])
+    def test_later_changes_to_the_callers_lists_change_no_capacity(self, low):
+        levels = [F(-2), F(-1)][:low] + [F(0), F(1, 2), F(1), F(2)]
+        ranks = [low, low + 1, low + 1, low + 2]
+        cap = FiniteCapacity._from_ranks(AB, levels, ranks)
+        ranks[1], levels[low + 1] = low, F(1, 3)
+        assert cap.values == (0, F(1, 2), F(1, 2), 1)
+        assert (cap._levels, cap._ranks) == ((0, F(1, 2), 1), (0, 1, 1, 2))
+
+    @pytest.mark.usefixtures("cold_grid_spaces")
+    def test_memo_members_hold_the_memo_tables(self):
+        grid = _grid_values((0, F(1, 2), 1))
+        tables, members = _grid_space_tables(ABC, grid), _grid_space_members(ABC, grid)
+        assert len(members) == len(tables) == 129
+        assert all(cap._ranks is table for cap, table in zip(members, tables))
+        assert all(cap._levels is members[0]._levels == grid for cap in members)

@@ -27,13 +27,24 @@ from capgames import (
     interval,
     interval_membership,
     join,
+    marginal,
     meet,
+    product_domain,
     separating_halves,
+    tensor2,
     top_capacity,
 )
 from capgames import capacity, convexity
 
-from helpers import _scale_of, bigint_binarity_scan, letters, pairwise_t2_scan
+from helpers import (
+    _scale_of,
+    bigint_binarity_scan,
+    letters,
+    pairwise_t2_scan,
+    value_ranked_index,
+    value_ranked_space,
+    with_foreign_levels,
+)
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -641,6 +652,50 @@ class TestHandBuiltGrids:
         assert (fast.pairs_checked, fast.failures) == (slow.pairs_checked, slow.failures)
         assert fast.pairs_checked == len(members) * (len(members) - 1) // 2
         assert [space.index_of(m) for m in members] == list(range(len(members)))
+
+    @pytest.mark.parametrize("grid", [(1, F(1, 2), 0), (F(1, 2), 1, F(1, 4), 0, F(1, 2))])
+    def test_members_from_every_constructor_match_the_value_ranks(self, grid):
+        # Members of several batches, from __init__, and marginals of
+        # products whose factor has an unused level off the grid (1/97),
+        # with repeats: the rows, levels and positions of ranking the
+        # values, and of index_of, whatever rank tables the members keep.
+        full = enumerate_capacities(ABC, GRID3)
+        xy = Domain(("x", "y"))
+        right = enumerate_capacities(xy, GRID3).capacities[4]
+        product = product_domain([ABC, xy])
+        members = (
+            *full.capacities[::9],
+            *(FiniteCapacity(ABC, cap.values) for cap in full.capacities[100::7]),
+            *capacity._possibilities(ABC, [1, 6, 7]),
+            *(marginal(tensor2(with_foreign_levels(cap), right), product, 0)
+              for cap in full.capacities[50:60]),
+            with_foreign_levels(full.capacities[3]),
+            marginal(tensor2(right, with_foreign_levels(full.capacities[70])),
+                     product_domain([xy, ABC]), 1),
+            full.capacities[0], top_capacity(ABC),
+        )
+        assert any(F(1, 97) in cap._levels for cap in members)
+        space = GridCapacitySpace(ABC, grid, members)
+        levels, rows, pos = value_ranked_space(grid, members)
+        assert (space._levels, space._ranks, space._pos) == (levels, rows, pos)
+        outsiders = (FiniteCapacity(ABC, [0, F(1, 3), 0, 1, 0, 1, 1, 1]),
+                     with_foreign_levels(top_capacity(AB)), *full.capacities[1:20])
+        for cap in members + outsiders:
+            try:
+                got = space.index_of(cap)
+            except ValueError as exc:
+                assert str(exc) == "capacity is not a member of this space"
+                got = None
+            assert got == value_ranked_index(ABC, levels, pos, cap)
+        # The first member off the grid names its first value off it.
+        off = (*members[:5], outsiders[0],
+               FiniteCapacity(ABC, [0, F(2, 3), F(1, 3), 1, 0, 1, 1, 1]), *members[5:])
+        with pytest.raises(ValueError) as expected:
+            value_ranked_space(grid, off)
+        assert str(expected.value) == "member 5 has value 1/3, which is off the grid"
+        with pytest.raises(ValueError) as got:
+            GridCapacitySpace(ABC, grid, off)
+        assert str(got.value) == str(expected.value)
 
     def test_ranks_past_the_byte_fields(self):
         # A 2-point space on a grid of 300 values, whose members take the

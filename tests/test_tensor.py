@@ -39,6 +39,7 @@ from helpers import (
     level_set_tensor2,
     loop_mask_of_box,
     seeded_capacity,
+    with_foreign_levels,
 )
 
 AB = Domain(("a", "b"))
@@ -294,10 +295,13 @@ class TestRankKernel:
         caps = [random_capacity(letters(2), rng, 6),
                 random_capacity(Domain(("x", "y")), rng, 8),
                 random_capacity(PQR, rng, 4)]
-        out = tensor_many(caps)
         reference = fraction_tensor_many(caps)
-        assert out.domain.labels == reference.domain.labels
-        assert out.values == reference.values
+        # The same factors rebuilt with unused levels, inside [0, 1] and
+        # trimmed outside it, give the same product.
+        for factors in (caps, [with_foreign_levels(cap) for cap in caps]):
+            out = tensor_many(factors)
+            assert out.domain.labels == reference.domain.labels
+            assert out.values == reference.values
 
 
 class TestTensorMany:
@@ -424,14 +428,17 @@ LAZY_PRODUCT_POINTS = 12
 @st.composite
 def lazy_factors(draw):
     """2-4 capacities of 1-3 points, LAZY_PRODUCT_POINTS points in all at
-    most, with values on drawn grids k/denominator ({0, 1} included)."""
+    most, with values on drawn grids k/denominator ({0, 1} included),
+    some with foreign levels (`with_foreign_levels`)."""
     caps, points = [], 1
     for _ in range(draw(st.integers(2, 4))):
         size = draw(st.integers(1, min(3, LAZY_PRODUCT_POINTS // points)))
         points *= size
         denominator = draw(st.sampled_from((1, 2, 3, 5, 12)))
         seed = draw(st.integers(0, 2**32))
-        caps.append(random_capacity(letters(size), SplitMix64(seed), denominator))
+        cap = random_capacity(letters(size), SplitMix64(seed), denominator)
+        # Or the same capacity with unused levels in its rank table.
+        caps.append(with_foreign_levels(cap) if draw(st.booleans()) else cap)
     return caps
 
 
