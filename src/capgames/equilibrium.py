@@ -35,9 +35,11 @@ The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
 depends on player i's belief alone, so the members of a player's grid
 space are grouped by response. Every member's response is decided on
-its rank table by the same rank kernel, with the corrections of the
-interior grid levels lifted once for the whole space; the tests hold
-it to `best_response`, and that to the Fraction argmax of
+its rank table by the same rank kernel, with the interior grid levels
+corrected once per search and lifted once per player; the kernel runs
+once per distinct key, a member's ranks at the player's payoff
+level-set masks, which are all it reads. The tests hold it to
+`best_response`, and that to the Fraction argmax of
 `expected_payoff`. A tuple of realised
 responses then fixes every player's box, and the hits for it are the
 product of each player's group members that vanish (rank 0) outside
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -463,25 +466,32 @@ def find_equilibria_supports(game: GameSpec,
 
 
 def _grid_response_masks(game: GameSpec, player: int,
-                         levels: Sequence[Fraction],
-                         tables: Iterable[Sequence[int]],
-                         correction: CorrectionMap) -> list[int]:
+                         corrected: Sequence[Fraction],
+                         tables: Sequence[Sequence[int]]) -> list[int]:
     """The player's best-response mask against each belief given as a
-    rank table into `levels`, the sorted grid from 0 to 1.
+    rank table into a sorted grid from 0 to 1, whose interior levels
+    correct to `corrected`, in grid order.
 
     The same rank kernel as `best_response` (`game._response_mask`), with
     the grid ranks as level indices: each table goes through the
     level-set loop on the player's payoff level sets (`_response_table`),
     grid rank 0 is level 0, the last is level 1, and the lift of any
-    other is the chain rank of its correction (`_lifted`), evaluated
-    once for all tables.
+    other is the chain rank of its correction (`_lifted`). The loop
+    reads a table only at the level-set masks, so tables with equal
+    ranks there get the same mask: each table is keyed by those ranks,
+    and the loop runs once per distinct key of the call.
     """
-    sets = _response_table(game, player)
-    sets, keys = _lifted(game, sets, [correction.evaluate(g) for g in levels[1:-1]])
+    sets, keys = _lifted(game, _response_table(game, player), corrected)
     # Indexed by grid rank; the two ends are never lifted.
     lift = [0, *keys, 0].__getitem__
-    top = len(levels) - 1
-    return [_argmax_mask(sets, ranks.__getitem__, lift, top) for ranks in tables]
+    top = len(corrected) + 1
+    key_of = operator.itemgetter(*dict.fromkeys(
+        mask for level_sets in sets for _, mask in level_sets))
+    member_keys = list(map(key_of, tables))
+    # One table per key (the last) stands for all tables with that key.
+    decided = {key: _argmax_mask(sets, ranks.__getitem__, lift, top)
+               for key, ranks in dict(zip(member_keys, tables)).items()}
+    return list(map(decided.__getitem__, member_keys))
 
 
 def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
@@ -495,18 +505,22 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     The search is decoupled: a player's best response depends on their
     own belief only. Each player's space is grouped by the best-response
     mask of its members, all decided on their rank tables in one pass
-    (`_grid_response_masks`). For every tuple r of realised masks,
-    player i accepts the members of group r_i whose rank outside the
-    box of r_-i is 0, the rank of value 0: the residual rule of
-    `is_equilibrium`. The hits for r are the product of the accepted
-    lists. The grid is checked once. Each space is filled as rank
-    tables, bounded only by its member count (MAX_SPACE_MEMBERS, not the
-    opponents' domain size or the grid length), and the budget bounds
-    the product of the space sizes, counted before any member is built
-    or validated. Tables and members are kept per process, a bounded
-    memo each keyed by (domain, grid), so a space is filled and built
-    once for every search that uses it while it stays in the memo, and
-    systems from different calls share their members.
+    (`_grid_response_masks`), with the corrections of the interior grid
+    levels evaluated once for all players. Members with equal ranks at
+    the player's payoff level-set masks share one run of the kernel.
+    For every tuple r of realised masks, player i accepts the members of
+    group r_i whose rank outside the box of r_-i is 0, the rank of value
+    0: the residual rule of `is_equilibrium`. Each outside-box mask is
+    computed once per player and r_-i. The hits for r are the product
+    of the accepted lists. The grid is checked once. Each space is
+    filled as rank tables, bounded only by its member count
+    (MAX_SPACE_MEMBERS, not the opponents' domain size or the grid
+    length), and the budget bounds the product of the space sizes,
+    counted before any member is built or validated. Tables and members
+    are kept per process, a bounded memo each keyed by (domain, grid),
+    so a space is filled and built once for every search that uses it
+    while it stays in the memo, and systems from different calls share
+    their members.
     """
     corr = correction if correction is not None else default_correction()
     levels = _grid_values(grid)
@@ -518,26 +532,31 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
     built = {d: _grid_space_members(d, levels) for d in tables}
+    corrected = [corr.evaluate(g) for g in levels[1:-1]]
     # groups[i]: best-response mask -> indices of player i's members.
     groups: list[dict[int, list[int]]] = []
     for i, d in enumerate(domains):
         by_mask: dict[int, list[int]] = {}
-        masks = _grid_response_masks(game, i, levels, tables[d], corr)
+        masks = _grid_response_masks(game, i, corrected, tables[d])
         for k, mask in enumerate(masks):
             by_mask.setdefault(mask, []).append(k)
         groups.append(by_mask)
+    spaces = [tables[d] for d in domains]
+    outsides: dict[tuple[int, tuple[int, ...]], int] = {}
     hits: list[tuple[int, ...]] = []
     for responses in itertools.product(*groups):
         accepted = []
-        for i, (d, by_mask) in enumerate(zip(domains, groups)):
-            outside = _outside_box(game, i, responses)
-            space = tables[d]
+        for i, (space, by_mask) in enumerate(zip(spaces, groups)):
+            key = (i, responses[:i] + responses[i + 1:])
+            outside = outsides.get(key)
+            if outside is None:
+                outside = outsides[key] = _outside_box(game, i, responses)
             accepted.append([k for k in by_mask[responses[i]]
                              if space[k][outside] == 0])
         hits.extend(itertools.product(*accepted))
     hits.sort()
-    spaces = [built[d] for d in domains]
-    return [BeliefSystem(tuple(space[k] for space, k in zip(spaces, combo)))
+    members = [built[d] for d in domains]
+    return [BeliefSystem(tuple(map(operator.getitem, members, combo)))
             for combo in hits]
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, reject, strategies as st
 from capgames import (
     BeliefSystem,
     BudgetExceeded,
+    CorrectionMap,
     Domain,
     DomainMismatch,
     EmptySupport,
@@ -43,7 +44,7 @@ from capgames.equilibrium import (
     _grid_response_masks,
     support_profile_count,
 )
-from capgames.game import _payoff_ranked
+from capgames.game import _lifted, _payoff_ranked, _response_table
 from capgames.generate import SplitMix64, random_game
 
 from helpers import (
@@ -598,8 +599,9 @@ class TestFindEquilibriaGrid:
         for i in range(game.n_players):
             domain = opponent_domain(game, i).flat
             levels = _grid_values(grid)
-            masks = _grid_response_masks(game, i, levels,
-                                         _grid_tables(domain, levels), corr)
+            masks = _grid_response_masks(game, i,
+                                         [corr.evaluate(g) for g in levels[1:-1]],
+                                         _grid_tables(domain, levels))
             own = game.strategy_domains[i]
             space = enumerate_capacities(domain, grid).capacities
             assert masks == [own.mask_of(best_response(game, i, cap, corr))
@@ -626,6 +628,56 @@ class TestFindEquilibriaGrid:
     def test_rank_path_matches_the_best_response_search_on_three_players(self, seed):
         game = random_game(SplitMix64(seed), [2, 2, 2])
         self.assert_rank_path_matches(game, (0, 1), default_correction())
+
+    @pytest.mark.parametrize("sizes, grid", [([2, 3], GRID3), ([2, 2, 2], (0, 1))])
+    def test_kernel_runs_once_per_distinct_key(self, monkeypatch, sizes, grid):
+        # A member's key is its ranks at the player's payoff level-set
+        # masks, the only masks the kernel reads; lifting keeps the masks.
+        game = random_game(SplitMix64(4), sizes)
+        corr = default_correction()
+        levels = _grid_values(grid)
+        corrected = [corr.evaluate(g) for g in levels[1:-1]]
+        calls = []
+        kernel = equilibrium._argmax_mask
+
+        def counting_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(equilibrium, "_argmax_mask", counting_kernel)
+        expected_calls = members = 0
+        for i in range(game.n_players):
+            tables = _grid_tables(opponent_domain(game, i).flat, levels)
+            sets = _response_table(game, i)
+            read = sorted({mask for level_sets in sets for _, mask in level_sets})
+            distinct = {tuple(table[m] for m in read) for table in tables}
+            calls.clear()
+            masks = _grid_response_masks(game, i, corrected, tables)
+            assert len(calls) == len(distinct)
+            lifted, keys = _lifted(game, sets, corrected)
+            lift = [0, *keys, 0].__getitem__
+            assert masks == [kernel(lifted, table.__getitem__, lift, len(levels) - 1)
+                             for table in tables]
+            expected_calls += len(distinct)
+            members += len(tables)
+        assert expected_calls < members
+        # The whole search too; on 2x2x2 games it lists too many systems
+        # for a unit test.
+        if game.n_players == 2:
+            calls.clear()
+            find_equilibria_grid(game, grid, corr)
+            assert len(calls) == expected_calls
+
+    def test_correction_is_evaluated_once_per_interior_level(self):
+        evaluated = []
+
+        def interior(u):
+            evaluated.append(u)
+            return default_correction().evaluate(u)
+
+        corr = CorrectionMap("counted", interior)
+        find_equilibria_grid(coordination_game(), (0, F(1, 3), F(1, 2), 1), corr)
+        assert evaluated == [F(1, 3), F(1, 2)]
 
     def test_three_players_on_the_zero_one_grid(self):
         # 166^3 = 4,574,296 belief systems.

@@ -525,6 +525,41 @@ class TestSupportLaw:
         assert vanishes_outside(out, box)
 
 
+def swapped_table(left, right) -> list:
+    """tensor2(right, left) read on the points of left x right: the value
+    at each mask M over left x right is the product's value at the mask
+    with every point (a, b) moved to (b, a)."""
+    m, n = left.domain.size, right.domain.size
+    product = tensor2(right, left)
+    moved = [1 << (b * m + a) for a in range(m) for b in range(n)]
+    return [product.value_mask(sum(bit for k, bit in enumerate(moved) if mask >> k & 1))
+            for mask in range(1 << (m * n))]
+
+
+class TestCommutation:
+    def test_possibility_tensors_commute(self):
+        # Why a support scan's beliefs do not depend on the fold order:
+        # the product of possibility capacities is 1 exactly on the sets
+        # meeting the support box, whichever factor comes first.
+        domains = [letters(size) for size in (1, 2, 3)]
+        pairs = 0
+        for left_domain, size in itertools.product(domains, (1, 2, 3)):
+            right_domain = right_letters(size)
+            for smask, tmask in itertools.product(
+                    range(1, left_domain.subset_count),
+                    range(1, right_domain.subset_count)):
+                left = possibility_capacity(left_domain, left_domain.labels_of(smask))
+                right = possibility_capacity(right_domain, right_domain.labels_of(tmask))
+                assert list(tensor2(left, right).values) == swapped_table(left, right)
+                pairs += 1
+        assert pairs == (1 + 3 + 7) ** 2
+
+    def test_dense_tensors_need_not_commute(self):
+        left = random_capacity(letters(2), SplitMix64(5))
+        right = random_capacity(right_letters(2), SplitMix64(6))
+        assert list(tensor2(left, right).values) != swapped_table(left, right)
+
+
 class TestAssociativityProbe:
     def test_fewer_than_three_factors_report_nothing(self):
         assert associativity_probe([seeded_capacity(1, 2)]) == []
