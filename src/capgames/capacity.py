@@ -3,16 +3,17 @@
 A capacity assigns a rational in [0, 1] to every subset of a finite
 domain, is 0 on the empty set, 1 on the full set, and is monotone under
 inclusion. Nothing here assumes additivity. Subsets are bitmasks over
-the domain's label order (bit k is labels[k]), and dense value tables
-are tuples indexed by mask, validated as ranks into their sorted
-distinct values (`_check_ranks`), and each capacity keeps the rank table
-it was validated on. Every layer reads values only through order, so
-`_ranked` is the one integer encoding of them all, and a layer that
-reads a capacity's rank table ranks only its few levels. The rank
-tables of every grid-valued capacity, which the convexity scans and the
-grid equilibrium search both enumerate, are filled here too, under an
-exhaustive budget; the grid search reads them, and their members, from
-two bounded per-process memos.
+the domain's label order (bit k is labels[k]). A dense capacity stores
+one table, its rank table: its sorted levels and, indexed by mask, the
+rank of each subset's value among them, as bytes up to 256 levels
+(`_rank_store`). Tables are validated on ranks (`_check_ranks`), and a
+capacity's values are derived from its rank table. Every layer reads
+values only through order, so `_ranked` is the one integer encoding of
+them all, and a layer that reads a capacity's rank table ranks only its
+few levels. The rank tables of every grid-valued capacity, which the
+convexity scans and the grid equilibrium search both enumerate, are
+filled here too, under an exhaustive budget; the grid search reads
+them, and their members, from two bounded per-process memos.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ MAX_SPACE_MEMBERS = 10_000
 # The grid spaces kept for the process, in each of the two memos of rank
 # tables (`_grid_space_tables`) and members (`_grid_space_members`). The
 # largest space inside MAX_SPACE_MEMBERS, the 5-point {0, 1} space,
-# holds about 2.2 MiB of rank tuples and 4.0 MiB of members under
-# tracemalloc, so full memos retain at most about 25 MiB.
+# holds 0.5 MiB of rank tables under tracemalloc, and 1.0 MiB with its
+# members, which share those tables, so full memos retain about 4 MiB.
 SPACE_MEMO_ENTRIES = 4
 
 RationalLike = Union[Fraction, int]
@@ -297,6 +298,14 @@ def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
             for mask in order]
 
 
+def _rank_store(level_count: int) -> type:
+    """The type of a rank table into `level_count` levels: bytes, one
+    byte a rank, up to 256 levels, else a tuple. Both are immutable and
+    read the same way, and converting a table that has the type already
+    returns it, shared."""
+    return bytes if level_count <= 256 else tuple
+
+
 def _grid_values(grid: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """The sorted distinct grid values, once checked to be rationals in
     [0, 1] that include 0 and 1; a tuple, so that it can key the space
@@ -357,13 +366,15 @@ def _grid_tables(domain: Domain,
 
 @functools.lru_cache(maxsize=SPACE_MEMO_ENTRIES)
 def _grid_space_tables(domain: Domain,
-                       levels: tuple[Fraction, ...]) -> tuple[tuple[int, ...], ...]:
-    """`_grid_tables` of the domain and the sorted grid `levels`, as
-    tuples so that no caller can change a shared table. A space depends
+                       levels: tuple[Fraction, ...]) -> tuple[bytes | tuple[int, ...], ...]:
+    """`_grid_tables` of the domain and the sorted grid `levels`, each
+    table in the rank table type of the levels (`_rank_store`): no
+    caller can change a shared table, and the members of
+    `_grid_space_members` keep these tables as their own. A space depends
     only on its domain and grid, so the SPACE_MEMO_ENTRIES most recently
     used are kept for the process. A space over the budget raises every
     time: exceptions are not kept."""
-    return tuple(map(tuple, _grid_tables(domain, levels)))
+    return tuple(map(_rank_store(len(levels)), _grid_tables(domain, levels)))
 
 
 @functools.lru_cache(maxsize=SPACE_MEMO_ENTRIES)
@@ -504,8 +515,10 @@ def _cover_violation(size: int, ranks: Sequence[int],
     """
     code = _field_code(level_count)
     bits, guard, lacking = _cover_masks(size, code, len(ranks) >> size)
-    # bytes() converts a list of small ints about three times as fast.
-    fields = bytes(ranks) if code == "B" else array(code, ranks).tobytes()
+    # bytes() converts a list of small ints about three times as fast. An
+    # array is filled from a list: from a bytes table it would read the
+    # bytes as raw fields.
+    fields = bytes(ranks) if code == "B" else array(code, list(ranks)).tobytes()
     packed = int.from_bytes(fields, sys.byteorder)
     first = None
     for k, mask in enumerate(lacking):
@@ -520,31 +533,31 @@ def _cover_violation(size: int, ranks: Sequence[int],
 class FiniteCapacity(CapacityBase, _Record):
     """Dense, validated, immutable capacity on a domain of at most 20 points.
 
-    `values` is the Fraction table, indexed by mask. It is validated on
-    ranks (`_check_ranks`), and the capacity keeps the rank table it was
-    validated on: `_levels`, a tuple strictly increasing from 0 to 1,
-    and `_ranks`, a tuple with values[mask] == _levels[_ranks[mask]].
+    It stores one table, the rank table it was validated on
+    (`_check_ranks`): `_levels`, a tuple strictly increasing from 0 to
+    1, and `_ranks`, indexed by mask, the rank of each subset's value in
+    `_levels`, bytes up to 256 levels and a tuple above (`_rank_store`).
     Grid spaces, the separation scan, tensor products and marginals
-    read these and rank only the few levels. `__init__` ranks the values into their
-    sorted distinct values (`_ranked`); `_many_from_ranks` keeps the
-    caller's ranks and levels, so `_levels` may hold levels that no mask
-    takes. A record of its domain and values (`_Record`): equality,
-    hashing and repr ignore the rank table, and copies and pickles are
-    rebuilt, and re-validated, by `__init__`.
+    read these and rank only the few levels. `values`, the Fraction
+    table indexed by mask, is built from them on each read, so a loop
+    binds it once. `__init__` ranks the values into their sorted
+    distinct values (`_ranked`); `_many_from_ranks` keeps the caller's
+    ranks and levels, so `_levels` may hold levels that no mask takes.
+    A record of its domain and values (`_Record`): equality, hashing
+    and repr read the values, not the rank table, and copies and
+    pickles are rebuilt, and re-validated, by `__init__`.
     """
 
-    __slots__ = ("domain", "values", "_levels", "_ranks")
+    __slots__ = ("domain", "_levels", "_ranks")
     _fields = ("domain", "values")
 
     def __init__(self, domain: Domain, values: Sequence[RationalLike]):
         _check_domain_size(domain)
-        table = tuple(_coerce_rational(v, "capacity value") for v in values)
-        levels, (ranks,) = _ranked(table)
+        levels, (ranks,) = _ranked([_coerce_rational(v, "capacity value") for v in values])
         _check_ranks(domain, levels, _unit_ranks(levels), [ranks])
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", table)
         object.__setattr__(self, "_levels", tuple(levels))
-        object.__setattr__(self, "_ranks", tuple(ranks))
+        object.__setattr__(self, "_ranks", _rank_store(len(levels))(ranks))
 
     @classmethod
     def _from_ranks(cls, domain: Domain, levels: Sequence[RationalLike],
@@ -569,11 +582,12 @@ class FiniteCapacity(CapacityBase, _Record):
 
         The capacities keep their rank tables: the levels, trimmed to
         those in [0, 1] (which every valid table stays in) and shared by
-        the batch as one tuple, and each table as a tuple of ranks into
-        them, shifted down past the trimmed levels below 0. A tuple
-        table that needs no shift is shared, not copied, so the members
-        of the grid space memo hold the memo's own tables; any other
-        table is copied, and later changes to it change no capacity.
+        the batch as one tuple, and each table as ranks into them in the
+        type of the trimmed level count (`_rank_store`), shifted down
+        past the trimmed levels below 0. A table of that type that needs
+        no shift is shared, not copied, so the members of the grid space
+        memo hold the memo's own tables; any other table is copied, and
+        later changes to it change no capacity.
         """
         _check_domain_size(domain)
         levels = tuple(_coerce_rational(v, "capacity value") for v in levels)
@@ -582,21 +596,27 @@ class FiniteCapacity(CapacityBase, _Record):
         unit = _unit_ranks(levels)
         _check_ranks(domain, levels, unit, tables)
         shift, levels = unit.start, levels[unit.start:unit.stop]
+        store = _rank_store(len(levels))
         caps = []
         for ranks in tables:
-            ranks = tuple(r - shift for r in ranks) if shift else tuple(ranks)
             cap = cls.__new__(cls)
             object.__setattr__(cap, "domain", domain)
-            object.__setattr__(cap, "values", tuple(map(levels.__getitem__, ranks)))
             object.__setattr__(cap, "_levels", levels)
-            object.__setattr__(cap, "_ranks", ranks)
+            object.__setattr__(cap, "_ranks",
+                               store(r - shift for r in ranks) if shift else store(ranks))
             caps.append(cap)
         return caps
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The value of every subset, indexed by mask, built from the rank
+        table on each read."""
+        return tuple(map(self._levels.__getitem__, self._ranks))
+
     def value_mask(self, mask: int) -> Fraction:
-        if not 0 <= mask < len(self.values):
+        if not 0 <= mask < len(self._ranks):
             self.domain.check_mask(mask)
-        return self.values[mask]
+        return self._levels[self._ranks[mask]]
 
     @classmethod
     def from_table(cls, domain: Domain,

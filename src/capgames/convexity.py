@@ -57,6 +57,7 @@ from .capacity import (
     _field_code,
     _grid_tables,
     _grid_values,
+    _rank_store,
     _ranked,
     _rational_key,
     _Record,
@@ -99,10 +100,12 @@ class GridCapacitySpace(_Record):
     the first member that does not. Every member value must lie in the
     grid: ValueError names the first member and value that do not. Each
     member is kept as its row of ranks into the sorted distinct grid,
-    which the scans compare. A row is read off the member's own rank
-    table: only its levels are looked up in the grid, once for each
-    levels tuple (the members of one batch share one), and a member
-    whose levels are the grid's own keeps its rank tuple as its row.
+    which the scans compare, every row in the rank table type of the
+    grid's level count (`_rank_store`). A row is read off the member's
+    own rank table: only its levels are looked up in the grid, once for
+    each levels tuple (the members of one batch share one), and a
+    member whose levels are the grid's own shares its rank table as its
+    row.
     """
 
     __slots__ = ("domain", "grid", "capacities", "_levels", "_ranks", "_pos", "_rank_of")
@@ -127,9 +130,9 @@ class GridCapacitySpace(_Record):
             if id(cap._levels) not in to_grid:
                 to_grid[id(cap._levels)] = self._level_ranks(cap)
             row = self._row(cap, to_grid[id(cap._levels)])
-            if None in row:
-                raise ValueError(f"member {k} has value {cap.values[row.index(None)]}, "
-                                 "which is off the grid")
+            if row is None:
+                off = next(v for v in cap.values if _rational_key(v) not in self._rank_of)
+                raise ValueError(f"member {k} has value {off}, which is off the grid")
             rows.append(row)
         ranks = tuple(rows)
         object.__setattr__(self, "domain", domain)
@@ -148,19 +151,20 @@ class GridCapacitySpace(_Record):
         ranks = list(map(self._rank_of.get, map(_rational_key, cap._levels)))
         return None if ranks == list(range(len(ranks))) else ranks
 
-    @staticmethod
-    def _row(cap: FiniteCapacity, level_ranks: list[int | None] | None,
-             ) -> tuple[int | None, ...]:
-        """The member's row, given `_level_ranks(cap)`: None where it
-        takes a value off the grid."""
+    def _row(self, cap: FiniteCapacity, level_ranks: list[int | None] | None,
+             ) -> bytes | tuple[int, ...] | None:
+        """The member's row, given `_level_ranks(cap)`; None when it takes
+        a value off the grid. A rank table of the row type is the row."""
+        store = _rank_store(len(self._levels))
         if level_ranks is None:
-            return cap._ranks
-        return tuple(map(level_ranks.__getitem__, cap._ranks))
+            return store(cap._ranks)
+        row = list(map(level_ranks.__getitem__, cap._ranks))
+        return None if None in row else store(row)
 
     def index_of(self, cap: FiniteCapacity) -> int:
         if cap.domain.labels == self.domain.labels:
             row = self._row(cap, self._level_ranks(cap))
-            if row in self._pos:
+            if row is not None and row in self._pos:
                 return self._pos[row]
         raise ValueError("capacity is not a member of this space")
 
@@ -404,11 +408,12 @@ def _witness_midpoint(first: FiniteCapacity, second: FiniteCapacity,
     and the midpoint of their two values there."""
     if first.domain.labels != second.domain.labels:
         raise DomainMismatch("separation needs a common domain")
-    if first.values == second.values:
+    # Each values tuple is built on its read, so it is read once.
+    ours, theirs = first.values, second.values
+    if ours == theirs:
         raise EqualCapacities("cannot separate a capacity from itself")
-    witness = next(m for m in range(first.domain.subset_count)
-                   if first.values[m] != second.values[m])
-    return witness, (first.values[witness] + second.values[witness]) / 2
+    witness = next(m for m, (a, b) in enumerate(zip(ours, theirs)) if a != b)
+    return witness, (ours[witness] + theirs[witness]) / 2
 
 
 def _halves(domain: Domain, witness: int, a: Fraction,

@@ -249,16 +249,11 @@ def _subset_keys(domain: Domain) -> list[str]:
 
 
 def serialize_capacity(cap: FiniteCapacity, indent: int | None = 2) -> str:
-    texts: dict[Fraction, str] = {}  # each distinct value formatted once
-    column = []
-    for v in cap.values:
-        text = texts.get(v)
-        if text is None:
-            text = texts[v] = format_rational(v)
-        column.append(text)
+    # Each level is formatted once, and each subset takes its rank's text.
+    texts = list(map(format_rational, cap._levels))
     body = {
         "domain": list(cap.domain.labels),
-        "values": dict(zip(_subset_keys(cap.domain), column)),
+        "values": dict(zip(_subset_keys(cap.domain), map(texts.__getitem__, cap._ranks))),
     }
     return json.dumps(body, indent=indent)
 

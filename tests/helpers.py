@@ -552,15 +552,16 @@ def value_ranked_space(grid, capacities):
     """Reference for GridCapacitySpace's rows, ranked on values: the grid
     and every member's values ranked together (`ranked_reference`).
     Returns the sorted distinct grid, each member's row of ranks, and
-    the first position of each row; or raises the ValueError that names
-    the first member, and its first value by mask, off the grid."""
+    the first position of each row, a row bytes up to 256 levels and a
+    tuple above; or raises the ValueError that names the first member,
+    and its first value by mask, off the grid."""
     levels, (grid_ranks, *rows) = ranked_reference(grid, *(c.values for c in capacities))
     on_grid = set(grid_ranks)
     for k, (cap, row) in enumerate(zip(capacities, rows)):
         for v, r in zip(cap.values, row):
             if r not in on_grid:
                 raise ValueError(f"member {k} has value {v}, which is off the grid")
-    rows = tuple(map(tuple, rows))
+    rows = tuple(map(bytes if len(levels) <= 256 else tuple, rows))
     pos = {}
     for k, row in enumerate(rows):
         pos.setdefault(row, k)
@@ -575,7 +576,9 @@ def value_ranked_index(domain: Domain, levels, pos, cap) -> int | None:
     if cap.domain.labels != domain.labels:
         return None
     merged, (_, row) = ranked_reference(levels, cap.values)
-    return pos.get(tuple(row)) if len(merged) == len(levels) else None
+    if len(merged) != len(levels):
+        return None
+    return pos.get(bytes(row) if len(levels) <= 256 else tuple(row))
 
 
 # Levels that `with_foreign_levels` adds and no mask takes: two outside

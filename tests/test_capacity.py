@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -582,11 +583,15 @@ class TestPackedCoverPairs:
         # A mask read with its bits reversed is a monotone rank: 2^size
         # levels. Unlike the mask itself, it falls from {a} to {b}, so a
         # shift by the wrong number of fields fails it.
+        # Up to 256 levels a table stored as bytes, a rank a byte, gets
+        # the same verdict in fields of any width.
         domain = letters(size)
         count, full = domain.subset_count, domain.full_mask
+        forms = (list, bytes) if count <= 256 else (list,)
         levels = [F(r, count - 1) for r in range(count)]
         base = [int(f"{m:0{size}b}"[::-1], 2) for m in range(count)]
-        assert cover_pair_outcome(domain, levels, base) == (True, None)
+        for form in forms:
+            assert cover_pair_outcome(domain, levels, form(base)) == (True, None)
         cap = FiniteCapacity._from_ranks(domain, levels, base)
         assert cap.values[1] == F(1 << (size - 1), count - 1)
         for mask, rank in ((3, 0), (1 | 1 << (size - 1), 0), (full - 1, 0),
@@ -596,6 +601,8 @@ class TestPackedCoverPairs:
             got = cover_pair_outcome(domain, levels, ranks)
             assert got == loop_outcome(domain, levels, ranks)
             assert got[0] is False
+            for form in forms:
+                assert cover_pair_outcome(domain, levels, form(ranks)) == got
 
     def test_thirty_two_bit_fields(self):
         # 65,536 levels on 16 points, beyond the 2^15 that 16-bit fields hold.
@@ -756,14 +763,31 @@ class TestGridTables:
 
 def assert_rank_table(cap: FiniteCapacity) -> None:
     """The rank table a capacity keeps: Fraction levels strictly
-    increasing from 0 to 1, and each mask's value the level of its rank."""
+    increasing from 0 to 1, ranks as bytes up to 256 levels and a tuple
+    above, and each mask's value the level of its rank."""
     levels, ranks = cap._levels, cap._ranks
-    assert type(levels) is tuple and type(ranks) is tuple
+    assert type(levels) is tuple
+    assert type(ranks) is (bytes if len(levels) <= 256 else tuple)
     assert all(type(v) is Fraction for v in levels)
     assert levels[0] == 0 and levels[-1] == 1
     assert all(a < b for a, b in zip(levels, levels[1:]))
     assert len(ranks) == cap.domain.subset_count
     assert tuple(levels[r] for r in ranks) == cap.values
+
+
+def test_a_twenty_point_capacity_retains_a_byte_a_mask():
+    # The packed cover check's masks for this shape are kept for the
+    # process (`_cover_masks`), so one capacity is built before measuring.
+    domain = letters(20)
+    bottom_capacity(domain)
+    tracemalloc.start()
+    try:
+        top = top_capacity(domain)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert top.value_mask(1) == 1 and len(top._ranks) == 2**20
+    assert retained <= 2 * 2**20
 
 
 class TestRankTables:
@@ -801,7 +825,7 @@ class TestRankTables:
         assert caps[0]._levels == tuple(QUARTERS[1:-1])
         assert all(cap._levels is caps[0]._levels for cap in caps)
         # The top capacity: 0 on the empty set, 1 elsewhere.
-        assert caps[1]._ranks == (0,) + (4,) * 7
+        assert caps[1]._ranks == bytes((0,) + (4,) * 7)
 
     @pytest.mark.parametrize("low", [0, 2])
     def test_later_changes_to_the_callers_lists_change_no_capacity(self, low):
@@ -810,7 +834,38 @@ class TestRankTables:
         cap = FiniteCapacity._from_ranks(AB, levels, ranks)
         ranks[1], levels[low + 1] = low, F(1, 3)
         assert cap.values == (0, F(1, 2), F(1, 2), 1)
-        assert (cap._levels, cap._ranks) == ((0, F(1, 2), 1), (0, 1, 1, 2))
+        assert (cap._levels, cap._ranks) == ((0, F(1, 2), 1), bytes((0, 1, 1, 2)))
+
+    @pytest.mark.parametrize("size", [8, 9])
+    def test_tables_past_256_levels_are_tuples(self, size):
+        # Weights 2^k / (2^size - 1) give the set with mask m the value
+        # m / (2^size - 1): 256 levels on 8 points, 512 on 9. A level that
+        # no mask takes (1/1000) makes 257 and 513; levels outside [0, 1]
+        # are trimmed.
+        domain, one = letters(size), Domain(("x",))
+        values = tuple(F(m, 2**size - 1) for m in range(2**size))
+        cap = probability_capacity(domain, {
+            lab: F(2**k, 2**size - 1) for k, lab in enumerate(domain.labels)})
+        ranks = range(2**size)
+        built = [
+            cap,
+            *FiniteCapacity._many_from_ranks(
+                domain, [F(-1), *values, F(2)], [[r + 1 for r in ranks]] * 2),
+            FiniteCapacity._from_ranks(
+                domain, [F(0), F(1, 1000), *values[1:]], [r + (r > 0) for r in ranks]),
+            tensor2(cap, top_capacity(one)), tensor2(top_capacity(one), cap),
+        ]
+        assert [len(c._levels) for c in built] == [2**size] * 3 + [2**size + 1] + [2**size] * 2
+        for c in built:
+            for twin in (c, copy.copy(c), pickle.loads(pickle.dumps(c))):
+                assert type(twin._ranks) is (bytes if len(twin._levels) <= 256 else tuple)
+                assert twin.values == values
+                assert list(map(twin.value_mask, ranks)) == list(values)
+                expected = FiniteCapacity(twin.domain, values)
+                assert twin == expected and hash(twin) == hash(expected)
+                for mask in (-1, 2**size):
+                    with pytest.raises(ValueError, match="out of range"):
+                        twin.value_mask(mask)
 
     @pytest.mark.usefixtures("cold_grid_spaces")
     def test_memo_members_hold_the_memo_tables(self):

@@ -448,11 +448,12 @@ class TestBinarity:
         assert check_t2(space).passed
 
 
-def closure(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The rows closed under pointwise max and min, sorted."""
+def closure(rows: list[bytes]) -> list[bytes]:
+    """The rows closed under pointwise max and min, sorted, each row of
+    the type of the rows it came from."""
     found = set(rows)
     while True:
-        more = {tuple(op(x, y)) for x in found for y in found for op in (
+        more = {type(x)(op(x, y)) for x in found for y in found for op in (
             lambda x, y: map(max, x, y), lambda x, y: map(min, x, y))} - found
         if not more:
             return sorted(found)

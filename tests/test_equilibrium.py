@@ -774,7 +774,7 @@ class TestGridSpaceMemo:
         assert {id(b) for s in warm for b in s.beliefs} <= members
         # No caller can change a shared table.
         tables = capacity._grid_space_tables(opponent_domain(second, 0).flat, levels)
-        assert type(tables) is tuple and all(type(t) is tuple for t in tables)
+        assert type(tables) is tuple and all(type(t) is bytes for t in tables)
         capacity._grid_space_tables.cache_clear()
         capacity._grid_space_members.cache_clear()
         cold = find_equilibria_grid(second, GRID3)
@@ -819,6 +819,19 @@ class TestGridSpaceMemo:
         assert calls == ["fill 4"]
         assert capacity._grid_space_tables.cache_info().currsize == 1
         assert capacity._grid_space_members.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n, store", [(200, bytes), (300, tuple)])
+    def test_one_point_spaces_on_fine_grids(self, n, store):
+        # Each opponent of a 1x1 game has one point, so its space has one
+        # member, ranking the full set at the top of n + 1 grid values.
+        # Past 128 levels the packed cover check reads wider fields than
+        # the table's bytes, and past 256 levels the table is a tuple.
+        grid = [F(k, n) for k in range(n + 1)]
+        systems = find_equilibria_grid(one_strategy_game(), grid)
+        assert len(systems) == 1
+        for belief in systems[0].beliefs:
+            tables = capacity._grid_space_tables(belief.domain, _grid_values(grid))
+            assert tables == (store((0, n)),) and belief._ranks is tables[0]
 
     def test_the_memos_hold_no_more_than_their_bound(self):
         game = coordination_game()
