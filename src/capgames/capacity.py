@@ -25,7 +25,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "CapacityError",
@@ -286,6 +286,13 @@ class CapacityBase:
                    for k in range(self.domain.size))
 
 
+def _vacuous_ranks(domain: Domain, rank_of: Callable[[int], int]) -> bool:
+    """`CapacityBase.is_vacuous` on a rank table read by mask, whose rank
+    0 is exactly value 0: every co-singleton has rank 0."""
+    full = domain.full_mask
+    return not any(rank_of(full ^ (1 << k)) for k in range(domain.size))
+
+
 def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
     """Proper nonempty subsets in ascending (cardinality, bitmask) order,
     each with its lower covers (the subsets one point smaller).
@@ -462,20 +469,27 @@ def _field_code(level_count: int) -> str:
     return "B" if level_count <= 2**7 else "H" if level_count <= 2**15 else "I"
 
 
+# The most fields a packed cover check's shape may have for its guard
+# masks to be kept (`_cover_masks`). No benchmark workload checks a
+# larger batch; a 20-point table has 2^20.
+COVER_MEMO_FIELDS = 1 << 16
+
+
 @functools.lru_cache(maxsize=128)
 def _cover_masks(size: int, code: str, count: int) -> tuple[int, int, tuple[int, ...]]:
     """Field width in bits, and guard masks, of `count` rank tables on
     `size` points packed one after another into fields of the array
     typecode `code`: the guard (top) bit of every field, and for each
     point k the guard bits of the fields whose mask lacks k, repeated
-    once per table. The 128 most recently used shapes are kept. Single
-    tables give at most 60 (20 sizes, 3 widths), the largest, 20 points
-    in 32-bit fields, holding 21 ints of 4 MiB. A grid space gives one
-    per domain size and member count, the largest, the 5-point {0, 1}
-    space's, 6 ints of 1.4 MiB; the corners of `convexity._halves` one
-    per domain size; and a support scan's possibility capacities one
-    per strategy domain size and number of supports its hits use, a
-    count that only the scan bounds, hence the limit on entries."""
+    once per table. `_cover_violation` keeps the 128 most recently used
+    shapes of at most COVER_MEMO_FIELDS fields, each at most 17 ints of
+    2^16 fields (1.1 MiB in 8-bit fields), and builds the masks of any
+    larger shape, such as a 20-point table's 21 ints of 1 MiB, on each
+    call, to be freed after it. A grid space gives one shape per domain
+    size and member count; the corners of `convexity._halves` one per
+    domain size; and a support scan's possibility capacities one per
+    strategy domain size and number of supports its hits use, a count
+    that only the scan bounds, hence the limit on entries."""
     width = array(code).itemsize
     on = (1 << (8 * width - 1)).to_bytes(width, sys.byteorder)
     off = bytes(width)
@@ -514,7 +528,9 @@ def _cover_violation(size: int, ranks: Sequence[int],
     failing field.
     """
     code = _field_code(level_count)
-    bits, guard, lacking = _cover_masks(size, code, len(ranks) >> size)
+    count = len(ranks) >> size
+    bits, guard, lacking = (_cover_masks if count << size <= COVER_MEMO_FIELDS
+                            else _cover_masks.__wrapped__)(size, code, count)
     # bytes() converts a list of small ints about three times as fast. An
     # array is filled from a list: from a bytes table it would read the
     # bytes as raw fields.
@@ -617,6 +633,9 @@ class FiniteCapacity(CapacityBase, _Record):
         if not 0 <= mask < len(self._ranks):
             self.domain.check_mask(mask)
         return self._levels[self._ranks[mask]]
+
+    def is_vacuous(self) -> bool:
+        return _vacuous_ranks(self.domain, self._ranks.__getitem__)
 
     @classmethod
     def from_table(cls, domain: Domain,

@@ -29,7 +29,11 @@ validated as one batch per strategy domain before the first
 certificate; each belief with its verdict (best-response labels and
 mask, and vacuity), decided once per player and choice of the others'
 supports; and each outside-box mask, once per player and choice of the
-others' responses.
+others' responses. The certificates run on the rank tables the
+capacities keep: every possibility capacity has levels (0, 1), so a
+lazy tensor belief shares them and reads its factors' ranks with
+nothing ranked, and its verdict reads the belief's ranks, rank 0 as
+level 0 and rank 1 as level 1, with no Fraction built or compared.
 
 The grid search covers every belief system whose capacities take
 values in a finite grid. It is decoupled: player i's best response
@@ -280,9 +284,12 @@ class _SupportMemo:
     construction as one batch per domain (`_possibilities`), which
     players with equal domains share; each player's belief and verdict
     (`_verdict`) by (player, the others' masks); and the outside-box
-    masks of `_certificate`. A support scan builds one from its hits and
-    holds it on the game while it certifies them; any other check builds
-    one from its own profile."""
+    masks of `_certificate`. The capacities all have levels (0, 1), so
+    each lazy tensor belief is built on their own ranks, and its
+    verdict, best response and vacuity, is read off the belief's ranks
+    (`game._response_mask`, `is_vacuous`). A support scan builds one
+    from its hits and holds it on the game while it certifies them; any
+    other check builds one from its own profile."""
 
     __slots__ = ("correction", "capacities", "players", "outside")
 

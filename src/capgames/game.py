@@ -9,10 +9,12 @@ player).
 
 The integral uses only min, max and order, so a best response is
 decided on ranks. Each player's payoff level sets are kept once per
-game as (payoff rank, mask) pairs (`_response_table`). A belief level
-of 0 or 1 needs no correction; the corrections of the interior levels
-and the payoff values are ranked in one `_ranked` call into one chain
-(`_lifted`), and the level-set loop `_level_set_max` then runs on ints.
+game as (payoff rank, mask) pairs (`_response_table`). A belief that
+keeps a rank table is read on its ranks, and only an interior rank is
+looked up as a Fraction. A belief level of 0 or 1 needs no correction;
+the corrections of the interior levels and the payoff values are
+ranked in one `_ranked` call into one chain (`_lifted`), and the
+level-set loop `_level_set_max` then runs on ints.
 The grid equilibrium search shares the table and the lift.
 `expected_payoff`, through `sugeno_integral`, stays the Fraction
 reference that the tests hold the ranks to.
@@ -29,6 +31,7 @@ from .capacity import (
     CapacityBase,
     Domain,
     DomainMismatch,
+    FiniteCapacity,
     _Record,
     _coerce_rational,
     _ranked,
@@ -40,7 +43,7 @@ from .sugeno import (
     _level_sets,
     sugeno_integral,
 )
-from .tensor import ProductDomain, _row_major_strides, product_domain
+from .tensor import LazyTensorCapacity, ProductDomain, _row_major_strides, product_domain
 
 __all__ = [
     "GameSpec",
@@ -215,14 +218,14 @@ def best_response(game: GameSpec, player: int, belief: CapacityBase,
 
 def _response_table(game: GameSpec, player: int) -> list[list[tuple[int, int]]]:
     """The player's payoff level sets, for each own strategy as
-    `_level_sets` yields them but with payoff ranks (`_payoff_ranked`)
+    `_level_sets` returns them but with payoff ranks (`_payoff_ranked`)
     for values; built once per player by int sorts and cached on the
     game."""
     table = game._response_tables.get(player)
     if table is None:
         ranks = _payoff_ranked(game)[1][player]
         table = game._response_tables[player] = [
-            list(_level_sets([ranks[k] for k in _slice_indices(game, player, own)]))
+            _level_sets([ranks[k] for k in _slice_indices(game, player, own)])
             for own in range(game.strategy_domains[player].size)]
     return table
 
@@ -254,25 +257,45 @@ def _response_mask(game: GameSpec, player: int, belief: CapacityBase,
     """The player's best-response mask against the belief, decided on
     ranks. Each level-set mask the loop reads gets a level index: 0 for
     level 0, 1 for level 1 (the top), and 2, 3, ... for the interior
-    levels, one per mask. Only interior levels are corrected: if the
-    loop read any, their corrections are ranked into the payoff chain
-    (`_lifted`), where equal corrections share a rank, and the loop
-    runs again on the chain ranks. It reads the same masks, since which
-    ones it reads depends on the indices alone."""
+    levels, one per mask. A belief that keeps a rank table (a
+    FiniteCapacity or a lazy product) is read on it, `_ranks[mask]` or
+    `_rank(mask)`: rank 0 is level 0, the top rank level 1, and only an
+    interior rank is looked up in `_levels`. Any other belief's value is
+    built and its numerator and denominator tested. Only interior levels
+    are corrected: if the loop read any, their corrections are ranked
+    into the payoff chain (`_lifted`), where equal corrections share a
+    rank, and the loop runs again on the chain ranks. It reads the same
+    masks, since which ones it reads depends on the indices alone. The
+    callers check the belief's domain, so every mask is in range."""
     sets = _response_table(game, player)
     index: dict[int, int] = {}
     levels = []
+    if isinstance(belief, (FiniteCapacity, LazyTensorCapacity)):
+        rank_of = (belief._ranks.__getitem__ if isinstance(belief, FiniteCapacity)
+                   else belief._rank)
+        values = belief._levels
+        top = len(values) - 1
 
-    def level_of(mask: int) -> int:
-        k = index.get(mask)
-        if k is None:
-            level = belief.value_mask(mask)
-            num, den = level.numerator, level.denominator
-            k = 0 if num == 0 else 1 if num == den else len(levels) + 2
-            if k > 1:
-                levels.append(level)
-            index[mask] = k
-        return k
+        def level_of(mask: int) -> int:
+            k = index.get(mask)
+            if k is None:
+                r = rank_of(mask)
+                k = 0 if r == 0 else 1 if r == top else len(levels) + 2
+                if k > 1:
+                    levels.append(values[r])
+                index[mask] = k
+            return k
+    else:
+        def level_of(mask: int) -> int:
+            k = index.get(mask)
+            if k is None:
+                level = belief.value_mask(mask)
+                num, den = level.numerator, level.denominator
+                k = 0 if num == 0 else 1 if num == den else len(levels) + 2
+                if k > 1:
+                    levels.append(level)
+                index[mask] = k
+            return k
 
     mask = _argmax_mask(sets, level_of, _unlifted, 1)
     if not levels:

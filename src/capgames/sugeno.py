@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .capacity import (
     CapacityBase,
@@ -178,18 +177,26 @@ class PayoffFunction(_Record):
         return list(self._level_sets)
 
 
-def _level_sets(values: Sequence[Fraction]) -> Iterator[tuple[Fraction, int]]:
-    """Yield each distinct value v, descending, with the mask of points >= v.
+def _level_sets(values: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
+    """Each distinct value v, descending, with the mask of points >= v,
+    for a nonempty table of values.
 
-    One sort of the point indices; equal values form one group, whose
-    points all join the mask before it is yielded.
+    One sort of the point indices, then one pass over them: an entry is
+    closed, holding every point before it, at the first point of a
+    smaller value, and the last at the end.
     """
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    sets: list[tuple[Fraction, int]] = []
     mask = 0
-    for v, points in groupby(order, key=values.__getitem__):
-        for k in points:
-            mask |= 1 << k
-        yield v, mask
+    last = values[order[0]]
+    for k in order:
+        v = values[k]
+        if v != last:
+            sets.append((last, mask))
+            last = v
+        mask |= 1 << k
+    sets.append((last, mask))
+    return sets
 
 
 def _identity(level: Fraction) -> Fraction:
@@ -201,7 +208,7 @@ def _level_set_max(level_sets: Iterable[tuple[Fraction, int]],
                    lift: Callable[[Fraction], ExtendedValue] = _identity,
                    top: Fraction | int = 1) -> Fraction:
     """max over (v, mask) of min(v, lift(level_of(mask))), for the level
-    sets of a function as `_level_sets` yields them: values descending,
+    sets of a function as `_level_sets` returns them: values descending,
     each with the mask of the points at or above it.
 
     The one level-set loop behind the corrected integral (lift = the

@@ -15,7 +15,9 @@ builds the dense table from two tables on one first-factor point fewer
 the dense product runs on ranks: only the factors' levels are ranked
 into one sorted list, each factor's rank table is mapped into it, the
 table and its capacity validation compare ints, and the ranks become
-Fractions only in the returned table. The lazy evaluator runs the
+Fractions only in the returned table. Factors with equal levels, every
+possibility capacity among them, skip both steps: their levels are the
+list and their ranks are read as they are. The lazy evaluator runs the
 level-set loop on ranks the same way and maps each rank it returns back
 to its value. Products of
 three or more factors are the left-associated fold of the two-factor
@@ -44,6 +46,7 @@ from .capacity import (
     _ZERO_ONE,
     _Record,
     _ranked,
+    _vacuous_ranks,
     pushforward,
 )
 from .sugeno import _level_set_max, _level_sets
@@ -169,28 +172,42 @@ def _table(cap: CapacityBase) -> Sequence[Fraction]:
 
 
 def _factor_levels(factors: Sequence[CapacityBase],
-                   ) -> tuple[list[Fraction], list[list[int]]]:
+                   ) -> tuple[Sequence[Fraction], list[list[int] | None]]:
     """The sorted distinct levels of the factors, with 0 and 1, and the
-    rank in them of each factor's levels (`_ranked` on the levels only):
-    a FiniteCapacity's `_levels`, a lazy product's `_levels`, and the
-    whole value table of any other capacity, each entry its own level."""
+    rank in them of each factor's levels, None for a factor whose own
+    ranks are ranks into them.
+
+    When every factor keeps a rank table (a FiniteCapacity or a lazy
+    product) and all their `_levels` are equal, those are the levels and
+    every factor's ranks are its own: nothing is ranked. Every
+    possibility capacity has levels (0, 1), so every support-scan belief
+    is built so. Otherwise the levels are ranked (`_ranked` on the
+    levels only): a FiniteCapacity's `_levels`, a lazy product's
+    `_levels`, and the whole value table of any other capacity, each
+    entry its own level."""
+    if all(isinstance(f, (FiniteCapacity, LazyTensorCapacity)) for f in factors):
+        levels = factors[0]._levels
+        # Tuples of unequal length compare item by item first.
+        if all(len(f._levels) == len(levels) and f._levels == levels for f in factors[1:]):
+            return levels, [None] * len(factors)
     levels, (_, *level_ranks) = _ranked(_ZERO_ONE, *(
         f._levels if isinstance(f, (FiniteCapacity, LazyTensorCapacity)) else _table(f)
         for f in factors))
-    return levels, level_ranks
+    return tuple(levels), level_ranks
 
 
-def _dense_ranks(cap: CapacityBase, level_ranks: list[int]) -> list[int]:
+def _dense_ranks(cap: CapacityBase, level_ranks: list[int] | None) -> Sequence[int]:
     """A factor's ranks by mask into the levels of `_factor_levels`,
-    given its `level_ranks` there."""
+    given its `level_ranks` there: its own ranks when that is None, a
+    lazy product's read mask by mask through `_rank`."""
     if isinstance(cap, FiniteCapacity):
         ranks = cap._ranks
     elif isinstance(cap, LazyTensorCapacity):
-        ranks = map(cap._rank, range(cap.domain.subset_count))
+        ranks = list(map(cap._rank, range(cap.domain.subset_count)))
     else:
         # Its levels are its value table, so their ranks are its ranks.
         return level_ranks
-    return list(map(level_ranks.__getitem__, ranks))
+    return ranks if level_ranks is None else list(map(level_ranks.__getitem__, ranks))
 
 
 def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
@@ -200,9 +217,10 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     product uses only min, max and order, so it runs on ranks: the
     levels of both factors, with 0 and 1, form one sorted list `levels`,
     and each factor's rank table is mapped into it (`_factor_levels`,
-    `_dense_ranks`). The value at B is max over sets A of left points of
-    min(left(A), min over x in A of right(B_x)); splitting on whether A
-    holds the first left point gives
+    `_dense_ranks`), unless both factors have the same levels and their
+    ranks are read as they are. The value at B is max over sets A of
+    left points of min(left(A), min over x in A of right(B_x));
+    splitting on whether A holds the first left point gives
 
         rank(B) = max(P0[B >> k], min(R[B & (2^k - 1)], P1[B >> k]))
 
@@ -295,7 +313,11 @@ class LazyTensorCapacity(CapacityBase, _Record):
     `value_mask` maps the rank of the whole product back to its level.
     `_memo` is the whole product's memo. A lazy factor is ranked on
     demand, through its own levels; a dense factor's rank table is
-    mapped into the levels once (`_dense_ranks`).
+    mapped into the levels once (`_dense_ranks`). When all factors have
+    equal levels, those are the product's, shared, and every factor is
+    read on its own ranks: nothing is ranked or mapped. `_rank` and
+    `is_vacuous` read ranks, with rank 0 exactly level 0 and the last
+    rank level 1.
     A record of its factors (`_Record`), immutable apart from the memos;
     copies and pickles are rebuilt from the factors, with empty memos.
     """
@@ -313,7 +335,8 @@ class LazyTensorCapacity(CapacityBase, _Record):
         pd = _product if _product is not None else product_domain([f.domain for f in fs])
         levels, level_ranks = _factor_levels(fs)
         # A lazy factor ranks its own levels on demand.
-        ranks = [_composed(to, f._rank) if isinstance(f, LazyTensorCapacity)
+        ranks = [(f._rank if to is None else _composed(to, f._rank))
+                 if isinstance(f, LazyTensorCapacity)
                  else _dense_ranks(f, to).__getitem__ for f, to in zip(fs, level_ranks)]
         rank, memo = ranks[0], {}
         prefix_size = fs[0].domain.size
@@ -332,6 +355,9 @@ class LazyTensorCapacity(CapacityBase, _Record):
     def value_mask(self, mask: int) -> Fraction:
         self.domain.check_mask(mask)
         return self._levels[self._rank(mask)]
+
+    def is_vacuous(self) -> bool:
+        return _vacuous_ranks(self.domain, self._rank)
 
 
 def _composed(outer: Sequence[int], inner: Callable[[int], int]) -> Callable[[int], int]:

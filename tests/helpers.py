@@ -595,6 +595,38 @@ def with_foreign_levels(cap: FiniteCapacity) -> FiniteCapacity:
     return FiniteCapacity._from_ranks(cap.domain, levels, [rank[v] for v in cap.values])
 
 
+def on_levels(cap: FiniteCapacity, levels) -> FiniteCapacity:
+    """The same capacity, rebuilt by `FiniteCapacity._from_ranks` on
+    `levels`, a sorted list from 0 to 1 that holds all its values:
+    capacities rebuilt on equal lists have equal `_levels`."""
+    rank = {v: r for r, v in enumerate(levels)}
+    return FiniteCapacity._from_ranks(cap.domain, levels, [rank[v] for v in cap.values])
+
+
+class ValuesOnly(CapacityBase):
+    """A capacity read through its `value_mask` only: the same values as
+    the wrapped capacity, with no rank table for a fast path to read."""
+
+    def __init__(self, cap: CapacityBase):
+        self.cap, self.domain = cap, cap.domain
+
+    def value_mask(self, mask: int) -> Fraction:
+        return self.cap.value_mask(mask)
+
+
+def groupby_level_sets(values) -> list[tuple[Fraction, int]]:
+    """Reference level sets: each distinct value, descending, with the
+    mask of the points at or above it, grouped by `itertools.groupby`
+    over the points sorted by value."""
+    order = sorted(range(len(values)), key=lambda k: values[k], reverse=True)
+    sets, mask = [], 0
+    for v, points in itertools.groupby(order, key=lambda k: values[k]):
+        for k in points:
+            mask |= 1 << k
+        sets.append((v, mask))
+    return sets
+
+
 def pairwise_t2_scan(space) -> SeparationReport:
     """Reference separation scan: for every distinct pair, build the halves
     through separating_halves and verify the cover and the two

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from capgames import (
     DENSE_DOMAIN_CAP,
+    CapacityBase,
     CapacityError,
     Domain,
     DomainMismatch,
@@ -36,8 +37,10 @@ from capgames import (
     vanishes_outside,
 )
 from capgames.capacity import (
+    COVER_MEMO_FIELDS,
     MAX_SPACE_MEMBERS,
     BudgetExceeded,
+    _cover_masks,
     _cover_violation,
     _grid_space_members,
     _grid_space_tables,
@@ -323,6 +326,18 @@ class TestPushforwardAndVanishing:
         assert bottom_capacity(AB).is_vacuous()
         assert not top_capacity(AB).is_vacuous()
         assert not dirac_capacity(AB, "a").is_vacuous()
+
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from((1, 2, 3, 8)))
+    def test_vacuous_flag_reads_the_ranks(self, seed, size, denominator):
+        # Rank 0 is value 0: the rank test is the Fraction one of
+        # CapacityBase. A one-point capacity is vacuous; so is bottom.
+        domain = letters(size)
+        for cap in (random_capacity(domain, SplitMix64(seed), denominator),
+                    with_foreign_levels(random_capacity(domain, SplitMix64(seed), denominator)),
+                    bottom_capacity(domain), top_capacity(domain)):
+            assert cap.is_vacuous() == CapacityBase.is_vacuous(cap)
+        assert bottom_capacity(domain).is_vacuous()
+        assert top_capacity(domain).is_vacuous() == (size == 1)
 
 
 @given(st.integers(0, 2**32), st.integers(2, 5))
@@ -776,8 +791,10 @@ def assert_rank_table(cap: FiniteCapacity) -> None:
 
 
 def test_a_twenty_point_capacity_retains_a_byte_a_mask():
-    # The packed cover check's masks for this shape are kept for the
-    # process (`_cover_masks`), so one capacity is built before measuring.
+    # One capacity is built before measuring, so that whatever a first
+    # build keeps for the process lies outside the measure. The packed
+    # cover check's masks are not among it: `_cover_masks` keeps no
+    # shape of more than COVER_MEMO_FIELDS fields (the test below).
     domain = letters(20)
     bottom_capacity(domain)
     tracemalloc.start()
@@ -788,6 +805,22 @@ def test_a_twenty_point_capacity_retains_a_byte_a_mask():
         tracemalloc.stop()
     assert top.value_mask(1) == 1 and len(top._ranks) == 2**20
     assert retained <= 2 * 2**20
+
+
+def test_large_shapes_leave_no_cover_masks_behind():
+    # A 20-point table packs 2^20 fields, past COVER_MEMO_FIELDS: its
+    # 21 guard masks of 1 MiB are built for the check and freed, with
+    # neither a hit nor a miss in the cache.
+    before = _cover_masks.cache_info()
+    assert 2**20 > COVER_MEMO_FIELDS
+    assert bottom_capacity(letters(20)).value_mask(2**20 - 1) == 1
+    assert _cover_masks.cache_info() == before
+    # A small shape is kept: checking it twice builds its masks once.
+    domain = letters(3)
+    possibility_capacity(domain, ["a"])
+    misses = _cover_masks.cache_info().misses
+    possibility_capacity(domain, ["b"])
+    assert _cover_masks.cache_info().misses == misses
 
 
 class TestRankTables:

@@ -7,11 +7,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from capgames import (
     BeliefSystem,
     BudgetExceeded,
+    CapacityBase,
     CorrectionMap,
     Domain,
     DomainMismatch,
@@ -45,10 +46,11 @@ from capgames.equilibrium import (
     support_profile_count,
 )
 from capgames.game import _lifted, _payoff_ranked, _response_table
-from capgames.generate import SplitMix64, random_game
+from capgames.generate import SplitMix64, random_capacity, random_game
 
 from helpers import (
     FractionLazyTensor,
+    ValuesOnly,
     best_response_grid_search,
     coordination_game,
     counted_fraction_compares,
@@ -61,6 +63,7 @@ from helpers import (
     matching_pennies,
     measure_support_scan,
     no_support_equilibrium_game,
+    on_levels,
     one_strategy_game,
     product_grid_scan,
 )
@@ -254,6 +257,82 @@ class TestIsEquilibrium:
         opp = opponent_domain(game, 0).flat
         with pytest.raises(DomainMismatch):
             is_equilibrium(game, [top_capacity(opp)])
+
+
+BELIEF_SHAPES = ("dense", "bottom", "lazy", "shared", "lazy-first", "lazy-last")
+
+
+@st.composite
+def rank_table_beliefs(draw):
+    """A game of 2-4 players and a belief for each that keeps a rank
+    table: dense on the opponents' product (`bottom`: the vacuous one),
+    or a lazy product of capacities on their strategy domains, on one
+    shared grid (`shared`, `on_levels`) or not, flat or with a lazy
+    factor first or last. Values lie on drawn grids k/denominator, so
+    {0, 1} for denominator 1 and interior levels for the others. A shape
+    that needs more opponents than the game has falls back to dense."""
+    n = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 3 if n < 4 else 2), min_size=n, max_size=n))
+    game = random_game(SplitMix64(draw(st.integers(0, 2**32))), sizes)
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    beliefs = []
+    for i in range(n):
+        denominator = draw(st.sampled_from((1, 2, 3, 4)))
+        grid = [F(k, denominator) for k in range(denominator + 1)]
+        shape = draw(st.sampled_from(BELIEF_SHAPES))
+        others = [d for j, d in enumerate(game.strategy_domains) if j != i]
+        caps = [random_capacity(d, rng, denominator) for d in others]
+        if shape == "shared":
+            caps = [on_levels(cap, grid) for cap in caps]
+        if shape == "lazy-first" and len(caps) > 2:
+            belief = LazyTensorCapacity([LazyTensorCapacity(caps[:2]), *caps[2:]])
+        elif shape == "lazy-last" and len(caps) > 2:
+            belief = LazyTensorCapacity([caps[0], LazyTensorCapacity(caps[1:])])
+        elif shape in ("lazy", "shared") and len(caps) > 1:
+            belief = LazyTensorCapacity(caps)
+        elif shape == "bottom":
+            belief = bottom_capacity(opponent_domain(game, i).flat)
+        else:
+            belief = random_capacity(opponent_domain(game, i).flat, rng, denominator)
+        beliefs.append(belief)
+    return game, beliefs
+
+
+class TestRankTableVerdicts:
+    """`best_response`, `is_equilibrium` and `is_vacuous` read the rank
+    table of a FiniteCapacity or a lazy product; the same belief behind
+    `ValuesOnly`, which has only `value_mask`, is read on its Fraction
+    values, and must get the same answers."""
+
+    @settings(max_examples=60)
+    @given(case=rank_table_beliefs())
+    def test_match_the_value_path(self, case):
+        game, beliefs = case
+        values_only = [ValuesOnly(b) for b in beliefs]
+        for corr in CORRECTIONS:
+            for i, (belief, values) in enumerate(zip(beliefs, values_only)):
+                assert (best_response(game, i, belief, corr)
+                        == best_response(game, i, values, corr))
+            ranks, reference = (is_equilibrium(game, bs, corr) for bs in (beliefs, values_only))
+            assert ((ranks.best_responses, ranks.residuals, ranks.degenerate_players)
+                    == (reference.best_responses, reference.residuals,
+                        reference.degenerate_players))
+        for belief in beliefs:
+            assert belief.is_vacuous() == CapacityBase.is_vacuous(belief)
+
+    def test_possibility_beliefs_compare_no_fractions(self):
+        game = random_game(SplitMix64(5), (3, 2, 2))
+        b, c = game.strategy_domains[1:]
+        caps = [[possibility_capacity(d, d.labels_of(m)) for m in range(1, 4)] for d in (b, c)]
+        opp = opponent_domain(game, 0)
+        # The payoff ranks are built once per game, with Fraction sorts.
+        best_response(game, 0, top_capacity(opp.flat), CORRECTIONS[0])
+        with counted_fraction_compares() as compares:
+            for pair in itertools.product(*caps):
+                belief = LazyTensorCapacity(pair, _product=opp)
+                best_response(game, 0, belief, CORRECTIONS[0])
+                assert not belief.is_vacuous()
+        assert compares == [0]
 
 
 class TestCheckSupportProfile:

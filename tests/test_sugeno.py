@@ -25,8 +25,15 @@ from capgames import (
     top_capacity,
 )
 from capgames.generate import SplitMix64, random_capacity
+from capgames.sugeno import _level_sets
 
-from helpers import dumb_corrected_sugeno, letters, linear_sugeno_oracle, seeded_capacity
+from helpers import (
+    dumb_corrected_sugeno,
+    groupby_level_sets,
+    letters,
+    linear_sugeno_oracle,
+    seeded_capacity,
+)
 
 AB = Domain(("a", "b"))
 ABC = Domain(("a", "b", "c"))
@@ -118,6 +125,30 @@ class TestLogitCorrection:
             logit_correction(0)
         with pytest.raises(ValueError):
             logit_correction(-2)
+
+
+class TestLevelSets:
+    """`_level_sets` builds its list in one pass; a `groupby` over the
+    sorted points is its reference."""
+
+    @pytest.mark.parametrize("values", [
+        [5], [F(-1, 2)], [2, 2, 2], [F(1, 3)] * 4, [0, 1, 1, 0], [3, 1, 3, 2, 1],
+        [F(1, 2), F(2, 4), 0, F(1, 2)],
+    ])
+    def test_examples(self, values):
+        assert _level_sets(values) == groupby_level_sets(values)
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=9))
+    def test_ints_with_ties(self, values):
+        sets = _level_sets(values)
+        assert sets == groupby_level_sets(values)
+        # Distinct values descend, the masks grow, and the last is full.
+        assert [v for v, _ in sets] == sorted(set(values), reverse=True)
+        assert sets[-1][1] == (1 << len(values)) - 1
+
+    @given(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=9))
+    def test_fractions_with_ties(self, values):
+        assert _level_sets(values) == groupby_level_sets(values)
 
 
 class TestPayoffFunction:

@@ -2,12 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from capgames import (
     DENSE_DOMAIN_CAP,
+    CapacityBase,
     Domain,
     DomainMismatch,
     FiniteCapacity,
@@ -28,6 +30,7 @@ from capgames import (
     top_capacity,
     vanishes_outside,
 )
+from capgames import capacity, tensor
 from capgames.generate import SplitMix64, random_capacity
 
 from helpers import (
@@ -38,6 +41,7 @@ from helpers import (
     letters,
     level_set_tensor2,
     loop_mask_of_box,
+    on_levels,
     seeded_capacity,
     with_foreign_levels,
 )
@@ -493,6 +497,111 @@ class TestRankedLazyTensor:
         with counted_fraction_compares() as compares:
             assert values == [reference.value_mask(m) for m in range(len(values))]
         assert compares[0] > 0
+
+
+@st.composite
+def shared_level_factors(draw, min_factors=2):
+    """`min_factors`-3 capacities of 1-3 points, LAZY_PRODUCT_POINTS
+    points in all at most, each rebuilt on the whole grid k/denominator
+    (`on_levels`), so that their `_levels` are equal: (0, 1) for
+    denominator 1, the possibility capacities among them."""
+    denominator = draw(st.sampled_from((1, 2, 3, 4)))
+    grid = [F(k, denominator) for k in range(denominator + 1)]
+    caps, points = [], 1
+    for _ in range(draw(st.integers(min_factors, 3))):
+        size = draw(st.integers(1, min(3, LAZY_PRODUCT_POINTS // points)))
+        points *= size
+        seed = draw(st.integers(0, 2**32))
+        caps.append(on_levels(random_capacity(letters(size), SplitMix64(seed), denominator),
+                              grid))
+    return caps
+
+
+def ranked_calls(build):
+    """What `build()` returns, and how many times it called `_ranked`
+    through the tensor module."""
+    with mock.patch.object(tensor, "_ranked", wraps=capacity._ranked) as ranked:
+        out = build()
+    return out, ranked.call_count
+
+
+def assert_matches_on_every_mask(cap, reference):
+    assert cap.domain == reference.domain
+    for mask in range(cap.domain.subset_count):
+        assert cap.value_mask(mask) == reference.value_mask(mask)
+
+
+class TestSharedLevels:
+    """Factors that keep rank tables on equal `_levels` are read on their
+    own ranks, with nothing ranked; any other factors are ranked
+    (`tensor._factor_levels`). Both give the references' values."""
+
+    @given(caps=shared_level_factors())
+    def test_dense_factors(self, caps):
+        dense, calls = ranked_calls(lambda: tensor2(caps[0], caps[1]))
+        assert calls == 0
+        assert dense == level_set_tensor2(caps[0], caps[1])
+        lazy, calls = ranked_calls(lambda: LazyTensorCapacity(caps))
+        assert calls == 0 and lazy._levels is caps[0]._levels
+        assert_matches_on_every_mask(lazy, FractionLazyTensor(caps))
+
+    @settings(max_examples=25)
+    @given(caps=shared_level_factors(min_factors=3))
+    def test_mixed_dense_and_lazy_factors(self, caps):
+        # A lazy factor first or last, in a lazy product and in tensor2.
+        (first, inner_first, last, inner_last, lazy_dense, dense_lazy), calls = ranked_calls(
+            lambda: (LazyTensorCapacity([LazyTensorCapacity(caps[:2]), *caps[2:]]),
+                     LazyTensorCapacity(caps[:2]),
+                     LazyTensorCapacity([caps[0], LazyTensorCapacity(caps[1:])]),
+                     LazyTensorCapacity(caps[1:]),
+                     tensor2(LazyTensorCapacity(caps[:2]), caps[2]),
+                     tensor2(caps[0], LazyTensorCapacity(caps[1:]))))
+        assert calls == 0
+        assert_matches_on_every_mask(first, FractionLazyTensor(caps))
+        assert_matches_on_every_mask(
+            last, FractionLazyTensor([caps[0], FractionLazyTensor(caps[1:])]))
+        assert lazy_dense == level_set_tensor2(inner_first, caps[2])
+        assert dense_lazy == level_set_tensor2(caps[0], inner_last)
+
+    @settings(max_examples=25)
+    @given(caps=shared_level_factors(min_factors=3))
+    def test_factors_on_unequal_levels_are_ranked(self, caps):
+        # The last factor's rank table gains the unused level 1/97.
+        caps = [*caps[:-1], with_foreign_levels(caps[-1])]
+        dense, calls = ranked_calls(lambda: tensor2(caps[-2], caps[-1]))
+        assert calls == 1
+        assert dense == level_set_tensor2(caps[-2], caps[-1])
+        lazy, calls = ranked_calls(lambda: LazyTensorCapacity(caps))
+        assert calls == 1
+        assert_matches_on_every_mask(lazy, FractionLazyTensor(caps))
+        # The inner product ranks its factors, and so does the outer,
+        # whose first factor lacks the inner product's level 1/97.
+        last, calls = ranked_calls(
+            lambda: LazyTensorCapacity([caps[0], LazyTensorCapacity(caps[1:])]))
+        assert calls == 2
+        assert_matches_on_every_mask(
+            last, FractionLazyTensor([caps[0], FractionLazyTensor(caps[1:])]))
+        dense_lazy, calls = ranked_calls(
+            lambda: tensor2(caps[0], LazyTensorCapacity(caps[1:])))
+        assert calls == 2
+        assert dense_lazy == level_set_tensor2(caps[0], LazyTensorCapacity(caps[1:]))
+
+    @given(caps=lazy_factors(), bottoms=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_is_vacuous_reads_the_ranks(self, caps, bottoms):
+        # Bottom factors make vacuous products: all of them always do.
+        for factors in ([bottom_capacity(c.domain) if b else c for c, b in zip(caps, bottoms)],
+                        [bottom_capacity(c.domain) for c in caps]):
+            lazy = LazyTensorCapacity(factors)
+            assert lazy.is_vacuous() == CapacityBase.is_vacuous(lazy)
+        assert lazy.is_vacuous()
+
+    def test_is_vacuous_on_one_point_and_on_possibilities(self):
+        one = Domain(("o",))
+        assert LazyTensorCapacity([top_capacity(one), top_capacity(one)]).is_vacuous()
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            lazy = LazyTensorCapacity([possibility_capacity(AB, AB.labels_of(a)),
+                                       possibility_capacity(XY, XY.labels_of(b))])
+            assert lazy.is_vacuous() is CapacityBase.is_vacuous(lazy) is False
 
 
 class TestSupportLaw:
