@@ -13,7 +13,8 @@ them all, and a layer that reads a capacity's rank table ranks only its
 few levels. The rank tables of every grid-valued capacity, which the
 convexity scans and the grid equilibrium search both enumerate, are
 filled here too, under an exhaustive budget; the grid search reads
-them, and their members, from two bounded per-process memos.
+them, and their members, from two bounded per-process memos, and its
+checked grids from a third.
 """
 
 from __future__ import annotations
@@ -133,6 +134,15 @@ MAX_SPACE_MEMBERS = 10_000
 # holds 0.5 MiB of rank tables under tracemalloc, and 1.0 MiB with its
 # members, which share those tables, so full memos retain about 4 MiB.
 SPACE_MEMO_ENTRIES = 4
+# The grids whose checked values are kept for the process (`_grid_values`),
+# and the most values a kept grid may have: a 256-value entry holds under
+# 0.05 MiB under tracemalloc, a 10,001-value one would hold 1.8 MiB.
+GRID_MEMO_ENTRIES = 8
+GRID_MEMO_VALUES = 256
+# The largest domain whose monotone fill order is kept for the process
+# (`_monotone_fill_order`): 254 subsets on 8 points, and 0.04 MiB under
+# tracemalloc for all 8 sizes. A 20-point order holds 2^20 - 2 subsets.
+FILL_ORDER_MEMO_POINTS = 8
 
 RationalLike = Union[Fraction, int]
 SubsetLike = Union[int, Iterable[str]]
@@ -205,9 +215,14 @@ class _Record:
 
 
 class Domain(_Record):
-    """Ordered finite set of distinct labels; subsets are bitmasks over it."""
+    """Ordered finite set of distinct labels; subsets are bitmasks over it.
 
-    __slots__ = ("labels", "_index")
+    A record of its labels, equal to the domains with the same labels
+    and hashed as the record hash of them. Domains key the grid space,
+    product domain and support-scan memos, so both read the labels
+    directly, and the hash is computed once, on construction."""
+
+    __slots__ = ("labels", "_index", "_hash")
     _fields = ("labels",)
 
     def __init__(self, labels: Sequence[str]):
@@ -223,6 +238,15 @@ class Domain(_Record):
                 raise ValueError(f"label {lab!r} may not contain ','")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
+        object.__setattr__(self, "_hash", hash((labels,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.labels == other.labels
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -293,16 +317,29 @@ def _vacuous_ranks(domain: Domain, rank_of: Callable[[int], int]) -> bool:
     return not any(rank_of(full ^ (1 << k)) for k in range(domain.size))
 
 
-def _monotone_fill_order(domain: Domain) -> list[tuple[int, tuple[int, ...]]]:
+def _monotone_fill_order(domain: Domain) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Proper nonempty subsets in ascending (cardinality, bitmask) order,
     each with its lower covers (the subsets one point smaller).
 
     Filling in this order, a subset's only live monotonicity constraint
     is its floor: the max of the already-filled table over its covers.
+    The order depends only on the domain size (`_fill_order`), and is
+    kept for the process up to FILL_ORDER_MEMO_POINTS points, an
+    immutable tuple that callers share; a larger order is built on each
+    call, to be freed after it.
     """
-    order = sorted(range(1, domain.full_mask), key=lambda m: (m.bit_count(), m))
-    return [(mask, tuple(mask ^ (1 << k) for k in range(domain.size) if mask >> k & 1))
-            for mask in order]
+    size = domain.size
+    return (_fill_order if size <= FILL_ORDER_MEMO_POINTS else _fill_order.__wrapped__)(size)
+
+
+@functools.lru_cache(maxsize=None)
+def _fill_order(size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """`_monotone_fill_order` of a `size`-point domain; the cache is
+    called for at most FILL_ORDER_MEMO_POINTS sizes, so it needs no
+    other bound."""
+    order = sorted(range(1, (1 << size) - 1), key=lambda m: (m.bit_count(), m))
+    return tuple((mask, tuple(mask ^ (1 << k) for k in range(size) if mask >> k & 1))
+                 for mask in order)
 
 
 def _rank_store(level_count: int) -> type:
@@ -316,8 +353,24 @@ def _rank_store(level_count: int) -> type:
 def _grid_values(grid: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """The sorted distinct grid values, once checked to be rationals in
     [0, 1] that include 0 and 1; a tuple, so that it can key the space
-    memos."""
-    values, _ = _ranked([_coerce_rational(g, "grid value") for g in grid])
+    memos.
+
+    Every value is coerced on every call, so a value that is not a
+    Fraction or an int raises TypeError each time. The exact keys of the
+    values (`_rational_key`), in the caller's order, then key a memo of
+    the GRID_MEMO_ENTRIES most recently used grids of at most
+    GRID_MEMO_VALUES values (`_checked_grid`): such a grid is sorted and
+    range-checked the first time it is seen, a longer one on every call,
+    and a bad grid raises every time."""
+    keys = tuple(map(_rational_key, [_coerce_rational(g, "grid value") for g in grid]))
+    return (_checked_grid if len(keys) <= GRID_MEMO_VALUES
+            else _checked_grid.__wrapped__)(keys)
+
+
+@functools.lru_cache(maxsize=GRID_MEMO_ENTRIES)
+def _checked_grid(keys: tuple[tuple[int, int], ...]) -> tuple[Fraction, ...]:
+    """`_grid_values` of the grid with these exact keys."""
+    values, _ = _ranked([Fraction(*key) for key in keys])
     for g in values:
         if g < 0 or g > 1:
             raise RangeError(f"grid value {g} outside [0, 1]")
@@ -767,23 +820,25 @@ def pushforward(cap: FiniteCapacity, mapping: Mapping[str, str],
 
     The mapping must cover every point of cap's domain and land in the
     codomain. The image is built on cap's rank table: each subset takes
-    the rank of its preimage (`FiniteCapacity._from_ranks`). Boundary
-    and monotonicity survive automatically but are re-validated.
+    the rank of its preimage, into cap's levels and in the type of cap's
+    ranks (`_rank_store`), so `FiniteCapacity._from_ranks` validates and
+    keeps that one table. Boundary and monotonicity survive
+    automatically but are re-validated.
     """
-    preimage_bits = []
+    # The preimage of each codomain point.
+    fibres = [0] * codomain.size
     for k, lab in enumerate(cap.domain.labels):
         if lab not in mapping:
             raise UnknownLabel(f"map gives no image for label {lab!r}")
-        target = mapping[lab]
-        preimage_bits.append((1 << k, 1 << codomain.index_of(target)))
-    ranks = []
-    for mask in range(codomain.subset_count):
-        pre = 0
-        for src_bit, dst_bit in preimage_bits:
-            if mask & dst_bit:
-                pre |= src_bit
-        ranks.append(cap._ranks[pre])
-    return FiniteCapacity._from_ranks(codomain, cap._levels, ranks)
+        fibres[codomain.index_of(mapping[lab])] |= 1 << k
+    # The preimage of each codomain subset, by mask: the masks holding
+    # point j come 2^j after those lacking it.
+    preimages = [0]
+    for fibre in fibres:
+        preimages += [pre | fibre for pre in preimages]
+    table = cap._ranks
+    return FiniteCapacity._from_ranks(codomain, cap._levels,
+                                      type(table)(map(table.__getitem__, preimages)))
 
 
 def vanishes_outside(cap: CapacityBase, subset: SubsetLike) -> bool:

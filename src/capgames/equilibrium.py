@@ -40,7 +40,8 @@ values in a finite grid. It is decoupled: player i's best response
 depends on player i's belief alone, so the members of a player's grid
 space are grouped by response. Every member's response is decided on
 its rank table by the same rank kernel, with the interior grid levels
-corrected once per search and lifted once per player; the kernel runs
+corrected and ranked into one chain with the payoffs once per search,
+and each player's level sets relabelled into it; the kernel runs
 once per distinct key, a member's ranks at the player's payoff
 level-set masks, which are all it reads. The tests hold it to
 `best_response`, and that to the Fraction argmax of
@@ -79,8 +80,9 @@ from .capacity import (
 from .game import (
     GameSpec,
     _argmax_mask,
-    _lifted,
+    _payoff_chain,
     _payoff_ranked,
+    _relabelled,
     _response_mask,
     _response_table,
     opponent_domain,
@@ -473,25 +475,27 @@ def find_equilibria_supports(game: GameSpec,
 
 
 def _grid_response_masks(game: GameSpec, player: int,
-                         corrected: Sequence[Fraction],
+                         chain: Sequence[int], keys: Sequence[int],
                          tables: Sequence[Sequence[int]]) -> list[int]:
     """The player's best-response mask against each belief given as a
-    rank table into a sorted grid from 0 to 1, whose interior levels
-    correct to `corrected`, in grid order.
+    rank table into a sorted grid from 0 to 1, in grid order. `chain`
+    and `keys` are `game._payoff_chain` of the corrections of the grid's
+    interior levels, in grid order, built once per search for all
+    players.
 
     The same rank kernel as `best_response` (`game._response_mask`), with
     the grid ranks as level indices: each table goes through the
-    level-set loop on the player's payoff level sets (`_response_table`),
-    grid rank 0 is level 0, the last is level 1, and the lift of any
-    other is the chain rank of its correction (`_lifted`). The loop
-    reads a table only at the level-set masks, so tables with equal
-    ranks there get the same mask: each table is keyed by those ranks,
-    and the loop runs once per distinct key of the call.
+    level-set loop on the player's payoff level sets (`_response_table`)
+    relabelled into the chain, grid rank 0 is level 0, the last is level
+    1, and the lift of any other is the chain rank of its correction,
+    its key. The loop reads a table only at the level-set masks, so
+    tables with equal ranks there get the same mask: each table is keyed
+    by those ranks, and the loop runs once per distinct key of the call.
     """
-    sets, keys = _lifted(game, _response_table(game, player), corrected)
+    sets = _relabelled(_response_table(game, player), chain)
     # Indexed by grid rank; the two ends are never lifted.
     lift = [0, *keys, 0].__getitem__
-    top = len(corrected) + 1
+    top = len(keys) + 1
     key_of = operator.itemgetter(*dict.fromkeys(
         mask for level_sets in sets for _, mask in level_sets))
     member_keys = list(map(key_of, tables))
@@ -513,13 +517,16 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
     own belief only. Each player's space is grouped by the best-response
     mask of its members, all decided on their rank tables in one pass
     (`_grid_response_masks`), with the corrections of the interior grid
-    levels evaluated once for all players. Members with equal ranks at
-    the player's payoff level-set masks share one run of the kernel.
+    levels evaluated, and ranked into one chain with the payoff values
+    (`game._payoff_chain`), once for all players. Members with equal
+    ranks at the player's payoff level-set masks share one run of the
+    kernel.
     For every tuple r of realised masks, player i accepts the members of
     group r_i whose rank outside the box of r_-i is 0, the rank of value
     0: the residual rule of `is_equilibrium`. Each outside-box mask is
     computed once per player and r_-i. The hits for r are the product
-    of the accepted lists. The grid is checked once. Each space is
+    of the accepted lists. The grid is checked once per process while
+    it stays in `capacity._grid_values`' memo. Each space is
     filled as rank tables, bounded only by its member count
     (MAX_SPACE_MEMBERS, not the opponents' domain size or the grid
     length), and the budget bounds the product of the space sizes,
@@ -539,12 +546,12 @@ def find_equilibria_grid(game: GameSpec, grid: Iterable[Fraction | int],
         raise BudgetExceeded(
             f"{total} candidate belief systems exceed the budget {budget}")
     built = {d: _grid_space_members(d, levels) for d in tables}
-    corrected = [corr.evaluate(g) for g in levels[1:-1]]
+    chain, keys = _payoff_chain(game, [corr.evaluate(g) for g in levels[1:-1]])
     # groups[i]: best-response mask -> indices of player i's members.
     groups: list[dict[int, list[int]]] = []
     for i, d in enumerate(domains):
         by_mask: dict[int, list[int]] = {}
-        masks = _grid_response_masks(game, i, corrected, tables[d])
+        masks = _grid_response_masks(game, i, chain, keys, tables[d])
         for k, mask in enumerate(masks):
             by_mask.setdefault(mask, []).append(k)
         groups.append(by_mask)

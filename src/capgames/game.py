@@ -13,9 +13,10 @@ game as (payoff rank, mask) pairs (`_response_table`). A belief that
 keeps a rank table is read on its ranks, and only an interior rank is
 looked up as a Fraction. A belief level of 0 or 1 needs no correction;
 the corrections of the interior levels and the payoff values are
-ranked in one `_ranked` call into one chain (`_lifted`), and the
+ranked in one `_ranked` call into one chain (`_payoff_chain`), and the
 level-set loop `_level_set_max` then runs on ints.
-The grid equilibrium search shares the table and the lift.
+The grid equilibrium search shares the table and the chain, which it
+builds once per search for the interior grid levels.
 `expected_payoff`, through `sugeno_integral`, stays the Fraction
 reference that the tests hold the ranks to.
 """
@@ -230,17 +231,32 @@ def _response_table(game: GameSpec, player: int) -> list[list[tuple[int, int]]]:
     return table
 
 
+def _payoff_chain(game: GameSpec,
+                  corrected: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """The game's distinct payoff values and the corrected levels ranked
+    into one chain (`_ranked`): the chain rank of each payoff rank
+    (`_payoff_ranked`), and of each corrected level. Equal values share a
+    rank, so the ranks compare as the values do."""
+    _, (chain, keys) = _ranked(_payoff_ranked(game)[0], corrected)
+    return chain, keys
+
+
+def _relabelled(sets: list[list[tuple[int, int]]],
+                chain: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """The level sets with each payoff rank replaced by its chain rank."""
+    return [[(chain[v], mask) for v, mask in level_sets] for level_sets in sets]
+
+
 def _lifted(game: GameSpec, sets: list[list[tuple[int, int]]],
             corrected: Sequence[Fraction]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The payoff values and the corrected levels ranked into one chain
-    (`_ranked`): the level sets with each payoff rank replaced by its
-    chain rank, and each corrected level's chain rank. Equal values
-    share a rank, so the ranks compare as the values do. Without
-    corrected levels the sets are returned as they are."""
+    """The level sets relabelled into the chain of the payoff values and
+    the corrected levels (`_payoff_chain`), and each corrected level's
+    chain rank. Without corrected levels the sets are returned as they
+    are."""
     if not corrected:
         return sets, []
-    _, (chain, keys) = _ranked(_payoff_ranked(game)[0], corrected)
-    return [[(chain[v], mask) for v, mask in level_sets] for level_sets in sets], keys
+    chain, keys = _payoff_chain(game, corrected)
+    return _relabelled(sets, chain), keys
 
 
 def _argmax_mask(sets: list[list[tuple[int, int]]], level_of: Callable[[int], int],

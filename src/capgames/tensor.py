@@ -17,7 +17,9 @@ into one sorted list, each factor's rank table is mapped into it, the
 table and its capacity validation compare ints, and the ranks become
 Fractions only in the returned table. Factors with equal levels, every
 possibility capacity among them, skip both steps: their levels are the
-list and their ranks are read as they are. The lazy evaluator runs the
+list and their ranks are read as they are. The dense table is built in
+its capacity's rank table type (bytes up to 256 levels), validated and
+kept with no copy. The lazy evaluator runs the
 level-set loop on ranks the same way and maps each rank it returns back
 to its value. Products of
 three or more factors are the left-associated fold of the two-factor
@@ -27,11 +29,13 @@ differences).
 Flat product domains index tuples row-major in ascending factor order
 and label them by joining the factor labels with "|". The structure
 (factor list, index maps) is carried by ProductDomain; labels are never
-re-parsed.
+re-parsed. `product_domain` keeps a bounded per-process memo of them, so
+equal factor tuples share one product domain.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -45,6 +49,7 @@ from .capacity import (
     DENSE_DOMAIN_CAP,
     _ZERO_ONE,
     _Record,
+    _rank_store,
     _ranked,
     _vacuous_ranks,
     pushforward,
@@ -161,8 +166,27 @@ class ProductDomain(_Record):
         return box
 
 
+# The product domains kept for the process (`product_domain`). A pass of
+# dense-beliefs uses 9 factor tuples, and a support scan one per player of
+# each game's strategy domains.
+PRODUCT_MEMO_ENTRIES = 64
+
+
 def product_domain(factors: Sequence[Domain]) -> ProductDomain:
-    return ProductDomain(tuple(factors))
+    """The product of the factor domains, in order.
+
+    A product domain is an immutable record of its factors, so the
+    PRODUCT_MEMO_ENTRIES most recently used are kept for the process,
+    keyed by the factor tuple (`_product_domain`): equal factor tuples
+    give the same object, built once, and `tensor2` shares its
+    caller's. A factor tuple that cannot form a product raises every
+    time: exceptions are not kept."""
+    return _product_domain(tuple(factors))
+
+
+@functools.lru_cache(maxsize=PRODUCT_MEMO_ENTRIES)
+def _product_domain(factors: tuple[Domain, ...]) -> ProductDomain:
+    return ProductDomain(factors)
 
 
 def _table(cap: CapacityBase) -> Sequence[Fraction]:
@@ -196,18 +220,22 @@ def _factor_levels(factors: Sequence[CapacityBase],
     return tuple(levels), level_ranks
 
 
-def _dense_ranks(cap: CapacityBase, level_ranks: list[int] | None) -> Sequence[int]:
+def _dense_ranks(cap: CapacityBase, level_ranks: list[int] | None,
+                 store: type) -> Sequence[int]:
     """A factor's ranks by mask into the levels of `_factor_levels`,
-    given its `level_ranks` there: its own ranks when that is None, a
-    lazy product's read mask by mask through `_rank`."""
+    given its `level_ranks` there, in `store`, the rank table type of
+    those levels (`_rank_store`): a FiniteCapacity's own `_ranks`,
+    shared, when `level_ranks` is None (its levels are those levels, so
+    its table has that type already), and a lazy product's read mask by
+    mask through `_rank`."""
     if isinstance(cap, FiniteCapacity):
         ranks = cap._ranks
     elif isinstance(cap, LazyTensorCapacity):
-        ranks = list(map(cap._rank, range(cap.domain.subset_count)))
+        ranks = map(cap._rank, range(cap.domain.subset_count))
     else:
         # Its levels are its value table, so their ranks are its ranks.
-        return level_ranks
-    return ranks if level_ranks is None else list(map(level_ranks.__getitem__, ranks))
+        return store(level_ranks)
+    return store(ranks if level_ranks is None else map(level_ranks.__getitem__, ranks))
 
 
 def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
@@ -227,8 +255,12 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
     with R the right factor's ranks and P0, P1 the same table on the
     other m - 1 rows, against the left ranks of the sets without and
     with the first point (`_peel_rows`). No mask runs the level-set
-    loop. The table is validated as a capacity on the ranks and only
-    then mapped back to the levels.
+    loop. Both factors' ranks, and so the table, are built in the rank
+    table type of `levels` (`_rank_store`), which the capacity keeps: the
+    table is validated as a capacity on the ranks and kept as it is,
+    with no copy, and its values are the levels at those ranks. The
+    product domain is `product_domain`'s, shared with any caller that
+    asks for the same factors.
     """
     m, k = left.domain.size, right.domain.size
     if m * k > DENSE_DOMAIN_CAP:
@@ -238,36 +270,51 @@ def tensor2(left: CapacityBase, right: CapacityBase) -> FiniteCapacity:
         )
     pd = product_domain([left.domain, right.domain])
     levels, (to_left, to_right) = _factor_levels((left, right))
+    store = _rank_store(len(levels))
     return FiniteCapacity._from_ranks(pd.flat, levels, _peel_rows(
-        _dense_ranks(left, to_left), _dense_ranks(right, to_right), {}))
+        _dense_ranks(left, to_left, store), _ClampRows(_dense_ranks(right, to_right, store))))
 
 
-def _peel_rows(left: Sequence[int], right: Sequence[int],
-               rows: dict[tuple[int, int], list[int]]) -> list[int]:
+class _ClampRows(dict):
+    """The rows of `_peel_rows`: the right factor's ranks clamped to
+    [p0, p1], keyed by (p0, p1), each built once, on its first read, in
+    the rank table type of the right factor's ranks."""
+
+    __slots__ = ("right",)
+
+    def __init__(self, right: Sequence[int]):
+        super().__init__()
+        self.right = right
+
+    def __missing__(self, key: tuple[int, int]) -> Sequence[int]:
+        p0, p1 = key
+        row = self[key] = type(self.right)([p0 if r <= p0 else r if r < p1 else p1
+                                            for r in self.right])
+        return row
+
+
+def _peel_rows(left: Sequence[int], rows: _ClampRows) -> Sequence[int]:
     """Ranks, by product mask B, of max over row sets A of min(left[A],
     min over x in A of right[B_x]), for a table `left` on m rows (2^m
-    entries, not necessarily 0 at the empty set) and `right` on k points.
+    entries, not necessarily 0 at the empty set) and `right` =
+    `rows.right` on k points, both in one rank table type (`_rank_store`),
+    which the result has too.
 
     The A without row 0 give P0 = the same on rows 1..m-1 against
     left[0::2]; the A with it give min(right[r0], P1), with P1 against
-    left[1::2]. So B = h << k | r0 has max(P0[h], min(right[r0], P1[h])).
+    left[1::2]. So B = h << k | r0 has max(P0[h], min(right[r0], P1[h])),
+    the row of (P0[h], P1[h]) in `rows` at r0: a clamp, since P0[h] <=
+    P1[h] (left[1::2] bounds left[0::2], a capacity being monotone, and
+    the table grows with `left`). The table is those rows joined once.
     On 0 rows only A = {} is left: the one-entry table is its own answer.
-    `rows` holds the 2^k ranks built for each (P0[h], P1[h]) pair.
     """
     if len(left) == 1:
         return left
-    out: list[int] = []
-    for p0, p1 in zip(_peel_rows(left[0::2], right, rows),
-                      _peel_rows(left[1::2], right, rows)):
-        row = rows.get((p0, p1))
-        if row is None:
-            # max(p0, min(r, p1)) as a clamp: p0 <= p1, since left[1::2]
-            # bounds left[0::2] (a capacity is monotone), and the table
-            # grows with `left`.
-            row = rows[p0, p1] = [p0 if r <= p0 else r if r < p1 else p1
-                                  for r in right]
-        out += row
-    return out
+    out = map(rows.__getitem__, zip(_peel_rows(left[0::2], rows),
+                                    _peel_rows(left[1::2], rows)))
+    if type(rows.right) is bytes:
+        return b"".join(out)
+    return tuple(itertools.chain.from_iterable(out))
 
 
 def tensor_many(caps: Sequence[CapacityBase]) -> CapacityBase:
@@ -334,10 +381,12 @@ class LazyTensorCapacity(CapacityBase, _Record):
         fs = tuple(factors)
         pd = _product if _product is not None else product_domain([f.domain for f in fs])
         levels, level_ranks = _factor_levels(fs)
+        store = _rank_store(len(levels))
         # A lazy factor ranks its own levels on demand.
         ranks = [(f._rank if to is None else _composed(to, f._rank))
                  if isinstance(f, LazyTensorCapacity)
-                 else _dense_ranks(f, to).__getitem__ for f, to in zip(fs, level_ranks)]
+                 else _dense_ranks(f, to, store).__getitem__
+                 for f, to in zip(fs, level_ranks)]
         rank, memo = ranks[0], {}
         prefix_size = fs[0].domain.size
         for f, last_rank in zip(fs[1:], ranks[1:]):

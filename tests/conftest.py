@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from capgames import capacity
+from capgames import capacity, tensor
 
 settings.register_profile(
     "suite",
@@ -15,10 +15,12 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def cold_grid_spaces():
-    """Empty the per-process grid space memos before and after the test,
-    so that a count of builds, validations or fills does not depend on
-    which tests ran before it."""
-    memos = (capacity._grid_space_tables, capacity._grid_space_members)
+    """Empty the per-process memos of grid spaces, grids, fill orders and
+    product domains before and after the test, so that a count of builds,
+    validations, fills or compares does not depend on which tests ran
+    before it."""
+    memos = (capacity._grid_space_tables, capacity._grid_space_members,
+             capacity._checked_grid, capacity._fill_order, tensor._product_domain)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import pickle
 import sys
@@ -36,10 +37,15 @@ from capgames import (
     top_capacity,
     vanishes_outside,
 )
+from capgames import capacity
 from capgames.capacity import (
     COVER_MEMO_FIELDS,
+    FILL_ORDER_MEMO_POINTS,
+    GRID_MEMO_ENTRIES,
+    GRID_MEMO_VALUES,
     MAX_SPACE_MEMBERS,
     BudgetExceeded,
+    _Record,
     _cover_masks,
     _cover_violation,
     _grid_space_members,
@@ -52,6 +58,7 @@ from capgames.capacity import (
 from capgames.generate import SplitMix64, random_capacity
 
 from helpers import (
+    counted_fraction_compares,
     depth_first_grid_tables,
     fraction_capacity_table,
     fraction_random_capacity,
@@ -91,6 +98,27 @@ class TestDomain:
         listed = Domain(["a", "b"])
         assert listed.labels == ("a", "b")
         assert listed == AB and hash(listed) == hash(AB)
+
+    def test_hash_and_equality_read_the_labels(self, monkeypatch):
+        domain = Domain(["a", "b"])
+        assert hash(domain) == hash((domain.labels,)) == hash(AB)
+        for twin in (copy.copy(domain), copy.deepcopy(domain),
+                     pickle.loads(pickle.dumps(domain))):
+            assert twin == domain and hash(twin) == hash(domain)
+        # Neither builds the record's field tuple.
+        records = []
+        astuple = _Record._astuple
+
+        def counted(record):
+            records.append(record)
+            return astuple(record)
+
+        monkeypatch.setattr(_Record, "_astuple", counted)
+        assert {AB: 1}[domain] == 1 and {(domain, 3): 2}[AB, 3] == 2
+        assert domain == AB and not domain != AB
+        assert domain != Domain(("b", "a")) and domain != Domain(("a",))
+        assert domain != ("a", "b")
+        assert records == []
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
@@ -359,6 +387,56 @@ def test_random_capacity_matches_the_fraction_fill(size):
         assert cap == fraction_random_capacity(domain, reference_rng, denominator)
         assert rng.state == reference_rng.state  # the same draws
         assert {type(v) for v in cap.values} == {Fraction}
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "9db6e1dbea9679934edc92353f0d34d25f77c344c75d75ff96d2b9d8490f70b1"),
+    (23, "28db073a36f7572723a9dc8b40c37e090edb74a0c41a34081f30f34da37ae73d"),
+])
+def test_seeded_random_capacities_keep_their_values(seed, digest):
+    # One stream over sizes inside the kept fill orders and one past them
+    # (9 points), three denominators each.
+    rng = SplitMix64(seed)
+    parts = [",".join(map(str, random_capacity(letters(size), rng, denominator).values))
+             for size in (*range(1, 7), 9) for denominator in (1, 3, 8)]
+    assert hashlib.sha256(";".join(parts).encode()).hexdigest() == digest
+
+
+@pytest.mark.usefixtures("cold_grid_spaces")
+class TestFillOrder:
+    def test_orders_up_to_the_bound_are_kept_and_shared(self):
+        order = capacity._monotone_fill_order(letters(3))
+        assert order == (
+            (1, (0,)), (2, (0,)), (4, (0,)),
+            (3, (2, 1)), (5, (4, 1)), (6, (4, 2)))
+        # Kept by size, whatever the labels; immutable all the way down.
+        assert capacity._monotone_fill_order(Domain(("x", "y", "z"))) is order
+        assert all(type(entry) is tuple and type(entry[1]) is tuple for entry in order)
+        size = FILL_ORDER_MEMO_POINTS
+        assert len(capacity._monotone_fill_order(letters(size))) == 2**size - 2
+        assert capacity._fill_order.cache_info().currsize == 2
+
+    def test_larger_orders_are_built_on_each_call(self):
+        domain = letters(FILL_ORDER_MEMO_POINTS + 1)
+        first = capacity._monotone_fill_order(domain)
+        second = capacity._monotone_fill_order(domain)
+        assert first == second and first is not second
+        assert capacity._fill_order.cache_info().currsize == 0
+
+    def test_a_twenty_point_call_pins_nothing(self, monkeypatch):
+        # The 20-point order itself holds 2^20 - 2 subsets with their
+        # covers, several hundred MiB: a stub builder stands for it.
+        built = []
+
+        def stub(size):
+            built.append(size)
+            return ()
+
+        monkeypatch.setattr(capacity._fill_order, "__wrapped__", stub)
+        for _ in range(2):
+            assert capacity._monotone_fill_order(letters(20)) == ()
+        assert built == [20, 20]
+        assert capacity._fill_order.cache_info().currsize == 0
 
 
 def ranks_of(cap: FiniteCapacity) -> tuple[list[Fraction], list[int]]:
@@ -731,6 +809,49 @@ class TestBatchValidation:
                 expected = batch_outcome(lambda: one_by_one_from_ranks(domain, QUARTERS, alone))
                 assert isinstance(expected, tuple)
                 assert assert_batch_matches(domain, QUARTERS, tables) == expected
+
+
+@pytest.mark.usefixtures("cold_grid_spaces")
+class TestGridValues:
+    def test_a_repeated_grid_is_checked_once(self):
+        with counted_fraction_compares() as first:
+            values = _grid_values((1, 0, F(1, 2), 0))
+        # The same exact values in the same order: ints and Fractions
+        # have the same keys.
+        with counted_fraction_compares() as again:
+            assert _grid_values([F(1), F(0), F(1, 2), 0]) is values
+        assert values == (0, F(1, 2), 1) and all(type(g) is Fraction for g in values)
+        assert first[0] > 0 and again == [0]
+
+    @pytest.mark.parametrize("grid, error", [
+        ((0, F(3, 2), 1), RangeError), ((-1, 0, 1), RangeError),
+        ((0, F(1, 2)), ValueError), ((F(1, 2), 1), ValueError)])
+    def test_a_bad_grid_raises_every_time(self, grid, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                _grid_values(grid)
+
+    @pytest.mark.parametrize("grid", [(0, 0.5, 1), (False, True), (0, "1/2", 1)])
+    def test_values_are_coerced_on_every_call(self, grid):
+        # (False, True) has the keys of the kept (0, 1).
+        _grid_values((0, 1))
+        _grid_values((0, F(1, 2), 1))
+        for _ in range(2):
+            with pytest.raises(TypeError, match="grid value"):
+                _grid_values(grid)
+
+    def test_the_memo_stays_at_its_bound(self):
+        grids = [(0, F(1, n), 1) for n in range(2, GRID_MEMO_ENTRIES + 7)]
+        for grid in grids:
+            assert _grid_values(grid) == grid
+        assert capacity._checked_grid.cache_info().currsize == GRID_MEMO_ENTRIES
+        # A longer grid is checked on each call and kept by no entry.
+        before = capacity._checked_grid.cache_info()
+        long_grid = tuple(F(k, GRID_MEMO_VALUES) for k in range(GRID_MEMO_VALUES + 1))
+        with counted_fraction_compares() as compares:
+            assert _grid_values(long_grid) == _grid_values(long_grid) == long_grid
+        assert compares[0] > 2 * GRID_MEMO_VALUES
+        assert capacity._checked_grid.cache_info() == before
 
 
 class TestGridTables:

@@ -39,13 +39,14 @@ from capgames import (
     top_capacity,
 )
 from capgames import PayoffFunction, capacity, equilibrium, payoff_slice
+from capgames import game as game_module
 from capgames.capacity import SPACE_MEMO_ENTRIES, _grid_tables, _grid_values
 from capgames.equilibrium import (
     _best_response_masks,
     _grid_response_masks,
     support_profile_count,
 )
-from capgames.game import _lifted, _payoff_ranked, _response_table
+from capgames.game import _lifted, _payoff_chain, _payoff_ranked, _response_table
 from capgames.generate import SplitMix64, random_capacity, random_game
 
 from helpers import (
@@ -678,9 +679,9 @@ class TestFindEquilibriaGrid:
         for i in range(game.n_players):
             domain = opponent_domain(game, i).flat
             levels = _grid_values(grid)
-            masks = _grid_response_masks(game, i,
-                                         [corr.evaluate(g) for g in levels[1:-1]],
-                                         _grid_tables(domain, levels))
+            masks = _grid_response_masks(game, i, *_payoff_chain(
+                game, [corr.evaluate(g) for g in levels[1:-1]]),
+                _grid_tables(domain, levels))
             own = game.strategy_domains[i]
             space = enumerate_capacities(domain, grid).capacities
             assert masks == [own.mask_of(best_response(game, i, cap, corr))
@@ -731,7 +732,7 @@ class TestFindEquilibriaGrid:
             read = sorted({mask for level_sets in sets for _, mask in level_sets})
             distinct = {tuple(table[m] for m in read) for table in tables}
             calls.clear()
-            masks = _grid_response_masks(game, i, corrected, tables)
+            masks = _grid_response_masks(game, i, *_payoff_chain(game, corrected), tables)
             assert len(calls) == len(distinct)
             lifted, keys = _lifted(game, sets, corrected)
             lift = [0, *keys, 0].__getitem__
@@ -746,6 +747,44 @@ class TestFindEquilibriaGrid:
             calls.clear()
             find_equilibria_grid(game, grid, corr)
             assert len(calls) == expected_calls
+
+    @pytest.mark.parametrize("sizes, grid, seed", [([2, 3], GRID3, 4), ([2, 2, 2], (0, 1), 5)])
+    @pytest.mark.usefixtures("cold_grid_spaces")
+    def test_one_payoff_chain_per_search(self, monkeypatch, sizes, grid, seed):
+        # The chain of the payoff values and the corrected interior grid
+        # levels is ranked once per search, not once per player.
+        game = random_game(SplitMix64(seed), sizes)
+        cold = find_equilibria_grid(game, grid)
+        calls = []
+        ranked = game_module._ranked
+
+        def counted(*tables):
+            calls.append(tables)
+            return ranked(*tables)
+
+        monkeypatch.setattr(game_module, "_ranked", counted)
+        warm = find_equilibria_grid(game, grid)
+        assert len(calls) == 1
+        assert calls[0][0] == _payoff_ranked(game)[0]
+        assert warm == cold and all(a is b for s, t in zip(warm, cold)
+                                    for a, b in zip(s.beliefs, t.beliefs))
+        # A fresh game ranks its payoffs once more.
+        calls.clear()
+        assert find_equilibria_grid(random_game(SplitMix64(seed), sizes), grid) == cold
+        assert len(calls) == 2
+
+    @pytest.mark.usefixtures("cold_grid_spaces")
+    def test_fraction_compares_of_a_warm_search(self):
+        # A tripwire: a search whose grid and spaces are kept makes 17
+        # Fraction compares on this game, 9 to rank its payoffs and 8 to
+        # rank the one corrected level into them. Ranking that level
+        # once per player again makes 25.
+        find_equilibria_grid(random_game(SplitMix64(4), [2, 3]), GRID3)
+        game = random_game(SplitMix64(4), [2, 3])
+        with counted_fraction_compares() as compares:
+            systems = find_equilibria_grid(game, GRID3)
+        assert len(systems) == 153
+        assert compares[0] <= 17
 
     def test_correction_is_evaluated_once_per_interior_level(self):
         evaluated = []

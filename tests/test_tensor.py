@@ -1,6 +1,8 @@
 """Product domains and the capacity tensor product."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +33,7 @@ from capgames import (
     vanishes_outside,
 )
 from capgames import capacity, tensor
+from capgames.tensor import PRODUCT_MEMO_ENTRIES
 from capgames.generate import SplitMix64, random_capacity
 
 from helpers import (
@@ -123,6 +126,86 @@ class TestProductDomain:
                                              r"\('a', 'b\|c'\) join to the same "
                                              r"product label 'a\|b\|c'"):
             product_domain([Domain(("a|b", "a")), Domain(("b|c", "c"))])
+
+
+@pytest.mark.usefixtures("cold_grid_spaces")
+class TestSharedProductDomains:
+    def test_equal_factor_tuples_give_one_object(self, monkeypatch):
+        builds = []
+        post_init = ProductDomain.__post_init__
+
+        def counted(pd):
+            builds.append(pd.factors)
+            post_init(pd)
+
+        monkeypatch.setattr(ProductDomain, "__post_init__", counted)
+        pd = product_domain([AB, XY])
+        assert product_domain((Domain(("a", "b")), Domain(["x", "y"]))) is pd
+        others = [product_domain([XY, AB]), product_domain([AB, XY, AB]),
+                  product_domain([AB, PQR]), product_domain([AB])]
+        assert len({id(pd), *map(id, others)}) == 5
+        # tensor2 and its caller share the product: one build each.
+        assert tensor2(uniform(AB), uniform(XY)).domain is pd.flat
+        assert len(builds) == 5
+        # Equality, copies and pickles are those of the record.
+        for twin in (ProductDomain((AB, XY)), copy.copy(pd), copy.deepcopy(pd),
+                     pickle.loads(pickle.dumps(pd))):
+            assert twin == pd and hash(twin) == hash(pd) and twin.flat == pd.flat
+
+    def test_the_memo_stays_at_its_bound(self):
+        for n in range(PRODUCT_MEMO_ENTRIES + 5):
+            product_domain([AB, Domain((f"x{n}",))])
+        assert tensor._product_domain.cache_info().currsize == PRODUCT_MEMO_ENTRIES
+
+    def test_a_product_that_cannot_be_built_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="join to the same product label"):
+                product_domain([Domain(("a|b", "a")), Domain(("b|c", "c"))])
+            with pytest.raises(ValueError, match="at least one factor"):
+                product_domain([])
+
+
+def chain_capacity(size: int) -> FiniteCapacity:
+    """The probability capacity whose value on mask m is m / (2^size - 1):
+    2^size levels, bytes ranks up to 8 points, a tuple past them."""
+    domain = letters(size)
+    return probability_capacity(domain, {
+        lab: F(2**k, 2**size - 1) for k, lab in enumerate(domain.labels)})
+
+
+class TestKeptRankTables:
+    """A product and its marginals keep the very rank table that was
+    validated, in the type of their levels, checked once each."""
+
+    @pytest.mark.parametrize("left, right", [
+        (seeded_capacity(5, 3), seeded_capacity(6, 2)),
+        (possibility_capacity(PQR, ["p", "r"]), dirac_capacity(XY, "y")),
+        (chain_capacity(8), top_capacity(Domain(("x",)))),
+        (top_capacity(Domain(("x",))), chain_capacity(9)),
+    ], ids=["dense", "shared-levels", "256-levels", "512-levels"])
+    def test_the_checked_table_is_kept(self, monkeypatch, left, right):
+        expected = [level_set_tensor2(left, right), left, right]
+        checked, batches = [], []
+        cover, check = capacity._cover_violation, capacity._check_ranks
+
+        def counted_cover(size, ranks, level_count):
+            checked.append(ranks)
+            return cover(size, ranks, level_count)
+
+        def counted_check(domain, levels, unit, tables):
+            batches.append(tables)
+            check(domain, levels, unit, tables)
+
+        monkeypatch.setattr(capacity, "_cover_violation", counted_cover)
+        monkeypatch.setattr(capacity, "_check_ranks", counted_check)
+        pd = product_domain([left.domain, right.domain])
+        product = tensor2(left, right)
+        built = [product, marginal(product, pd, 0), marginal(product, pd, 1)]
+        assert len(batches) == len(checked) == 3
+        for cap, table, reference in zip(built, checked, expected):
+            assert cap._ranks is table
+            assert type(table) is (bytes if len(cap._levels) <= 256 else tuple)
+            assert cap == reference
 
 
 class TestTensorExamples:
